@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import SingularityError, ValidationError
 from .fitting import ExpDecayFit, fit_exponential_decay
@@ -294,6 +293,10 @@ def locate_resonance(x: float, center: float, half_width: float, F: float, L: fl
     sqrt(eps)*|x| term of the scalar minimizer would otherwise dominate the
     linewidth.  Returns (omega_peak, transmission_at_peak).
     """
+    # imported here, not at module level: scipy.optimize is slow to import
+    # and only the fits and this refinement need it
+    from scipy.optimize import minimize_scalar
+
     delta = np.linspace(-half_width, half_width, n_scan)
     ts = cavity_transmission(center + delta, x, F, L, r_c=r_c, membrane=membrane)
     i = int(np.argmax(ts))

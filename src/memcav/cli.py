@@ -26,6 +26,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _seed(text: str) -> int:
+    """argparse type for RNG seeds: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _base_metadata(args, p=None) -> dict:
     meta = {"tool": "memcav", "version": __version__, "command": args.command}
     if p is not None:
@@ -159,7 +170,8 @@ def _cmd_jump_sim(args) -> int:
     meta.update({"seed": args.seed, "duration_s": args.duration,
                  "rng": traj.rng_algorithm,
                  "measurement_channels": args.channels})
-    rows = [(t, n) for t, n in zip(traj.times, traj.levels)]
+    # .tolist() hands write_csv Python scalars, which it formats fastest
+    rows = list(zip(traj.times.tolist(), traj.levels.tolist()))
     write_csv(args.output, ["t_s", "n"], rows, meta)
     if args.readout is not None:
         if args.bin_width is None:
@@ -169,7 +181,8 @@ def _cmd_jump_sim(args) -> int:
         meta_r.update({"bin_width_s": trace.bin_width, "readout_seed": args.readout_seed,
                        "delta_omega_rad_s": trace.delta_omega,
                        "noise_sigma_rad_s": trace.noise_sigma})
-        rows_r = list(zip(trace.bin_centers, trace.freq_estimates, trace.true_n_per_bin))
+        rows_r = list(zip(trace.bin_centers.tolist(), trace.freq_estimates.tolist(),
+                          trace.true_n_per_bin.tolist()))
         write_csv(args.readout, ["t_s", "freq_estimate_rad_s", "true_n"], rows_r, meta_r)
     return 0
 
@@ -310,24 +323,24 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("jump-sim", help="simulate a phonon jump trajectory")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("--duration", type=float, required=True, help="seconds")
     sp.add_argument("--channels", action="store_true",
                     help="include the ground-state measurement channels")
     sp.add_argument("--readout", help="also write a binned readout CSV here")
     sp.add_argument("--bin-width", type=float, dest="bin_width")
-    sp.add_argument("--readout-seed", type=int, dest="readout_seed", default=0)
+    sp.add_argument("--readout-seed", type=_seed, dest="readout_seed", default=0)
     add_output(sp)
     sp.set_defaults(func=_cmd_jump_sim)
 
     sp = sub.add_parser("jump-stats", help="threshold detection statistics")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("--duration", type=float, required=True)
     sp.add_argument("--bin-width", type=float, dest="bin_width", required=True)
     sp.add_argument("--threshold", type=float, required=True, help="rad/s")
     sp.add_argument("--channels", action="store_true")
-    sp.add_argument("--readout-seed", type=int, dest="readout_seed", default=0)
+    sp.add_argument("--readout-seed", type=_seed, dest="readout_seed", default=0)
     add_output(sp)
     sp.set_defaults(func=_cmd_jump_stats)
 
@@ -366,3 +379,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

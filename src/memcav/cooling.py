@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import EstimationError, FitError, ValidationError
 from .params import ExperimentParams, HBAR, K_B, C_LIGHT
@@ -91,6 +90,8 @@ def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
     to drop a spurious feature.  Supplying m (and optionally omega_m,
     t_bath, q_intrinsic) additionally populates the temperature estimates.
     """
+    from scipy.optimize import curve_fit  # deferred: see cavity.locate_resonance
+
     freq_hz = np.asarray(freq_hz, dtype=float)
     psd = np.asarray(psd, dtype=float)
     if freq_hz.shape != psd.shape or freq_hz.ndim != 1:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import FitError, ValidationError
 
@@ -25,6 +24,8 @@ def fit_exponential_decay(t, y, with_offset: bool = True, min_samples: int = 10)
     samples still well above the floor, then curve_fit refines.  Raises
     FitError for flat traces, non-convergence, or tau <= 0.
     """
+    from scipy.optimize import curve_fit  # deferred: see cavity.locate_resonance
+
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.ndim != 1 or t.shape != y.shape:

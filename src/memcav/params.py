@@ -10,6 +10,7 @@ bit-for-bit across installations; they are deliberately not overridable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -89,34 +90,33 @@ def validate(p: ExperimentParams) -> list[str]:
     """Check every parameter invariant; return violations, empty if valid.
 
     Violations are data, not errors: each failed invariant produces one
-    message, ordered deterministically by config-key name.
+    message, ordered deterministically by config-key name.  A non-finite
+    value gives a single "must be finite" message for its key.
     """
+    # (holds, message) per key; a message is formatted only if its check fails
     checks = {
-        "F": [(p.F >= 1.0, f"F must be >= 1 (got {p.F})")],
-        "L": [(p.L > 0.0, f"L must be > 0 (got {p.L})")],
-        "P_in": [(p.P_in > 0.0, f"P_in must be > 0 (got {p.P_in})")],
-        "Q": [(p.Q > 0.0, f"Q must be > 0 (got {p.Q})")],
-        "T": [(p.T > 0.0, f"T must be > 0 (got {p.T})")],
-        "lambda": [(p.lam > 0.0, f"lambda must be > 0 (got {p.lam})")],
-        "m": [(p.m > 0.0, f"m must be > 0 (got {p.m})")],
-        "omega_m": [(p.omega_m > 0.0, f"omega_m must be > 0 (got {p.omega_m})")],
-        "r_c": [
-            (p.r_c >= 0.0, f"r_c must be >= 0 (got {p.r_c})"),
-            (p.r_c < 1.0, f"r_c must be < 1 (got {p.r_c})"),
-        ],
-        "x0": [(p.x0 >= 0.0, f"x0 must be >= 0 (got {p.x0})")],
+        "F": [(p.F >= 1.0, "must be >= 1")],
+        "L": [(p.L > 0.0, "must be > 0")],
+        "P_in": [(p.P_in > 0.0, "must be > 0")],
+        "Q": [(p.Q > 0.0, "must be > 0")],
+        "T": [(p.T > 0.0, "must be > 0")],
+        "lambda": [(p.lam > 0.0, "must be > 0")],
+        "m": [(p.m > 0.0, "must be > 0")],
+        "omega_m": [(p.omega_m > 0.0, "must be > 0")],
+        "r_c": [(p.r_c >= 0.0, "must be >= 0"), (p.r_c < 1.0, "must be < 1")],
+        "x0": [(p.x0 >= 0.0, "must be >= 0")],
     }
     # x0 must stay well inside one quarter-period of the detuning curve;
     # only meaningful once lambda itself is valid.
     if p.lam > 0.0:
-        checks["x0"].append(
-            (p.x0 < p.lam / 8.0, f"x0 must be < lambda/8 (got {p.x0})")
-        )
+        checks["x0"].append((p.x0 < p.lam / 8.0, "must be < lambda/8"))
     out = []
     for key in _VALIDATION_ORDER:
-        for ok, msg in checks[key]:
-            if not ok:
-                out.append(msg)
+        value = getattr(p, _KEY_TO_ATTR[key])
+        if not math.isfinite(value):
+            out.append(f"{key} must be finite (got {value})")
+            continue
+        out += [f"{key} {msg} (got {value})" for ok, msg in checks[key] if not ok]
     return out
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import memcav
 from memcav import cooling
 from memcav.cli import run
 from memcav.textio import read_csv
@@ -181,3 +187,105 @@ def test_transmission_map_membrane_requires_thickness(tmp_path):
                 "--wavelength", "5.32e-7", "--membrane-index", "2.0",
                 "--det-min=0", "--det-max=1e9", "-o", str(tmp_path / "m.csv")])
     assert code == 1
+
+
+def test_nonfinite_config_exit_one(tmp_path, row1_config, capsys):
+    bad = tmp_path / "inf.cfg"
+    bad.write_text(row1_config.read_text().replace("P_in = 1e-5", "P_in = inf"))
+    code = run(["qnd-budget", "--config", str(bad), "-o", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "P_in must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed_args", [
+    ["--seed", "-1"],
+    ["--seed", "1", "--readout-seed", "-1"],
+    ["--seed", "1.5"],
+])
+@pytest.mark.parametrize("command", ["jump-sim", "jump-stats"])
+def test_bad_seed_exit_one(tmp_path, row1_config, capsys, command, seed_args):
+    argv = [command, "--config", str(row1_config), "--duration", "0.001",
+            "-o", str(tmp_path / "o.out")] + seed_args
+    if command == "jump-stats":
+        argv += ["--bin-width", "1e-4", "--threshold", "0.1"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "non-negative integer" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.out").exists()
+
+
+def test_ragged_csv_exit_one(tmp_path, capsys):
+    data = tmp_path / "ragged.csv"
+    data.write_text("t_s,power\n0,1.0\n1e-6,0.5,7\n")
+    code = run(["ringdown-fit", "-i", str(data), "-o", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{data}:3" in err
+    assert "Traceback" not in err
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports memcav from this checkout."""
+    src = str(Path(memcav.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_module_entry_point_runs_cli(tmp_path):
+    out = tmp_path / "b.json"
+    proc = _run_python("-m", "memcav.cli", "qnd-budget",
+                       "--config", str(tmp_path / "missing.cfg"), "-o", str(out))
+    assert proc.returncode == 1
+    assert "config file not found" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import memcav, memcav.cli
+codes = [memcav.cli.run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_non_fit_commands_do_not_import_scipy(tmp_path, row1_config):
+    """scipy.optimize costs ~0.45 s per process; only the fits may load it."""
+    cfg = str(row1_config)
+    commands = [
+        ["qnd-budget", "--config", cfg, "-o", str(tmp_path / "b.json")],
+        ["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7",
+         "--samples", "11", "-o", str(tmp_path / "bands.csv")],
+        ["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+         "--wavelength", "5.32e-7", "--det-min=-1e9", "--det-max=1e9",
+         "--det-samples", "11", "--x-samples", "3", "-o", str(tmp_path / "map.csv")],
+        ["jump-sim", "--config", cfg, "--seed", "42", "--duration", "0.002", "--channels",
+         "--readout", str(tmp_path / "r.csv"), "--bin-width", "7e-5",
+         "-o", str(tmp_path / "t.csv")],
+        ["jump-stats", "--config", cfg, "--seed", "42", "--duration", "0.002",
+         "--bin-width", "1e-4", "--threshold", "0.12", "-o", str(tmp_path / "s.json")],
+        ["sweep", "--config", cfg, "--axis", "F:3e5:6e5:2:log", "--best",
+         str(tmp_path / "best.json"), "--maximize", "-o", str(tmp_path / "sw.csv")],
+    ]
+    proc = _run_python("-c", _NO_SCIPY_SCRIPT, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(commands), proc.stderr
+    assert result["scipy"] == []
+
+
+def test_fit_command_in_fresh_process(tmp_path):
+    t = np.linspace(0, 6e-6, 200)
+    power = 1.7 * np.exp(-t / 1.145e-6) + 0.2
+    data = tmp_path / "ring.csv"
+    data.write_text("t_s,power\n" + "\n".join(f"{a},{b}" for a, b in zip(t, power)))
+    out = tmp_path / "fit.json"
+    proc = _run_python("-m", "memcav.cli", "ringdown-fit", "-i", str(data), "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(out.read_text())["tau_s"] / 1.145e-6 - 1) < 1e-6

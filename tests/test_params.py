@@ -86,6 +86,20 @@ def test_validate_rc_boundary(row1):
     assert validate(with_value(row1, "r_c", 0.0)) == []
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", ["L", "lambda", "F", "P_in", "T", "m", "omega_m",
+                                 "Q", "r_c", "x0"])
+def test_validate_rejects_non_finite(row1, key, value):
+    assert validate(with_value(row1, key, value)) == [f"{key} must be finite (got {value})"]
+
+
+def test_load_config_rejects_inf(tmp_path, row1_config):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(row1_config.read_text().replace("P_in = 1e-5", "P_in = inf"))
+    with pytest.raises(ConfigError, match="P_in must be finite"):
+        load_config(bad)
+
+
 def test_validate_x0_quarter_period(row1):
     assert validate(with_value(row1, "x0", row1.lam / 4)) != []
     assert validate(with_value(row1, "x0", row1.lam / 16)) == []

@@ -36,6 +36,39 @@ def test_read_csv_skips_blank_and_comment_lines(tmp_path):
     assert list(cols["a"]) == [1.0, 3.0]
 
 
+def test_write_csv_matches_format_value_bytes(tmp_path):
+    cells = [1.5, -0.0, float("inf"), float("nan"), 5.32e-7, 7, -3, True, False,
+             np.float64(0.1), np.int64(-12), np.bool_(True), "x", ""]
+    rows = [cells, list(reversed(cells))]
+    table = np.array([[0.1, -0.0, 1e300], [float("nan"), -float("inf"), 2.99792458e8]])
+    meta = {"seed": 3, "flag": np.bool_(False)}
+    for name, data in (("rows", rows), ("table", table)):
+        path = tmp_path / f"{name}.csv"
+        write_csv(path, ["c"] * len(data[0]), data, meta)
+        expected = ["# seed = 3", "# flag = 0", ",".join(["c"] * len(data[0]))]
+        expected += [",".join(format_value(v) for v in row) for row in data]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("a,b\n1,2\n3,4,5\n", 3),
+    ("# meta\na,b\n1\n", 3),
+    ("a,b\n1,2\n\n3,4,\n", 4),
+])
+def test_read_csv_rejects_ragged_rows(tmp_path, text, lineno):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"t.csv:{lineno}: expected 2 cells"):
+        read_csv(path)
+
+
+def test_read_csv_without_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# only metadata\n")
+    with pytest.raises(ValidationError, match="no header row"):
+        read_csv(path)
+
+
 def test_write_json_metadata_first(tmp_path):
     import json
     path = tmp_path / "t.json"
