@@ -45,8 +45,7 @@ def dispersive_detuning(x, r_c: float, L: float, lam: float):
     [(c/L) arccos(r_c), (c/L) arccos(-r_c)].  Vectorized over x.
     """
     _check_rc(r_c)
-    if L <= 0 or lam <= 0:
-        raise ValidationError("L and lambda must be positive")
+    _check_lengths(L, lam)
     x = np.asarray(x, dtype=float)
     out = (C_LIGHT / L) * np.arccos(r_c * np.cos(4.0 * np.pi * x / lam))
     return float(out) if out.ndim == 0 else out
@@ -63,8 +62,7 @@ def detuning_derivatives(x0: float, r_c: float, L: float, lam: float) -> tuple[f
     With r_c = 0 there is no quadratic coupling (omega2 = 0).
     """
     _check_rc(r_c)
-    if L <= 0 or lam <= 0:
-        raise ValidationError("L and lambda must be positive")
+    _check_lengths(L, lam)
     omega0 = C_LIGHT * math.acos(r_c) / L
     if r_c == 0.0:
         return omega0, 0.0, 0.0
@@ -108,6 +106,7 @@ def band_structure(r_c: float, L: float, lam: float, x_range, n_samples: int,
     is ascending in frequency since theta(x) stays inside (0, pi).
     """
     _check_rc(r_c)
+    _check_lengths(L, lam)
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
     if n_bands < 1:
@@ -165,8 +164,8 @@ def sheet_strength(r_c: float) -> float:
 
 def mirror_reflectivity_from_finesse(F: float) -> float:
     """Power reflectivity R of identical lossless mirrors, F = pi sqrt(R)/(1-R)."""
-    if F < 1:
-        raise ValidationError(f"finesse must be >= 1 (got {F})")
+    if not 1.0 <= F < math.inf:
+        raise ValidationError(f"finesse must be finite and >= 1 (got {F})")
     s = (-math.pi + math.sqrt(math.pi**2 + 4.0 * F**2)) / (2.0 * F)  # sqrt(R)
     return s * s
 
@@ -218,8 +217,6 @@ def cavity_transmission(omega, x: float, F: float, L: float,
     """
     if (r_c is None) == (membrane is None):
         raise ValidationError("provide exactly one of r_c or membrane")
-    if F < 1:
-        raise ValidationError(f"finesse must be >= 1 (got {F})")
     k = np.asarray(omega, dtype=float) / C_LIGHT
     R = mirror_reflectivity_from_finesse(F)
     zeta_m = math.sqrt(R / (1.0 - R))
@@ -261,6 +258,7 @@ def transmission_map(F: float, L: float, lam: float, detuning_grid, x_grid,
     omega_base defaults to the longitudinal mode nearest the design
     wavelength, round(2 L / lambda) * omega_FSR.
     """
+    _check_lengths(L, lam)
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     if detuning_grid.size == 0 or x_grid.size == 0:
@@ -353,3 +351,8 @@ def finesse_ringdown(value: float, direction: str, L: float) -> float:
 def _check_rc(r_c: float) -> None:
     if not 0.0 <= r_c < 1.0:
         raise ValidationError(f"r_c must be in [0, 1) (got {r_c})")
+
+
+def _check_lengths(L: float, lam: float) -> None:
+    if not (0.0 < L < math.inf and 0.0 < lam < math.inf):
+        raise ValidationError(f"L and lambda must be finite and positive (got {L} and {lam})")

@@ -11,10 +11,10 @@ bit-for-bit across installations; they are deliberately not overridable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ class MembraneSpec:
 
     def __post_init__(self):
         if not self.n_index >= 1.0:
-            raise ValueError(f"n_index must be >= 1 (got {self.n_index})")
+            raise ValidationError(f"n_index must be >= 1 (got {self.n_index})")
         if not self.d > 0.0:
-            raise ValueError(f"d must be > 0 (got {self.d})")
+            raise ValidationError(f"d must be > 0 (got {self.d})")
 
 
 def validate(p: ExperimentParams) -> list[str]:
@@ -170,9 +170,14 @@ def as_dict(p: ExperimentParams) -> dict[str, float]:
     return {key: getattr(p, _KEY_TO_ATTR[key]) for key in CONFIG_KEYS}
 
 
+def attr_name(name: str) -> str:
+    """ExperimentParams attribute for an attribute or config-key name."""
+    attr = _KEY_TO_ATTR.get(name, name)
+    if attr not in _ATTR_TO_KEY:
+        raise ValueError(f"unknown parameter '{name}'")
+    return attr
+
+
 def with_value(p: ExperimentParams, name: str, value: float) -> ExperimentParams:
     """Copy of p with one field replaced; accepts attribute or config key."""
-    attr = _KEY_TO_ATTR.get(name, name)
-    if attr not in {f.name for f in fields(ExperimentParams)}:
-        raise ValueError(f"unknown parameter '{name}'")
-    return replace(p, **{attr: value})
+    return replace(p, **{attr_name(name): value})

@@ -18,10 +18,8 @@ from the total decay rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
-
-import numpy as np
 
 from . import cavity, mechanics
 from .errors import SingularityError, ValidationError
@@ -34,22 +32,24 @@ def _require_valid(p: ExperimentParams) -> None:
         raise ValidationError("; ".join(violations))
 
 
-def detuning_per_phonon(p: ExperimentParams) -> float:
-    """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c))).
+def _kappa(p: ExperimentParams) -> float:
+    """Cavity energy damping rate pi c / (L F) [rad/s]."""
+    return math.pi * C_LIGHT / (p.L * p.F)
 
-    Evaluated both through the zero-point amplitude and through the
-    equivalent hbar/(m omega_m) form; the two must agree to rounding.
-    """
+
+def _one_minus_rc(p: ExperimentParams) -> float:
+    """1 - r_c, which every near-unity-reflectivity form divides by or roots."""
     one_minus = 1.0 - p.r_c
     if one_minus <= 0.0:
-        raise SingularityError("1 - r_c underflowed in the per-phonon shift")
+        raise SingularityError("1 - r_c underflowed in a near-unity-reflectivity form")
+    return one_minus
+
+
+def detuning_per_phonon(p: ExperimentParams) -> float:
+    """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
+    root = math.sqrt(2.0 * _one_minus_rc(p))
     x_m = mechanics.zero_point_amplitude(p.m, p.omega_m)
-    root = math.sqrt(2.0 * one_minus)
-    via_xm = 16.0 * math.pi**2 * C_LIGHT * x_m**2 / (p.L * p.lam**2 * root)
-    direct = 8.0 * math.pi**2 * C_LIGHT * HBAR / (p.L * p.lam**2 * root * p.m * p.omega_m)
-    if abs(via_xm - direct) > 1e-12 * direct:
-        raise SingularityError("per-phonon shift forms disagree beyond rounding")
-    return via_xm
+    return 16.0 * math.pi**2 * C_LIGHT * x_m**2 / (p.L * p.lam**2 * root)
 
 
 class PdhNoise(NamedTuple):
@@ -61,27 +61,13 @@ class PdhNoise(NamedTuple):
 def pdh_noise_psd(p: ExperimentParams) -> PdhNoise:
     """Shot-noise-limited frequency readout floor of the locked probe.
 
-    S_omega = pi^3 hbar c^3 / (16 F^2 L^2 lambda P_in), which must equal
+    S_omega = pi^3 hbar c^3 / (16 F^2 L^2 lambda P_in), which equals
     kappa / (16 N_bar) with N_bar kappa = P_in lambda / (pi hbar c).
     """
-    kappa = math.pi * C_LIGHT / (p.L * p.F)
+    kappa = _kappa(p)
     n_bar = p.P_in * p.lam / (math.pi * HBAR * C_LIGHT * kappa)
     s_omega = math.pi**3 * HBAR * C_LIGHT**3 / (16.0 * p.F**2 * p.L**2 * p.lam * p.P_in)
-    if abs(s_omega - kappa / (16.0 * n_bar)) > 1e-12 * s_omega:
-        raise SingularityError("frequency-noise forms disagree beyond rounding")
     return PdhNoise(s_omega, kappa, n_bar)
-
-
-def photon_psd(omega, detuning: float, kappa: float, n_bar_photons: float):
-    """Intracavity photon-number noise spectrum [photons^2 s],
-
-    S_NN(omega) = N_bar kappa / ((omega + Delta)^2 + (kappa/2)^2).
-    """
-    if kappa <= 0:
-        raise ValidationError(f"kappa must be positive (got {kappa})")
-    omega = np.asarray(omega, dtype=float)
-    out = n_bar_photons * kappa / ((omega + detuning) ** 2 + (kappa / 2.0) ** 2)
-    return float(out) if out.ndim == 0 else out
 
 
 def thermal_lifetime(n: int, p: ExperimentParams) -> float:
@@ -107,23 +93,13 @@ def rwa_lifetime(p: ExperimentParams) -> float:
               / (8 pi^3 x_m^2 c P_in),
     equal to the golden-rule route 1 / ((shift/phonon)^2 S_NN(-2 omega_m) / 2).
     """
-    kappa = math.pi * C_LIGHT / (p.L * p.F)
+    kappa = _kappa(p)
     x_m = mechanics.zero_point_amplitude(p.m, p.omega_m)
-    one_minus = 1.0 - p.r_c
-    if one_minus <= 0.0:
-        raise SingularityError("1 - r_c underflowed in the two-phonon rate")
     return (
-        p.lam**3 * p.L**2 * one_minus * p.m * p.omega_m
+        p.lam**3 * p.L**2 * _one_minus_rc(p) * p.m * p.omega_m
         * (p.omega_m**2 + kappa**2 / 16.0)
         / (8.0 * math.pi**3 * x_m**2 * C_LIGHT * p.P_in)
     )
-
-
-def rwa_rate_golden_rule(p: ExperimentParams) -> float:
-    """0 -> 2 excitation rate via the photon noise spectrum [1/s]."""
-    dw = detuning_per_phonon(p)
-    _, kappa, n_bar = pdh_noise_psd(p)
-    return 0.5 * dw**2 * photon_psd(-2.0 * p.omega_m, 0.0, kappa, n_bar)
 
 
 def linear_lifetime(p: ExperimentParams) -> float:
@@ -136,28 +112,12 @@ def linear_lifetime(p: ExperimentParams) -> float:
     """
     if p.x0 == 0.0:
         return math.inf
-    kappa = math.pi * C_LIGHT / (p.L * p.F)
-    one_minus = 1.0 - p.r_c
-    if one_minus <= 0.0:
-        raise SingularityError("1 - r_c underflowed in the linear-coupling rate")
+    kappa = _kappa(p)
     return (
-        p.m * p.omega_m * p.L**2 * p.lam**3 * one_minus
+        p.m * p.omega_m * p.L**2 * p.lam**3 * _one_minus_rc(p)
         * (4.0 * p.omega_m**2 + kappa**2)
         / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2)
     )
-
-
-def linear_rate_golden_rule(p: ExperimentParams) -> float:
-    """0 -> 1 excitation rate via the photon noise spectrum [1/s]."""
-    if p.x0 == 0.0:
-        return 0.0
-    dw = detuning_per_phonon(p)
-    x_m = mechanics.zero_point_amplitude(p.m, p.omega_m)
-    _, kappa, n_bar = pdh_noise_psd(p)
-    # slope-times-zero-point coupling, written through the per-phonon shift so
-    # both routes share the same near-unity-r_c curvature
-    coupling = dw * p.x0 / x_m
-    return coupling**2 * photon_psd(-p.omega_m, 0.0, kappa, n_bar)
 
 
 @dataclass(frozen=True)
@@ -168,7 +128,7 @@ class QndFlags:
     good_cavity: bool        # omega_m > kappa
 
     def all_ok(self) -> bool:
-        return self.qnd_time_ok and self.gap_ok and self.classical_bath_ok and self.good_cavity
+        return all(vars(self).values())
 
 
 @dataclass(frozen=True)
@@ -194,14 +154,18 @@ def jump_budget(p: ExperimentParams) -> QndBudget:
     SNR = (shift per phonon)^2 tau_total / S_omega.
     """
     _require_valid(p)
-    dw = detuning_per_phonon(p)
-    s_omega, kappa, n_bar_photons = pdh_noise_psd(p)
-    tau_t = thermal_lifetime(0, p)
-    tau_r = rwa_lifetime(p)
-    tau_l = linear_lifetime(p)
-    rate = sum(1.0 / tau for tau in (tau_t, tau_r, tau_l) if math.isfinite(tau))
-    tau_total = 1.0 / rate
-    snr = dw**2 * tau_total / s_omega
+    try:
+        dw = detuning_per_phonon(p)
+        s_omega, kappa, n_bar_photons = pdh_noise_psd(p)
+        tau_t = thermal_lifetime(0, p)
+        tau_r = rwa_lifetime(p)
+        tau_l = linear_lifetime(p)
+        rate = sum(1.0 / tau for tau in (tau_t, tau_r, tau_l) if math.isfinite(tau))
+        tau_total = 1.0 / rate
+        snr = dw**2 * tau_total / s_omega
+    except (ZeroDivisionError, OverflowError) as exc:  # e.g. a lifetime underflows to 0
+        # the class name, not str(exc), keeps commas out of sweep CSV cells
+        raise SingularityError(f"jump budget left the float range ({type(exc).__name__})") from None
     gap = cavity.mode_gap(p.r_c, p.L).approx
     n_bar = mechanics.thermal_occupation(p.T, p.omega_m)
     flags = QndFlags(
@@ -214,69 +178,22 @@ def jump_budget(p: ExperimentParams) -> QndBudget:
                      tau_total, snr, gap, n_bar, flags)
 
 
-def snr_general_n(n: int, p: ExperimentParams) -> float:
-    """SNR for resolving a jump out of phonon state n.
-
-    Uses the thermal lifetime only; the two-phonon and linear channels are
-    derived for the ground state and are not extended to n > 0.
-    """
-    dw = detuning_per_phonon(p)
-    s_omega = pdh_noise_psd(p).s_omega
-    return dw**2 * thermal_lifetime(n, p) / s_omega
+# Output names of QndBudget's first ten fields, which are in the same order.
+BUDGET_NAMES = ("delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_rad2_s",
+                "tau_thermal_s", "tau_rwa_s", "tau_lin_s", "tau_total_s", "snr", "gap_rad_s")
+FLAG_NAMES = tuple(f.name for f in fields(QndFlags))
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Good-cavity cross-checks between lifetime ratios and closed forms.
-
-    ratio_lin compares tau_total/tau_lin with (SNR/16)(x0/x_m)^2(kappa/omega_m)^2;
-    ratio_rwa compares tau_lin/tau_rwa with (1/8)(x_m/x0)^2.  Residuals are
-    relative and shrink as (kappa/omega_m)^2.  All None when x0 = 0.
-    """
-
-    lhs_lin: float | None
-    rhs_lin: float | None
-    residual_lin: float | None
-    lhs_rwa: float | None
-    rhs_rwa: float | None
-    residual_rwa: float | None
-
-
-def consistency_ratios(p: ExperimentParams) -> ConsistencyReport:
-    if p.x0 == 0.0:
-        return ConsistencyReport(None, None, None, None, None, None)
-    budget = jump_budget(p)
-    x_m = mechanics.zero_point_amplitude(p.m, p.omega_m)
-    lhs_lin = budget.tau_total / budget.tau_lin
-    rhs_lin = (budget.snr / 16.0) * (p.x0 / x_m) ** 2 * (budget.kappa / p.omega_m) ** 2
-    lhs_rwa = budget.tau_lin / budget.tau_rwa
-    rhs_rwa = 0.125 * (x_m / p.x0) ** 2
-    return ConsistencyReport(
-        lhs_lin, rhs_lin, abs(lhs_lin - rhs_lin) / rhs_lin,
-        lhs_rwa, rhs_rwa, abs(lhs_rwa - rhs_rwa) / rhs_rwa,
-    )
+def budget_fields(b: QndBudget) -> dict:
+    """BUDGET_NAMES mapped to b's values, in order; tau_lin is None when x0 = 0."""
+    out = dict(zip(BUDGET_NAMES, vars(b).values()))
+    if math.isinf(b.tau_lin):
+        out["tau_lin_s"] = None
+    return out
 
 
 def budget_report(p: ExperimentParams) -> dict:
     """JSON-ready budget with input echo; field order is fixed."""
     b = jump_budget(p)
-    return {
-        "params": as_dict(p),
-        "delta_omega_rad_s": b.delta_omega,
-        "kappa_rad_s": b.kappa,
-        "n_bar_photons": b.n_bar_photons,
-        "s_omega_rad2_s": b.s_omega,
-        "tau_thermal_s": b.tau_thermal,
-        "tau_rwa_s": b.tau_rwa,
-        "tau_lin_s": None if math.isinf(b.tau_lin) else b.tau_lin,
-        "tau_total_s": b.tau_total,
-        "snr": b.snr,
-        "gap_rad_s": b.gap,
-        "n_bar_thermal": b.n_bar_thermal,
-        "flags": {
-            "qnd_time_ok": b.flags.qnd_time_ok,
-            "gap_ok": b.flags.gap_ok,
-            "classical_bath_ok": b.flags.classical_bath_ok,
-            "good_cavity": b.flags.good_cavity,
-        },
-    }
+    return {"params": as_dict(p), **budget_fields(b),
+            "n_bar_thermal": b.n_bar_thermal, "flags": dict(vars(b.flags))}

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import qnd
 from .errors import MemcavError, ValidationError
-from .params import ExperimentParams, as_dict, with_value
+from .params import CONFIG_KEYS, ExperimentParams, as_dict, attr_name, with_value
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -32,8 +32,7 @@ class SweepAxis:
     scale: str = "linear"   # "linear" | "log"
 
     def __post_init__(self):
-        # reuse the params-module field check
-        with_value(_PROBE, self.param_name, 1.0)
+        attr_name(self.param_name)
         if not self.minimum < self.maximum:
             raise ValidationError(f"axis {self.param_name}: min must be < max")
         if self.count < 2:
@@ -47,9 +46,6 @@ class SweepAxis:
         if self.scale == "log":
             return np.geomspace(self.minimum, self.maximum, self.count)
         return np.linspace(self.minimum, self.maximum, self.count)
-
-
-_PROBE = ExperimentParams(L=1, lam=1, F=1, P_in=1, T=1, m=1, omega_m=1, Q=1, r_c=0, x0=0)
 
 
 @dataclass(frozen=True)
@@ -91,16 +87,11 @@ def grid_sweep(base: ExperimentParams, axes) -> SweepResult:
     axes = tuple(axes)
     if not 1 <= len(axes) <= 3:
         raise ValidationError("grid_sweep supports 1 to 3 axes")
-    names = [a.param_name for a in axes]
-    if len(set(names)) != len(names):
+    attrs = [attr_name(a.param_name) for a in axes]
+    if len(set(attrs)) != len(attrs):
         raise ValidationError("axes must reference distinct parameters")
-    value_lists = [a.values() for a in axes]
-    entries = []
-    for combo in itertools.product(*value_lists):
-        p = base
-        for name, value in zip(names, combo):
-            p = with_value(p, name, float(value))
-        entries.append(_evaluate(p))
+    entries = [_evaluate(replace(base, **{attr: float(v) for attr, v in zip(attrs, combo)}))
+               for combo in itertools.product(*[axis.values() for axis in axes])]
     return SweepResult(axes, entries, tuple(a.count for a in axes))
 
 
@@ -132,7 +123,7 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     for _ in range(refine_iters):
         for axis in axes:
             values = axis.values()
-            x_now = as_dict(current_p)[_config_key(axis.param_name)]
+            x_now = getattr(current_p, attr_name(axis.param_name))
             idx = int(np.argmin(np.abs(values - x_now)))
             lo = values[max(idx - 1, 0)]
             hi = values[min(idx + 1, len(values) - 1)]
@@ -174,32 +165,18 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     return OptimizeResult(True, current_p, current_b, evals)
 
 
-def _config_key(name: str) -> str:
-    return "lambda" if name in ("lambda", "lam") else name
-
-
 def sweep_rows(result: SweepResult):
     """CSV columns and rows: parameters, budget fields, flags, error."""
-    from .params import CONFIG_KEYS
-
-    header = list(CONFIG_KEYS) + [
-        "delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_rad2_s",
-        "tau_thermal_s", "tau_rwa_s", "tau_lin_s", "tau_total_s", "snr",
-        "gap_rad_s", "qnd_time_ok", "gap_ok", "classical_bath_ok",
-        "good_cavity", "error",
-    ]
+    header = [*CONFIG_KEYS, *qnd.BUDGET_NAMES, *qnd.FLAG_NAMES, "error"]
+    blank = [""] * (len(qnd.BUDGET_NAMES) + len(qnd.FLAG_NAMES))
     rows = []
     for entry in result.entries:
-        row = [as_dict(entry.params)[k] for k in CONFIG_KEYS]
+        row = list(as_dict(entry.params).values())
         b = entry.budget
         if b is None:
-            row += [""] * 10 + ["", "", "", ""] + [entry.error or "failed"]
+            row += blank + [entry.error or "failed"]
         else:
-            row += [b.delta_omega, b.kappa, b.n_bar_photons, b.s_omega,
-                    b.tau_thermal, b.tau_rwa,
-                    "" if math.isinf(b.tau_lin) else b.tau_lin,
-                    b.tau_total, b.snr, b.gap,
-                    int(b.flags.qnd_time_ok), int(b.flags.gap_ok),
-                    int(b.flags.classical_bath_ok), int(b.flags.good_cavity), ""]
+            row += ["" if v is None else v for v in qnd.budget_fields(b).values()]
+            row += [int(v) for v in vars(b.flags).values()] + [""]
         rows.append(row)
     return header, rows

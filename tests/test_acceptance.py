@@ -16,7 +16,8 @@ from memcav import cavity, cooling, jumpsim, mechanics, qnd
 from memcav.params import C_LIGHT, HBAR, K_B, with_value
 from memcav.cooling import PsdTrace
 
-from oracles import birth_death_generator, bin_average_char_fn, bose_einstein_pmf
+from oracles import (bin_average_char_fn, birth_death_generator, bose_einstein_pmf,
+                     consistency_ratios, linear_rate_golden_rule, rwa_rate_golden_rule)
 
 
 def _report(num, text):
@@ -84,18 +85,18 @@ def test_criterion_6_identity_suite(row1, row2):
             p.L * p.lam**2 * math.sqrt(2 * (1 - p.r_c)))
         assert math.isclose(dw, alt, rel_tol=1e-12)
         assert math.isclose(qnd.rwa_lifetime(p),
-                            1 / qnd.rwa_rate_golden_rule(p), rel_tol=1e-9)
+                            1 / rwa_rate_golden_rule(p), rel_tol=1e-9)
         assert math.isclose(qnd.linear_lifetime(p),
-                            1 / qnd.linear_rate_golden_rule(p), rel_tol=1e-9)
+                            1 / linear_rate_golden_rule(p), rel_tol=1e-9)
 
-    rep = qnd.consistency_ratios(row1)  # kappa/omega_m = 0.075 here
+    rep = consistency_ratios(row1)  # kappa/omega_m = 0.075 here
     assert rep.residual_lin < 0.01 and rep.residual_rwa < 0.01
 
     targets = [0.3, 0.1, 0.03, 0.01]
     residuals = []
     for ratio in targets:
         F = np.pi * C_LIGHT / (row1.L * ratio * row1.omega_m)
-        r = qnd.consistency_ratios(with_value(row1, "F", F))
+        r = consistency_ratios(with_value(row1, "F", F))
         residuals.append((r.residual_lin, r.residual_rwa))
     for i in range(len(targets) - 1):
         scale = (targets[i + 1] / targets[i]) ** 2

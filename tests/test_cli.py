@@ -217,6 +217,41 @@ def test_bad_seed_exit_one(tmp_path, row1_config, capsys, command, seed_args):
     assert not (tmp_path / "o.out").exists()
 
 
+_OPTICS = ["--det-min=-1e9", "--det-max=1e9", "--det-samples", "5", "--x-samples", "3"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    # valid configs whose budget leaves the float range: numerical error
+    (["qnd-budget", "omega_m = 1e-200"], 2),
+    (["qnd-budget", "m = 1e200", "omega_m = 1e100"], 2),
+    (["qnd-budget", "omega_m = 1e200"], 2),
+    # optics flags taken straight from the command line
+    (["bandstructure", "--rc", "0.31", "--length", "-1", "--wavelength", "5.32e-7"], 1),
+    (["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "0"], 1),
+    (["bandstructure", "--rc", "0.31", "--length", "inf", "--wavelength", "5.32e-7"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "0", *_OPTICS], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "nan", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS], 1),
+    # membrane spec below the vacuum index
+    (["transmission-map", "--finesse", "200", "--length", "1.0", "--wavelength", "5.32e-7",
+      "--membrane-index", "0.5", "--membrane-thickness", "5e-8", *_OPTICS], 1),
+])
+def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
+    command, *rest = argv
+    if command == "qnd-budget":  # rest holds "key = value" overrides of row 1
+        keys = {line.partition(" = ")[0] for line in rest}
+        lines = [line for line in row1_config.read_text().splitlines()
+                 if line.partition(" = ")[0] not in keys]
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text("\n".join(lines + rest) + "\n")
+        rest = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run([command, *rest, "-o", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ragged_csv_exit_one(tmp_path, capsys):
     data = tmp_path / "ragged.csv"
     data.write_text("t_s,power\n0,1.0\n1e-6,0.5,7\n")

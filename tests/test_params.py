@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from memcav.errors import ConfigError
+from memcav.errors import ConfigError, ValidationError
 from memcav.params import (
     CONST,
     ExperimentParams,
     MembraneSpec,
     PhysicalConstants,
+    attr_name,
     load_config,
     save_config,
     validate,
@@ -114,12 +115,18 @@ def test_save_load_roundtrip(tmp_path, row1):
 
 def test_membrane_spec_invariants():
     MembraneSpec(2.0, 50e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         MembraneSpec(0.9, 50e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         MembraneSpec(2.0, 0.0)
 
 
 def test_with_value_unknown_field(row1):
     with pytest.raises(ValueError):
         with_value(row1, "nope", 1.0)
+
+
+def test_attr_name_accepts_attribute_or_config_key():
+    assert attr_name("lambda") == attr_name("lam") == "lam" and attr_name("F") == "F"
+    with pytest.raises(ValueError):
+        attr_name("Lambda")

@@ -6,7 +6,9 @@ from scipy.integrate import quad
 
 from memcav import mechanics, qnd
 from memcav.errors import ValidationError
-from memcav.params import C_LIGHT, with_value
+from memcav.params import C_LIGHT, HBAR, with_value
+from oracles import (consistency_ratios, linear_rate_golden_rule, photon_psd,
+                     rwa_rate_golden_rule, snr_general_n)
 
 
 # ---------------------------------------------------------------------------
@@ -31,12 +33,15 @@ def test_detuning_per_phonon_mass_scaling(row1):
 
 
 def test_detuning_per_phonon_dual_forms(row1):
-    # the zero-point-amplitude route against the direct closed form
+    # the zero-point-amplitude route and the direct hbar / (m omega_m) form
     dw = qnd.detuning_per_phonon(row1)
     x_m = mechanics.zero_point_amplitude(row1.m, row1.omega_m)
     via_xm = 16 * np.pi**2 * C_LIGHT * x_m**2 / (
         row1.L * row1.lam**2 * math.sqrt(2 * (1 - row1.r_c)))
+    direct = 8 * np.pi**2 * C_LIGHT * HBAR / (
+        row1.L * row1.lam**2 * math.sqrt(2 * (1 - row1.r_c)) * row1.m * row1.omega_m)
     assert math.isclose(dw, via_xm, rel_tol=1e-12)
+    assert math.isclose(dw, direct, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +73,20 @@ def test_pdh_noise_scalings(row1):
 def test_photon_psd_peak(row1):
     noise = qnd.pdh_noise_psd(row1)
     detuning = 1e4
-    peak = qnd.photon_psd(-detuning, detuning, noise.kappa, noise.n_bar_photons)
+    peak = photon_psd(-detuning, detuning, noise.kappa, noise.n_bar_photons)
     assert math.isclose(peak, 4 * noise.n_bar_photons / noise.kappa, rel_tol=1e-12)
 
 
 def test_photon_psd_at_twice_mechanical_frequency(row1):
     noise = qnd.pdh_noise_psd(row1)
-    val = qnd.photon_psd(-2 * row1.omega_m, 0.0, noise.kappa, noise.n_bar_photons)
+    val = photon_psd(-2 * row1.omega_m, 0.0, noise.kappa, noise.n_bar_photons)
     direct = noise.n_bar_photons * noise.kappa / (4 * row1.omega_m**2 + noise.kappa**2 / 4)
     assert math.isclose(val, direct, rel_tol=1e-14)
 
 
 def test_photon_psd_total_area(row1):
     noise = qnd.pdh_noise_psd(row1)
-    f = lambda w: qnd.photon_psd(w, 0.0, noise.kappa, noise.n_bar_photons)
+    f = lambda w: photon_psd(w, 0.0, noise.kappa, noise.n_bar_photons)
     area = 0.0
     cuts = [-np.inf, -10 * noise.kappa, 10 * noise.kappa, np.inf]
     for a, b in zip(cuts, cuts[1:]):
@@ -118,7 +123,7 @@ def test_rwa_lifetime_value_and_route(row1, row2):
     assert math.isclose(qnd.rwa_lifetime(row1), 6.72, rel_tol=1e-2)
     for p in (row1, row2):
         closed = qnd.rwa_lifetime(p)
-        golden = 1.0 / qnd.rwa_rate_golden_rule(p)
+        golden = 1.0 / rwa_rate_golden_rule(p)
         assert math.isclose(closed, golden, rel_tol=1e-9)
 
 
@@ -134,7 +139,7 @@ def test_linear_lifetime_value_and_route(row1, row2):
     assert math.isclose(qnd.linear_lifetime(row1), 5.644e-3, rel_tol=1e-3)
     for p in (row1, row2):
         closed = qnd.linear_lifetime(p)
-        golden = 1.0 / qnd.linear_rate_golden_rule(p)
+        golden = 1.0 / linear_rate_golden_rule(p)
         assert math.isclose(closed, golden, rel_tol=1e-9)
 
 
@@ -147,7 +152,7 @@ def test_linear_lifetime_offset_scaling(row1):
 def test_linear_lifetime_zero_offset(row1):
     centered = with_value(row1, "x0", 0.0)
     assert math.isinf(qnd.linear_lifetime(centered))
-    assert qnd.linear_rate_golden_rule(centered) == 0.0
+    assert linear_rate_golden_rule(centered) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +183,7 @@ def test_jump_budget_harmonic_bound(row1):
 def test_jump_budget_zero_offset_channel_omitted(row1):
     b = qnd.jump_budget(with_value(row1, "x0", 0.0))
     assert math.isinf(b.tau_lin)
+    assert qnd.budget_report(with_value(row1, "x0", 0.0))["tau_lin_s"] is None
     rate = 1 / b.tau_thermal + 1 / b.tau_rwa
     assert math.isclose(b.tau_total, 1 / rate, rel_tol=1e-12)
 
@@ -199,7 +205,11 @@ def test_budget_report_deterministic_order(row1):
     rep1 = qnd.budget_report(row1)
     rep2 = qnd.budget_report(row1)
     assert list(rep1) == list(rep2)
-    assert list(rep1)[:2] == ["params", "delta_omega_rad_s"]
+    assert list(rep1) == [
+        "params", "delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_rad2_s",
+        "tau_thermal_s", "tau_rwa_s", "tau_lin_s", "tau_total_s", "snr", "gap_rad_s",
+        "n_bar_thermal", "flags"]
+    assert list(rep1["flags"]) == ["qnd_time_ok", "gap_ok", "classical_bath_ok", "good_cavity"]
     assert rep1["snr"] == rep2["snr"]
 
 
@@ -212,16 +222,16 @@ def test_snr_general_n_matches_thermal_only_budget(row1):
     # reduces to the general-n estimator at n = 0
     b = qnd.jump_budget(row1)
     thermal_only_snr = b.delta_omega**2 * b.tau_thermal / b.s_omega
-    assert math.isclose(qnd.snr_general_n(0, row1), thermal_only_snr, rel_tol=1e-12)
+    assert math.isclose(snr_general_n(0, row1), thermal_only_snr, rel_tol=1e-12)
 
 
 def test_snr_general_n_first_excited(row1):
-    assert math.isclose(qnd.snr_general_n(1, row1),
-                        qnd.snr_general_n(0, row1) / 3, rel_tol=1e-4)
+    assert math.isclose(snr_general_n(1, row1),
+                        snr_general_n(0, row1) / 3, rel_tol=1e-4)
 
 
 def test_snr_general_n_monotone(row1):
-    vals = [qnd.snr_general_n(n, row1) for n in range(6)]
+    vals = [snr_general_n(n, row1) for n in range(6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -230,7 +240,7 @@ def test_snr_general_n_monotone(row1):
 # ---------------------------------------------------------------------------
 
 def test_consistency_ratios_row1(row1):
-    rep = qnd.consistency_ratios(row1)
+    rep = consistency_ratios(row1)
     assert math.isclose(rep.lhs_rwa, 8.40e-4, rel_tol=1e-2)
     assert rep.lhs_rwa < 1.0  # linear channel much faster than two-phonon
     assert rep.residual_lin < 0.01
@@ -238,7 +248,7 @@ def test_consistency_ratios_row1(row1):
 
 
 def test_consistency_ratios_zero_offset(row1):
-    rep = qnd.consistency_ratios(with_value(row1, "x0", 0.0))
+    rep = consistency_ratios(with_value(row1, "x0", 0.0))
     assert rep.lhs_lin is None and rep.residual_rwa is None
 
 
@@ -248,7 +258,7 @@ def test_consistency_residuals_shrink_quadratically(row1):
     residuals = []
     for ratio in targets:
         F = np.pi * C_LIGHT / (row1.L * ratio * row1.omega_m)
-        rep = qnd.consistency_ratios(with_value(row1, "F", F))
+        rep = consistency_ratios(with_value(row1, "F", F))
         residuals.append((rep.residual_lin, rep.residual_rwa))
     for i in range(len(targets) - 1):
         scale = (targets[i + 1] / targets[i]) ** 2
@@ -256,5 +266,5 @@ def test_consistency_residuals_shrink_quadratically(row1):
             measured = residuals[i + 1][k] / residuals[i][k]
             assert abs(measured / scale - 1) < 0.2
     # and both residuals are < 1% once kappa/omega_m <= 0.075
-    rep075 = qnd.consistency_ratios(row1)
+    rep075 = consistency_ratios(row1)
     assert rep075.residual_lin < 0.01 and rep075.residual_rwa < 0.01

@@ -81,6 +81,10 @@ def test_duplicate_axes_rejected(row1):
     axes = [sweep.SweepAxis("F", 1e5, 2e5, 2), sweep.SweepAxis("F", 3e5, 4e5, 2)]
     with pytest.raises(ValidationError):
         sweep.grid_sweep(row1, axes)
+    # the config key and the attribute name set the same field
+    axes = [sweep.SweepAxis("lambda", 5e-7, 6e-7, 2), sweep.SweepAxis("lam", 5e-7, 6e-7, 2)]
+    with pytest.raises(ValidationError):
+        sweep.grid_sweep(row1, axes)
 
 
 def test_maximize_power_monotone_hits_upper_bound(row1):
@@ -118,7 +122,27 @@ def test_sweep_rows_shape(row1):
     header, rows = sweep.sweep_rows(sweep.grid_sweep(row1, axes))
     assert len(rows) == 2
     assert len(header) == len(rows[0])
-    assert "snr" in header and "error" in header
+    assert header == [
+        "L", "lambda", "F", "P_in", "T", "m", "omega_m", "Q", "r_c", "x0",
+        "delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_rad2_s", "tau_thermal_s",
+        "tau_rwa_s", "tau_lin_s", "tau_total_s", "snr", "gap_rad_s",
+        "qnd_time_ok", "gap_ok", "classical_bath_ok", "good_cavity", "error"]
+
+
+def test_sweep_rows_blank_cells(row1):
+    # x0 = 0 has no linear channel; 1e-7 >= lambda/8 fails validation
+    header, rows = sweep.sweep_rows(sweep.grid_sweep(row1, [sweep.SweepAxis("x0", 0.0, 1e-7, 2)]))
+    centered, failed = (dict(zip(header, row)) for row in rows)
+    assert centered["tau_lin_s"] == centered["error"] == "" and centered["gap_ok"] == 1
+    assert set(header[10:-1]) == {k for k, v in failed.items() if v == ""}
+    assert "lambda/8" in failed["error"]
+
+
+def test_float_range_point_recorded_not_raised(row1):
+    # omega_m = 1e-200 passes validate() but its two-phonon lifetime underflows
+    result = sweep.grid_sweep(row1, [sweep.SweepAxis("omega_m", 1e-200, 1e5, 3, "log")])
+    assert "float range" in result.entries[0].error
+    assert result.entries[2].budget is not None
 
 
 def test_results_independent_of_evaluation_order(row1):
