@@ -10,7 +10,6 @@ fit error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -168,7 +167,7 @@ def _cmd_jump_sim(args) -> int:
                                        include_measurement_channels=args.channels)
     meta = _base_metadata(args, p)
     meta.update({"seed": args.seed, "duration_s": args.duration,
-                 "rng": traj.rng_algorithm,
+                 "rng": traj.rng_algorithm, "rng_stream": jumpsim.RNG_STREAM,
                  "measurement_channels": args.channels})
     # .tolist() hands write_csv Python scalars, which it formats fastest
     rows = list(zip(traj.times.tolist(), traj.levels.tolist()))
@@ -193,13 +192,9 @@ def _cmd_jump_stats(args) -> int:
                                        include_measurement_channels=args.channels)
     trace = jumpsim.binned_readout(traj, p, args.bin_width, args.readout_seed)
     stats = jumpsim.jump_detection_stats(trace, args.threshold)
-
-    def as_json(v):
-        return None if isinstance(v, float) and math.isnan(v) else v
-
     payload = {
-        "detection_probability": as_json(stats.detection_probability),
-        "false_alarm_rate": as_json(stats.false_alarm_rate),
+        "detection_probability": stats.detection_probability,
+        "false_alarm_rate": stats.false_alarm_rate,
         "n_jump_bins": stats.n_jump_bins,
         "n_ground_bins": stats.n_ground_bins,
         "threshold_rad_s": stats.threshold,
@@ -209,7 +204,7 @@ def _cmd_jump_stats(args) -> int:
     meta = _base_metadata(args, p)
     meta.update({"seed": args.seed, "readout_seed": args.readout_seed,
                  "duration_s": args.duration, "bin_width_s": args.bin_width,
-                 "rng": traj.rng_algorithm})
+                 "rng": traj.rng_algorithm, "rng_stream": jumpsim.RNG_STREAM})
     write_json(args.output, payload, meta)
     return 0
 

@@ -96,6 +96,10 @@ def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
     psd = np.asarray(psd, dtype=float)
     if freq_hz.shape != psd.shape or freq_hz.ndim != 1:
         raise ValidationError("freq_hz and psd must be 1-D arrays of equal length")
+    bad = int(np.count_nonzero(~(np.isfinite(freq_hz) & np.isfinite(psd))))
+    if bad:
+        raise ValidationError(f"{bad} of {len(freq_hz)} samples have a non-finite "
+                              "frequency or PSD")
     if len(freq_hz) < 50:
         raise ValidationError(f"need at least 50 samples, got {len(freq_hz)}")
 

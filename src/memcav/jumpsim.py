@@ -13,7 +13,11 @@ process.)
 Sampling is exact event-driven simulation with competing exponential
 clocks: no time discretization anywhere.  All randomness flows through
 numpy's PCG64 generator, so runs are bit-for-bit reproducible per seed and
-platform-independent; the generator name is recorded on every result.
+platform-independent; the generator name is recorded on every result.  The
+simulator draws its waits and branch picks in blocks whose sizes grow from
+64 to 4096 whatever the duration, so a longer run of a seed starts with
+exactly the events of a shorter one.  That layout is named by RNG_STREAM
+("pcg64-blocks-v1"), which the CLI records next to the generator name.
 
 The continuous readout is modeled per time bin: the estimate is the
 per-phonon shift times (time-weighted mean occupation + 1/2), plus white
@@ -23,16 +27,25 @@ Gaussian frequency noise of variance S_omega / bin_width.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import qnd
-from .errors import ValidationError
+from .errors import SingularityError, ValidationError
 from .mechanics import thermal_occupation
 from .params import ExperimentParams
 
 RNG_ALGORITHM = "PCG64"
+# How simulate_trajectory lays its draws out on the stream (see _draw_blocks);
+# renaming it marks per-seed trajectories that differ from earlier layouts.
+RNG_STREAM = "pcg64-blocks-v1"
+_FIRST_BLOCK = 64
+_BLOCK_CAP = 4096
+# Largest path simulate_trajectory builds; checked once per block of draws.
+MAX_EVENTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,8 @@ class JumpTrajectory:
 
     def mean_level_per_bin(self, bin_width: float) -> np.ndarray:
         """Time-weighted mean occupation over consecutive bins of bin_width."""
-        if bin_width <= 0:
-            raise ValidationError("bin_width must be positive")
+        if not bin_width > 0:  # NaN included
+            raise ValidationError(f"bin_width must be positive (got {bin_width})")
         n_bins = int(math.floor(self.duration / bin_width + 1e-9))
         if n_bins < 1:
             raise ValidationError("duration shorter than one bin")
@@ -75,12 +88,52 @@ class JumpTrajectory:
         breaks = np.concatenate([[0.0], self.times, [self.duration]])
         states = np.concatenate([[self.n_initial], self.levels]).astype(float)
         cum = np.concatenate([[0.0], np.cumsum(states * np.diff(breaks))])
+        # running integral of the occupation at every edge, evaluated once and
+        # in place: cum[k] + states[k] * (edges - breaks[k])
+        k = np.searchsorted(breaks, edges, side="right")
+        k -= 1
+        np.clip(k, 0, len(states) - 1, out=k)
+        integral = edges - breaks[k]
+        integral *= states[k]
+        integral += cum[k]
+        mean = np.diff(integral)
+        mean /= bin_width
+        return mean
 
-        def integral(t):
-            k = np.clip(np.searchsorted(breaks, t, side="right") - 1, 0, len(states) - 1)
-            return cum[k] + states[k] * (t - breaks[k])
 
-        return (integral(edges[1:]) - integral(edges[:-1])) / bin_width
+def _draw_blocks(rng: np.random.Generator, duration: float):
+    """Yield the (wait, pick) pairs of one trajectory, drawn block by block.
+
+    Block k holds min(64 * 2**k, 4096) standard-exponential waits followed
+    by as many uniform picks.  Block sizes depend on nothing else, so a run
+    consumes its stream in the same order for every duration.
+    """
+    size, drawn = _FIRST_BLOCK, 0
+    while True:
+        # every pair handed out so far became an event, so drawn counts events
+        if drawn >= MAX_EVENTS:
+            raise ValidationError(
+                f"trajectory exceeds {MAX_EVENTS} events before its duration "
+                f"of {duration} s; shorten the duration")
+        waits = rng.standard_exponential(size).tolist()
+        picks = rng.random(size).tolist()
+        yield zip(waits, picks)
+        drawn += size
+        size = min(2 * size, _BLOCK_CAP)
+
+
+def _channel_rates(p: ExperimentParams) -> tuple[float, float]:
+    """Ground-state exit rates (0 -> 1 linear, 0 -> 2 counter-rotating) [1/s]."""
+    try:
+        rate02 = 1.0 / qnd.rwa_lifetime(p)
+        tau_lin = qnd.linear_lifetime(p)
+        rate01 = 0.0 if math.isinf(tau_lin) else 1.0 / tau_lin
+    except (ZeroDivisionError, OverflowError) as exc:  # a lifetime underflows, a power overflows
+        raise SingularityError(
+            f"measurement-channel rates left the float range ({type(exc).__name__})") from None
+    if not math.isfinite(rate01 + rate02):
+        raise SingularityError("measurement-channel rates are not finite")
+    return rate01, rate02
 
 
 def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
@@ -89,46 +142,44 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
 
     The membrane starts in its ground state (cooled, cooling laser off).
     T = 0 is accepted as the zero-temperature limit (no thermal events).
+    Raises ValidationError when the path has not reached its duration
+    after MAX_EVENTS events (checked per block of draws, so at most one
+    block later).
     """
-    if duration <= 0:
-        raise ValidationError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValidationError(f"duration must be positive and finite (got {duration})")
     n_bar = thermal_occupation(p.T, p.omega_m)
     unit = p.omega_m / p.Q
-    rate01 = rate02 = 0.0
-    if include_measurement_channels:
-        rate02 = 1.0 / qnd.rwa_lifetime(p)
-        tau_lin = qnd.linear_lifetime(p)
-        rate01 = 0.0 if math.isinf(tau_lin) else 1.0 / tau_lin
+    heat, cool = unit * n_bar, unit * (n_bar + 1.0)  # n -> n+1 per (n+1), n -> n-1 per n
+    rate01, rate02 = _channel_rates(p) if include_measurement_channels else (0.0, 0.0)
+    rate0 = rate01 + rate02
 
-    rng = np.random.default_rng(seed)
     t = 0.0
     n = 0
-    times: list[float] = []
-    levels: list[int] = []
-    while True:
-        up = unit * n_bar * (n + 1)
-        down = unit * n * (n_bar + 1.0)
-        extra1 = rate01 if n == 0 else 0.0
-        extra2 = rate02 if n == 0 else 0.0
-        total = up + down + extra1 + extra2
+    # 8 bytes an event each, and no float object outlives its event
+    times = array("d")
+    levels = array("q")
+    for wait, pick in chain.from_iterable(_draw_blocks(np.random.default_rng(seed), duration)):
+        up = heat * (n + 1)
+        total = up + cool * n if n else up + rate0
         if total <= 0.0:
             break
-        t += rng.exponential(1.0 / total)
+        t += wait / total
         if t >= duration:
             break
-        u = rng.random() * total
+        u = pick * total
         if u < up:
             n += 1
-        elif u < up + down:
+        elif n:
             n -= 1
-        elif u < up + down + extra1:
+        elif u < up + rate01:
             n += 1
         else:
             n += 2
         times.append(t)
         levels.append(n)
     return JumpTrajectory(
-        np.asarray(times, dtype=float), np.asarray(levels, dtype=np.int64),
+        np.frombuffer(times, dtype=float), np.frombuffer(levels, dtype=np.int64),
         float(duration), int(seed), include_measurement_channels,
     )
 
@@ -164,7 +215,9 @@ def binned_readout(traj: JumpTrajectory, p: ExperimentParams, bin_width: float,
     s_omega = qnd.pdh_noise_psd(p).s_omega
     sigma = math.sqrt(s_omega / bin_width)
     rng = np.random.default_rng(seed)
-    estimates = dw * (mean_n + 0.5) + rng.normal(0.0, sigma, len(mean_n))
+    estimates = mean_n + 0.5
+    estimates *= dw
+    estimates += rng.normal(0.0, sigma, len(mean_n))
     centers = (np.arange(len(mean_n)) + 0.5) * bin_width
     return ReadoutTrace(
         float(bin_width), centers, estimates, mean_n, dw, sigma,

@@ -3,8 +3,9 @@
 CSV files use '.' decimals, ',' delimiters, and '#'-prefixed metadata
 header lines; floats are printed with 17 significant digits so a value
 round-trips losslessly.  JSON cannot carry comments, so metadata goes into
-a leading "metadata" object instead.  Nothing time-dependent is ever
-written: identical inputs must give byte-identical files.
+a leading "metadata" object instead; JSON is written strictly, with a
+missing (NaN) value as null.  Nothing time-dependent is ever written:
+identical inputs must give byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 
 def format_value(v) -> str:
@@ -85,8 +86,22 @@ def read_csv(path) -> dict[str, np.ndarray]:
     return {name: table[:, i] for i, name in enumerate(header)}
 
 
+def _nan_to_none(v):
+    """v with every float NaN, also inside dicts and lists, replaced by None."""
+    if isinstance(v, float):
+        return None if v != v else v
+    if isinstance(v, dict):
+        return {key: _nan_to_none(val) for key, val in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_nan_to_none(val) for val in v]
+    return v
+
+
 def write_json(path, payload: dict, metadata: dict | None = None) -> None:
-    doc = {"metadata": metadata or {}}
-    doc.update(payload)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n",
-                          encoding="utf-8")
+    """Write strict JSON: NaN becomes null, and an infinite value raises NumericsError."""
+    doc = _nan_to_none({"metadata": metadata or {}, **payload})
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
+    except ValueError as exc:
+        raise NumericsError(f"cannot write {path}: {exc}") from None
+    Path(path).write_text(text + "\n", encoding="utf-8")

@@ -145,6 +145,7 @@ def test_jump_sim_metadata_header(tmp_path, row1_config):
     meta = [l for l in head if l.startswith("#")]
     assert any("seed = 7" in l for l in meta)
     assert any("rng = PCG64" in l for l in meta)
+    assert "# rng_stream = pcg64-blocks-v1" in meta
     assert any("param_r_c" in l for l in meta)
 
 
@@ -158,7 +159,9 @@ def test_jump_stats_cli(tmp_path, row1_config):
                 "--duration", "1.0", "--bin-width", "1e-3",
                 "--threshold", str(1.2 * dw), "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
+    assert doc["metadata"]["rng_stream"] == "pcg64-blocks-v1"
     assert doc["n_ground_bins"] == 1000
+    assert doc["detection_probability"] is None  # no jumped bins: NaN written as null
     assert 0.0 <= doc["false_alarm_rate"] < 0.2
 
 
@@ -236,19 +239,40 @@ _OPTICS = ["--det-min=-1e9", "--det-max=1e9", "--det-samples", "5", "--x-samples
     # membrane spec below the vacuum index
     (["transmission-map", "--finesse", "200", "--length", "1.0", "--wavelength", "5.32e-7",
       "--membrane-index", "0.5", "--membrane-thickness", "5e-8", *_OPTICS], 1),
+    # valid configs whose measurement-channel rates leave the float range
+    (["jump-sim", "omega_m = 1e-200", "--seed", "1", "--duration", "0.001", "--channels"], 2),
+    (["jump-stats", "omega_m = 1e-200", "--seed", "1", "--duration", "0.001",
+      "--bin-width", "1e-4", "--threshold", "0.1", "--channels"], 2),
+    # a duration or bin width the simulator cannot use
+    (["jump-sim", "T = 0.3", "--seed", "1", "--duration", "inf"], 1),
+    (["jump-stats", "T = 0.3", "--seed", "1", "--duration", "0.001",
+      "--bin-width", "nan", "--threshold", "0.12"], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
-    if command == "qnd-budget":  # rest holds "key = value" overrides of row 1
-        keys = {line.partition(" = ")[0] for line in rest}
+    overrides = [arg for arg in rest if " = " in arg]  # "key = value" lines for row 1
+    if overrides:
+        keys = {line.partition(" = ")[0] for line in overrides}
         lines = [line for line in row1_config.read_text().splitlines()
                  if line.partition(" = ")[0] not in keys]
         cfg = tmp_path / "extreme.cfg"
-        cfg.write_text("\n".join(lines + rest) + "\n")
-        rest = ["--config", str(cfg)]
+        cfg.write_text("\n".join(lines + overrides) + "\n")
+        rest = ["--config", str(cfg)] + [arg for arg in rest if arg not in overrides]
     out = tmp_path / "out"
     assert run([command, *rest, "-o", str(out)]) == code
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cool_fit_non_numeric_psd_exit_one(tmp_path, capsys):
+    data = tmp_path / "psd.csv"
+    data.write_text("freq_hz,psd_m2_per_hz\n"
+                    + "".join(f"{1e5 + 10 * k},x\n" for k in range(60)))
+    out = tmp_path / "fit.json"
+    assert run(["cool-fit", "-i", str(data), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "60 of 60 samples" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

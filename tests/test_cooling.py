@@ -161,6 +161,15 @@ def test_fit_psd_needs_enough_samples():
         cooling.fit_psd(freq, np.ones_like(freq))
 
 
+@pytest.mark.parametrize("column", ["freq", "psd"])
+def test_fit_psd_rejects_non_finite_samples(column):
+    freq, psd = _synthetic_trace(20.0, 25.0, span_linewidths=20, n=2001)
+    spoiled = {"freq": freq.copy(), "psd": psd.copy()}
+    spoiled[column][[3, 40, 500]] = [np.nan, np.inf, np.nan]
+    with pytest.raises(ValidationError, match="3 of 2001 samples"):
+        cooling.fit_psd(spoiled["freq"], spoiled["psd"])
+
+
 def test_fit_psd_populates_both_temperatures():
     t_eff, q_eff = 5.0, 25.0
     freq, psd = _synthetic_trace(t_eff, q_eff)

@@ -6,7 +6,7 @@ from scipy.special import erfc
 from scipy.stats import chisquare, kstest
 
 from memcav import jumpsim, qnd
-from memcav.errors import ValidationError
+from memcav.errors import SingularityError, ValidationError
 from memcav.params import with_value
 
 from oracles import bose_einstein_pmf
@@ -49,6 +49,56 @@ def test_different_seeds_differ(row1):
     a = jumpsim.simulate_trajectory(row1, 0.01, seed=1)
     b = jumpsim.simulate_trajectory(row1, 0.01, seed=2)
     assert not (len(a.times) == len(b.times) and np.array_equal(a.times, b.times))
+
+
+def test_stream_layout_pinned(small_bath):
+    """The first events of one seed under RNG_STREAM; a layout change breaks this."""
+    assert jumpsim.RNG_STREAM == "pcg64-blocks-v1"
+    traj = jumpsim.simulate_trajectory(small_bath, 0.002, seed=2024)
+    assert traj.rng_algorithm == "PCG64"
+    head = [(float(t), int(n)) for t, n in zip(traj.times[:5], traj.levels[:5])]
+    assert repr(head) == (
+        "[(3.394688272058e-05, 1), (3.524897650065723e-05, 2), "
+        "(3.6371115657165236e-05, 3), (4.2436547399601076e-05, 4), "
+        "(5.0869052045370106e-05, 5)]")
+
+
+def test_shorter_run_is_exact_prefix(small_bath):
+    short = jumpsim.simulate_trajectory(small_bath, 0.002, seed=2024)
+    long = jumpsim.simulate_trajectory(small_bath, 0.02, seed=2024)
+    # 453 events: past the block boundaries after 64, 192 and 448 draws
+    assert len(short.times) > 448
+    k = len(short.times)
+    assert np.array_equal(long.times[:k], short.times)
+    assert np.array_equal(long.levels[:k], short.levels)
+    assert long.times[k] >= 0.002
+
+
+def test_event_cap_raises(small_bath, monkeypatch):
+    monkeypatch.setattr(jumpsim, "MAX_EVENTS", 1000)
+    with pytest.raises(ValidationError, match=r"exceeds 1000 events .* 0\.02 s"):
+        jumpsim.simulate_trajectory(small_bath, 0.02, seed=2024)
+    # a path that ends below the cap is unaffected
+    assert len(jumpsim.simulate_trajectory(small_bath, 0.002, seed=2024).times) == 453
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+def test_bad_duration_rejected(small_bath, duration):
+    with pytest.raises(ValidationError, match="duration"):
+        jumpsim.simulate_trajectory(small_bath, duration, seed=1)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"omega_m": 1e-200},              # the RWA lifetime underflows to 0
+    {"m": 1e200, "omega_m": 1e100},   # the zero-point amplitude squared underflows to 0
+    {"omega_m": 2.5e-155},            # the RWA lifetime is subnormal: its rate is inf
+])
+def test_channel_rates_out_of_float_range(row1, overrides):
+    p = row1
+    for key, value in overrides.items():
+        p = with_value(p, key, value)
+    with pytest.raises(SingularityError):
+        jumpsim.simulate_trajectory(p, 1e-3, seed=1, include_measurement_channels=True)
 
 
 def test_trajectory_event_structure(small_bath):

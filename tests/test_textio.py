@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memcav.errors import ValidationError
+from memcav.errors import NumericsError, ValidationError
 from memcav.fitting import fit_exponential_decay
 from memcav.textio import format_value, read_csv, write_csv, write_json
 
@@ -75,6 +75,26 @@ def test_write_json_metadata_first(tmp_path):
     write_json(path, {"x": 1.0}, {"tool": "memcav"})
     doc = json.loads(path.read_text())
     assert list(doc) == ["metadata", "x"]
+
+
+def test_write_json_nan_as_null(tmp_path):
+    import json
+    path = tmp_path / "t.json"
+    nan = float("nan")
+    write_json(path, {"x": nan, "nested": {"y": np.float64(nan), "z": [1.0, nan]}},
+               {"tool": "memcav"})
+    text = path.read_text()
+    assert "NaN" not in text
+    assert json.loads(text) == {"metadata": {"tool": "memcav"}, "x": None,
+                                "nested": {"y": None, "z": [1.0, None]}}
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+def test_write_json_rejects_infinity(tmp_path, value):
+    path = tmp_path / "t.json"
+    with pytest.raises(NumericsError):
+        write_json(path, {"tau": [1.0, value]})
+    assert not path.exists()
 
 
 def test_fit_rejects_non_increasing_time():
