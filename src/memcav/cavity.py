@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularityError, ValidationError
-from .fitting import ExpDecayFit, fit_exponential_decay
 from .params import C_LIGHT, MembraneSpec
 
 # Membrane-induced optical loss: measured upper limit only, kept as metadata.
@@ -310,27 +309,6 @@ def locate_resonance(x: float, center: float, half_width: float, F: float, L: fl
 # ---------------------------------------------------------------------------
 # Ringdown and finesse
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RingdownTrace:
-    """Cavity ringdown samples plus the exponential fit."""
-
-    t_samples: np.ndarray
-    power: np.ndarray
-    fitted_tau: float
-    fitted_amplitude: float
-    fitted_offset: float
-    residual_rms: float
-
-
-def fit_ringdown(t, power) -> RingdownTrace:
-    """Least-squares fit power(t) = A exp(-t/tau) + B to a decay trace."""
-    fit: ExpDecayFit = fit_exponential_decay(t, power, with_offset=True)
-    return RingdownTrace(
-        np.asarray(t, dtype=float), np.asarray(power, dtype=float),
-        fit.tau, fit.amplitude, fit.offset, fit.residual_rms,
-    )
-
 
 def finesse_ringdown(value: float, direction: str, L: float) -> float:
     """Convert between finesse and cavity energy decay time tau = L F / (pi c).

@@ -10,11 +10,12 @@ fit error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from . import __version__, cavity, cooling, jumpsim, mechanics, qnd, sweep
+from . import __version__, cavity, cooling, fitting, jumpsim, mechanics, qnd, sweep
 from .errors import NumericsError, ValidationError
 from .params import MembraneSpec, as_dict, load_config
 from .textio import read_csv, write_csv, write_json
@@ -44,17 +45,48 @@ def _base_metadata(args, p=None) -> dict:
     return meta
 
 
-def _cmd_bandstructure(args) -> int:
+# ExperimentParams attribute -> optics flag dest (the flag is "--" + dest)
+_OPTICS_FLAGS = {"r_c": "rc", "F": "finesse", "L": "length", "lam": "wavelength"}
+
+
+def _optics(args, required) -> tuple:
+    """(r_c, F, L, lam) from --config or, without one, from the optics flags.
+
+    The two sources exclude each other.  Without a config, each name in
+    `required` must come from its flag; the others may be None.
+    """
+    flags = {name: getattr(args, dest, None) for name, dest in _OPTICS_FLAGS.items()}
     if args.config:
+        given = [f"--{_OPTICS_FLAGS[name]}" for name, val in flags.items() if val is not None]
+        if given:
+            raise ValidationError(f"--config excludes {', '.join(given)}")
         p = load_config(args.config)
-        r_c, L, lam = p.r_c, p.L, p.lam
-    else:
-        if None in (args.rc, args.length, args.wavelength):
-            raise ValidationError("provide --config or all of --rc/--length/--wavelength")
-        r_c, L, lam = args.rc, args.length, args.wavelength
-    x_max = args.xmax if args.xmax is not None else lam / 2.0
-    bs = cavity.band_structure(r_c, L, lam, (args.xmin, x_max),
-                               args.samples, args.bands)
+        return tuple(getattr(p, name) for name in flags)
+    missing = [f"--{_OPTICS_FLAGS[name]}" for name in required if flags[name] is None]
+    if missing:
+        raise ValidationError(f"provide --config or {'/'.join(missing)}")
+    return tuple(flags.values())
+
+
+def _span(lo: float, hi: float, count: int, flags: str) -> tuple[float, float, int]:
+    """A sampled interval from the command line: finite ends, at least one sample."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{flags} must be finite (got {lo} and {hi})")
+    if count < 1:
+        raise ValidationError(f"{flags} need at least one sample (got {count})")
+    return lo, hi, count
+
+
+def _x_span(args, lam: float, count: int) -> tuple[float, float, int]:
+    """--xmin/--xmax, the upper end defaulting to lambda/2."""
+    xmax = args.xmax if args.xmax is not None else lam / 2.0
+    return _span(args.xmin, xmax, count, "--xmin/--xmax")
+
+
+def _cmd_bandstructure(args) -> int:
+    r_c, _, L, lam = _optics(args, ("r_c", "L", "lam"))
+    xmin, xmax, samples = _x_span(args, lam, args.samples)
+    bs = cavity.band_structure(r_c, L, lam, (xmin, xmax), samples, args.bands)
     header, rows = cavity.band_structure_rows(bs)
     meta = _base_metadata(args)
     meta.update({"r_c": r_c, "L": L, "lambda": lam, "omega_fsr_rad_s": bs.omega_fsr})
@@ -63,25 +95,17 @@ def _cmd_bandstructure(args) -> int:
 
 
 def _cmd_transmission_map(args) -> int:
-    if args.config:
-        p = load_config(args.config)
-        F, L, lam, r_c = p.F, p.L, p.lam, p.r_c
-    else:
-        needed = (args.finesse, args.length, args.wavelength)
-        if None in needed:
-            raise ValidationError("provide --config or --finesse/--length/--wavelength")
-        F, L, lam, r_c = args.finesse, args.length, args.wavelength, args.rc
     membrane = None
     if args.membrane_index is not None:
         if args.membrane_thickness is None:
             raise ValidationError("--membrane-index requires --membrane-thickness")
         membrane = MembraneSpec(args.membrane_index, args.membrane_thickness)
+    r_c, F, L, lam = _optics(args, ("F", "L", "lam") if membrane else ("r_c", "F", "L", "lam"))
+    if membrane:
         r_c = None
-    elif r_c is None:
-        raise ValidationError("provide --rc or a membrane spec")
-    det = np.linspace(args.det_min, args.det_max, args.det_samples)
-    xs = np.linspace(args.xmin, args.xmax if args.xmax is not None else lam / 2.0,
-                     args.x_samples)
+    det = np.linspace(*_span(args.det_min, args.det_max, args.det_samples,
+                             "--det-min/--det-max"))
+    xs = np.linspace(*_x_span(args, lam, args.x_samples))
     tm = cavity.transmission_map(F, L, lam, det, xs, r_c=r_c, membrane=membrane)
     header, rows = cavity.transmission_rows(tm)
     meta = _base_metadata(args)
@@ -96,29 +120,26 @@ def _cmd_transmission_map(args) -> int:
     return 0
 
 
+def _columns(path, *names) -> list:
+    """The named columns of a CSV, in the order asked for."""
+    cols = read_csv(path)
+    if any(name not in cols for name in names):
+        raise ValidationError(f"{path}: needs columns {', '.join(names)}")
+    return [cols[name] for name in names]
+
+
 def _cmd_ringdown_fit(args) -> int:
-    cols = read_csv(args.input)
-    if "t_s" not in cols or "power" not in cols:
-        raise ValidationError("ringdown CSV needs columns t_s, power")
-    trace = cavity.fit_ringdown(cols["t_s"], cols["power"])
-    payload = {
-        "tau_s": trace.fitted_tau,
-        "amplitude": trace.fitted_amplitude,
-        "offset": trace.fitted_offset,
-        "residual_rms": trace.residual_rms,
-    }
+    fit = fitting.fit_exponential_decay(*_columns(args.input, "t_s", "power"))
+    payload = {"tau_s": fit.tau, "amplitude": fit.amplitude, "offset": fit.offset,
+               "residual_rms": fit.residual_rms}
     if args.length is not None:
-        payload["finesse"] = cavity.finesse_ringdown(trace.fitted_tau,
-                                                     "tau_to_finesse", args.length)
+        payload["finesse"] = cavity.finesse_ringdown(fit.tau, "tau_to_finesse", args.length)
     write_json(args.output, payload, _base_metadata(args))
     return 0
 
 
 def _cmd_mech_ringdown_fit(args) -> int:
-    cols = read_csv(args.input)
-    if "t_s" not in cols or "amplitude" not in cols:
-        raise ValidationError("mechanical ringdown CSV needs columns t_s, amplitude")
-    tau = mechanics.fit_mech_ringdown(cols["t_s"], cols["amplitude"])
+    tau = mechanics.fit_mech_ringdown(*_columns(args.input, "t_s", "amplitude"))
     payload = {"tau_s": tau}
     if args.omega_m is not None:
         payload["Q"] = mechanics.q_from_ringdown(tau, args.omega_m)
@@ -127,9 +148,7 @@ def _cmd_mech_ringdown_fit(args) -> int:
 
 
 def _cmd_cool_fit(args) -> int:
-    cols = read_csv(args.input)
-    if "freq_hz" not in cols or "psd_m2_per_hz" not in cols:
-        raise ValidationError("PSD CSV needs columns freq_hz, psd_m2_per_hz")
+    freq, psd = _columns(args.input, "freq_hz", "psd_m2_per_hz")
     exclude = []
     for band in args.exclude or []:
         lo, _, hi = band.partition(":")
@@ -137,21 +156,10 @@ def _cmd_cool_fit(args) -> int:
             exclude.append((float(lo), float(hi)))
         except ValueError:
             raise ValidationError(f"bad --exclude band '{band}', expected lo:hi") from None
-    trace = cooling.fit_psd(cols["freq_hz"], cols["psd_m2_per_hz"],
-                            m=args.mass, omega_m=args.omega_m,
+    trace = cooling.fit_psd(freq, psd, m=args.mass, omega_m=args.omega_m,
                             t_bath=args.t_bath, q_intrinsic=args.q_intrinsic,
                             exclude_bands=exclude)
-    fit = trace.fit
-    payload = {
-        "omega_eff": fit.omega_eff,
-        "gamma_eff": fit.gamma_eff,
-        "q_eff": fit.q_eff,
-        "t_eff_area": fit.t_eff_area,
-        "t_eff_q": fit.t_eff_q,
-        "floor": fit.floor,
-        "residual_rms": fit.residual_rms,
-    }
-    write_json(args.output, payload, _base_metadata(args))
+    write_json(args.output, vars(trace.fit), _base_metadata(args))
     return 0
 
 
@@ -161,7 +169,13 @@ def _cmd_qnd_budget(args) -> int:
     return 0
 
 
-def _cmd_jump_sim(args) -> int:
+def _simulate(args, bin_width):
+    """Simulate the configured trajectory and, given a bin width, its readout.
+
+    Returns (trajectory, readout, metadata, readout metadata); the readout
+    and its metadata are None without a bin width.  Nothing is written
+    here, so a failure leaves no partial output set behind.
+    """
     p = load_config(args.config)
     traj = jumpsim.simulate_trajectory(p, args.duration, args.seed,
                                        include_measurement_channels=args.channels)
@@ -169,16 +183,23 @@ def _cmd_jump_sim(args) -> int:
     meta.update({"seed": args.seed, "duration_s": args.duration,
                  "rng": traj.rng_algorithm, "rng_stream": jumpsim.RNG_STREAM,
                  "measurement_channels": args.channels})
+    if bin_width is None:
+        return traj, None, meta, None
+    trace = jumpsim.binned_readout(traj, p, bin_width, args.readout_seed)
+    meta_r = {**meta, "bin_width_s": trace.bin_width, "readout_seed": args.readout_seed}
+    return traj, trace, meta, meta_r
+
+
+def _cmd_jump_sim(args) -> int:
+    if args.readout is not None and args.bin_width is None:
+        raise ValidationError("--readout requires --bin-width")
+    traj, trace, meta, meta_r = _simulate(
+        args, None if args.readout is None else args.bin_width)
     # .tolist() hands write_csv Python scalars, which it formats fastest
     rows = list(zip(traj.times.tolist(), traj.levels.tolist()))
     write_csv(args.output, ["t_s", "n"], rows, meta)
-    if args.readout is not None:
-        if args.bin_width is None:
-            raise ValidationError("--readout requires --bin-width")
-        trace = jumpsim.binned_readout(traj, p, args.bin_width, args.readout_seed)
-        meta_r = dict(meta)
-        meta_r.update({"bin_width_s": trace.bin_width, "readout_seed": args.readout_seed,
-                       "delta_omega_rad_s": trace.delta_omega,
+    if trace is not None:
+        meta_r.update({"delta_omega_rad_s": trace.delta_omega,
                        "noise_sigma_rad_s": trace.noise_sigma})
         rows_r = list(zip(trace.bin_centers.tolist(), trace.freq_estimates.tolist(),
                           trace.true_n_per_bin.tolist()))
@@ -187,10 +208,7 @@ def _cmd_jump_sim(args) -> int:
 
 
 def _cmd_jump_stats(args) -> int:
-    p = load_config(args.config)
-    traj = jumpsim.simulate_trajectory(p, args.duration, args.seed,
-                                       include_measurement_channels=args.channels)
-    trace = jumpsim.binned_readout(traj, p, args.bin_width, args.readout_seed)
+    _, trace, _, meta_r = _simulate(args, args.bin_width)
     stats = jumpsim.jump_detection_stats(trace, args.threshold)
     payload = {
         "detection_probability": stats.detection_probability,
@@ -201,11 +219,7 @@ def _cmd_jump_stats(args) -> int:
         "delta_omega_rad_s": trace.delta_omega,
         "noise_sigma_rad_s": trace.noise_sigma,
     }
-    meta = _base_metadata(args, p)
-    meta.update({"seed": args.seed, "readout_seed": args.readout_seed,
-                 "duration_s": args.duration, "bin_width_s": args.bin_width,
-                 "rng": traj.rng_algorithm, "rng_stream": jumpsim.RNG_STREAM})
-    write_json(args.output, payload, meta)
+    write_json(args.output, payload, meta_r)
     return 0
 
 
@@ -233,19 +247,14 @@ def _cmd_sweep(args) -> int:
                              f":{axis.count}:{axis.scale}")
     write_csv(args.output, header, rows, meta)
     if args.best is not None:
-        if args.maximize:
-            opt = sweep.maximize_snr(p, axes, refine_iters=args.refine_iters)
-            feasible, params, budget = opt.feasible, opt.params, opt.budget
-        else:
-            entry = result.best
-            feasible = entry is not None
-            params, budget = (entry.params, entry.budget) if feasible else (None, None)
-        if not feasible:
-            write_json(args.best, {"feasible": False}, meta)
-        else:
-            payload = {"feasible": True, "best_params": as_dict(params),
-                       "snr": budget.snr, "tau_total_s": budget.tau_total}
-            write_json(args.best, payload, meta)
+        # an OptimizeResult, or the best SweepEntry (None if no grid point is feasible)
+        best = (sweep.maximize_snr(p, axes, refine_iters=args.refine_iters)
+                if args.maximize else result.best)
+        payload = {"feasible": False}
+        if best is not None and best.feasible:
+            payload = {"feasible": True, "best_params": as_dict(best.params),
+                       "snr": best.budget.snr, "tau_total_s": best.budget.tau_total}
+        write_json(args.best, payload, meta)
     return 0
 
 
@@ -255,52 +264,57 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"memcav {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(sp):
-        sp.add_argument("--output", "-o", required=True, help="output file path")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o", required=True, help="output file path")
 
-    sp = sub.add_parser("bandstructure", help="sample the dispersive band structure")
-    sp.add_argument("--config")
-    sp.add_argument("--rc", type=float)
-    sp.add_argument("--length", type=float, help="cavity length [m]")
-    sp.add_argument("--wavelength", type=float, help="laser wavelength [m]")
-    sp.add_argument("--xmin", type=float, default=0.0)
-    sp.add_argument("--xmax", type=float)
+    optics = argparse.ArgumentParser(add_help=False, parents=[output])
+    optics.add_argument("--config", help="take the optics from this config, not from flags")
+    optics.add_argument("--rc", type=float)
+    optics.add_argument("--length", type=float, help="cavity length [m]")
+    optics.add_argument("--wavelength", type=float, help="laser wavelength [m]")
+    optics.add_argument("--xmin", type=float, default=0.0)
+    optics.add_argument("--xmax", type=float, help="default lambda/2")
+
+    config = argparse.ArgumentParser(add_help=False, parents=[output])
+    config.add_argument("--config", required=True)
+
+    jump = argparse.ArgumentParser(add_help=False, parents=[config])
+    jump.add_argument("--seed", type=_seed, required=True)
+    jump.add_argument("--duration", type=float, required=True, help="seconds")
+    jump.add_argument("--channels", action="store_true",
+                      help="include the ground-state measurement channels")
+    jump.add_argument("--readout-seed", type=_seed, dest="readout_seed", default=0)
+
+    sp = sub.add_parser("bandstructure", parents=[optics],
+                        help="sample the dispersive band structure")
     sp.add_argument("--samples", type=int, default=201)
     sp.add_argument("--bands", type=int, default=4)
-    add_output(sp)
     sp.set_defaults(func=_cmd_bandstructure)
 
-    sp = sub.add_parser("transmission-map", help="transfer-matrix transmission map")
-    sp.add_argument("--config")
-    sp.add_argument("--rc", type=float)
+    sp = sub.add_parser("transmission-map", parents=[optics],
+                        help="transfer-matrix transmission map")
     sp.add_argument("--finesse", type=float)
-    sp.add_argument("--length", type=float)
-    sp.add_argument("--wavelength", type=float)
     sp.add_argument("--membrane-index", type=float)
     sp.add_argument("--membrane-thickness", type=float)
     sp.add_argument("--det-min", type=float, required=True)
     sp.add_argument("--det-max", type=float, required=True)
     sp.add_argument("--det-samples", type=int, default=101)
-    sp.add_argument("--xmin", type=float, default=0.0)
-    sp.add_argument("--xmax", type=float)
     sp.add_argument("--x-samples", type=int, default=101)
-    add_output(sp)
     sp.set_defaults(func=_cmd_transmission_map)
 
-    sp = sub.add_parser("ringdown-fit", help="fit a cavity ringdown trace")
+    sp = sub.add_parser("ringdown-fit", parents=[output], help="fit a cavity ringdown trace")
     sp.add_argument("--input", "-i", required=True, help="CSV with t_s,power")
     sp.add_argument("--length", type=float, help="cavity length for finesse [m]")
-    add_output(sp)
     sp.set_defaults(func=_cmd_ringdown_fit)
 
-    sp = sub.add_parser("mech-ringdown-fit", help="fit a mechanical ringdown envelope")
+    sp = sub.add_parser("mech-ringdown-fit", parents=[output],
+                        help="fit a mechanical ringdown envelope")
     sp.add_argument("--input", "-i", required=True, help="CSV with t_s,amplitude")
     sp.add_argument("--omega-m", type=float, dest="omega_m",
                     help="mechanical frequency for Q [rad/s]")
-    add_output(sp)
     sp.set_defaults(func=_cmd_mech_ringdown_fit)
 
-    sp = sub.add_parser("cool-fit", help="fit a displacement PSD")
+    sp = sub.add_parser("cool-fit", parents=[output], help="fit a displacement PSD")
     sp.add_argument("--input", "-i", required=True, help="CSV with freq_hz,psd_m2_per_hz")
     sp.add_argument("--mass", type=float)
     sp.add_argument("--omega-m", type=float, dest="omega_m")
@@ -308,46 +322,28 @@ def build_parser() -> _Parser:
     sp.add_argument("--q-intrinsic", type=float, dest="q_intrinsic")
     sp.add_argument("--exclude", action="append", metavar="LO:HI",
                     help="frequency band [Hz] to mask, repeatable")
-    add_output(sp)
     sp.set_defaults(func=_cmd_cool_fit)
 
-    sp = sub.add_parser("qnd-budget", help="analytic jump budget as JSON")
-    sp.add_argument("--config", required=True)
-    add_output(sp)
+    sp = sub.add_parser("qnd-budget", parents=[config], help="analytic jump budget as JSON")
     sp.set_defaults(func=_cmd_qnd_budget)
 
-    sp = sub.add_parser("jump-sim", help="simulate a phonon jump trajectory")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--seed", type=_seed, required=True)
-    sp.add_argument("--duration", type=float, required=True, help="seconds")
-    sp.add_argument("--channels", action="store_true",
-                    help="include the ground-state measurement channels")
+    sp = sub.add_parser("jump-sim", parents=[jump], help="simulate a phonon jump trajectory")
     sp.add_argument("--readout", help="also write a binned readout CSV here")
     sp.add_argument("--bin-width", type=float, dest="bin_width")
-    sp.add_argument("--readout-seed", type=_seed, dest="readout_seed", default=0)
-    add_output(sp)
     sp.set_defaults(func=_cmd_jump_sim)
 
-    sp = sub.add_parser("jump-stats", help="threshold detection statistics")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--seed", type=_seed, required=True)
-    sp.add_argument("--duration", type=float, required=True)
+    sp = sub.add_parser("jump-stats", parents=[jump], help="threshold detection statistics")
     sp.add_argument("--bin-width", type=float, dest="bin_width", required=True)
     sp.add_argument("--threshold", type=float, required=True, help="rad/s")
-    sp.add_argument("--channels", action="store_true")
-    sp.add_argument("--readout-seed", type=_seed, dest="readout_seed", default=0)
-    add_output(sp)
     sp.set_defaults(func=_cmd_jump_stats)
 
-    sp = sub.add_parser("sweep", help="grid sweep of the jump budget")
-    sp.add_argument("--config", required=True)
+    sp = sub.add_parser("sweep", parents=[config], help="grid sweep of the jump budget")
     sp.add_argument("--axis", action="append", required=True,
                     metavar="NAME:MIN:MAX:COUNT[:SCALE]")
     sp.add_argument("--best", help="write the best feasible point as JSON here")
     sp.add_argument("--maximize", action="store_true",
                     help="refine the best point with golden-section search")
     sp.add_argument("--refine-iters", type=int, dest="refine_iters", default=3)
-    add_output(sp)
     sp.set_defaults(func=_cmd_sweep)
 
     return parser

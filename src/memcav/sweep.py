@@ -133,35 +133,32 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
             fwd, inv = transform
             a, b = fwd(lo), fwd(hi)
 
-            def objective(u: float):
+            def objective(u: float) -> float:
+                # every point differs from the current best only along this
+                # axis, so taking a better one at once changes no later point
+                nonlocal current_p, current_b
                 entry = _evaluate(with_value(current_p, axis.param_name, inv(u)))
-                return (entry.budget.snr if entry.feasible else -math.inf), entry
+                if not entry.feasible:
+                    return -math.inf
+                if entry.budget.snr > current_b.snr:
+                    current_p, current_b = entry.params, entry.budget
+                return entry.budget.snr
 
-            cand: list[tuple[float, SweepEntry]] = []
             for u in (a, b):
-                cand.append(objective(u))
-                evals += 1
+                objective(u)
             c = b - _GOLDEN * (b - a)
             d = a + _GOLDEN * (b - a)
-            fc, ec = objective(c)
-            fd, ed = objective(d)
-            cand += [(fc, ec), (fd, ed)]
-            evals += 2
+            fc, fd = objective(c), objective(d)
             for _ in range(golden_steps):
                 if fc >= fd:
-                    b, d, fd, ed = d, c, fc, ec
+                    b, d, fd = d, c, fc
                     c = b - _GOLDEN * (b - a)
-                    fc, ec = objective(c)
-                    cand.append((fc, ec))
+                    fc = objective(c)
                 else:
-                    a, c, fc, ec = c, d, fd, ed
+                    a, c, fc = c, d, fd
                     d = a + _GOLDEN * (b - a)
-                    fd, ed = objective(d)
-                    cand.append((fd, ed))
-                evals += 1
-            for snr, entry in cand:
-                if entry.feasible and snr > current_b.snr:
-                    current_p, current_b = entry.params, entry.budget
+                    fd = objective(d)
+            evals += 4 + golden_steps
     return OptimizeResult(True, current_p, current_b, evals)
 
 

@@ -149,6 +149,20 @@ def test_jump_sim_metadata_header(tmp_path, row1_config):
     assert any("param_r_c" in l for l in meta)
 
 
+@pytest.mark.parametrize("readout_args", [
+    ["--bin-width", "1.0"],  # duration shorter than one bin
+    [],                      # no bin width at all
+])
+def test_jump_sim_bad_readout_writes_nothing(tmp_path, row1_config, capsys, readout_args):
+    traj, readout = tmp_path / "x.csv", tmp_path / "r.csv"
+    assert run(["jump-sim", "--config", str(row1_config), "--seed", "1",
+                "--duration", "0.001", "--readout", str(readout), *readout_args,
+                "-o", str(traj)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not traj.exists()
+    assert not readout.exists()
+
+
 def test_jump_stats_cli(tmp_path, row1_config):
     out = tmp_path / "stats.json"
     # zero-temperature config: pure noise, false alarms only
@@ -160,6 +174,7 @@ def test_jump_stats_cli(tmp_path, row1_config):
                 "--threshold", str(1.2 * dw), "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["metadata"]["rng_stream"] == "pcg64-blocks-v1"
+    assert doc["metadata"]["measurement_channels"] is False
     assert doc["n_ground_bins"] == 1000
     assert doc["detection_probability"] is None  # no jumped bins: NaN written as null
     assert 0.0 <= doc["false_alarm_rate"] < 0.2
@@ -247,6 +262,28 @@ _OPTICS = ["--det-min=-1e9", "--det-max=1e9", "--det-samples", "5", "--x-samples
     (["jump-sim", "T = 0.3", "--seed", "1", "--duration", "inf"], 1),
     (["jump-stats", "T = 0.3", "--seed", "1", "--duration", "0.001",
       "--bin-width", "nan", "--threshold", "0.12"], 1),
+    # an optics flag next to --config, which already sets it
+    (["bandstructure", "T = 0.3", "--rc", "0.5"], 1),
+    (["bandstructure", "T = 0.3", "--length", "0.067"], 1),
+    (["bandstructure", "T = 0.3", "--wavelength", "5.32e-7"], 1),
+    (["transmission-map", "T = 0.3", "--finesse", "200", *_OPTICS], 1),
+    # optics grids without samples or with a non-finite end
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS, "--det-samples=-1"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS, "--x-samples=-1"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS, "--det-min=nan"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS, "--det-max=inf"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS, "--xmin=-inf"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS, "--xmax=nan"], 1),
+    (["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7",
+      "--xmin=nan"], 1),
+    (["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7",
+      "--xmax=inf"], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_refinement_never_worse_than_grid(row1):
     grid_best = sweep.grid_sweep(row1, axes).best
     opt = sweep.maximize_snr(row1, axes, refine_iters=2)
     assert opt.budget.snr >= grid_best.budget.snr
+
+
+def test_refinement_pinned_when_it_beats_grid(row1):
+    # P_in refines off the log grid; r_c stays at the top of its linear grid
+    axes = [sweep.SweepAxis("P_in", 1e-7, 1e-3, 4, "log"),
+            sweep.SweepAxis("r_c", 0.99, 0.99999, 4)]
+    grid_best = sweep.grid_sweep(row1, axes).best
+    opt = sweep.maximize_snr(row1, axes, refine_iters=2)
+    assert grid_best.budget.snr == 18.586155010792446
+    assert opt.budget.snr == 19.224603346615275
+    assert opt.evaluations == 16 + 2 * 2 * (4 + 40)
+    assert opt.params == replace(row1, P_in=0.00035249598521233286, r_c=0.99999)
 
 
 def test_constant_objective_tie_break(row1):
