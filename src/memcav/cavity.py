@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
 from .params import C_LIGHT, MembraneSpec
 
@@ -80,10 +81,15 @@ class ModeGap(NamedTuple):
     rel_error: float  # |approx - exact| / exact
 
 
+def near_unity_gap(r_c: float, L: float) -> float:
+    """(c/L) sqrt(8 (1 - r_c)) [rad/s], unchecked and elementwise on arrays."""
+    return (C_LIGHT / L) * sqrt(8.0 * (1.0 - r_c))
+
+
 def mode_gap(r_c: float, L: float) -> ModeGap:
     """Minimum gap between adjacent cavity bands, exact and near-unity form."""
     _check_rc(r_c)
-    approx = (C_LIGHT / L) * math.sqrt(8.0 * (1.0 - r_c))
+    approx = near_unity_gap(r_c, L)
     exact = 2.0 * (C_LIGHT / L) * math.acos(r_c)
     return ModeGap(approx, exact, abs(approx - exact) / exact)
 

@@ -68,25 +68,39 @@ def _optics(args, required) -> tuple:
     return tuple(flags.values())
 
 
-def _span(lo: float, hi: float, count: int, flags: str) -> tuple[float, float, int]:
-    """A sampled interval from the command line: finite ends, at least one sample."""
+# Largest sample counts of the optics commands, checked before anything is
+# allocated.  At the caps bandstructure writes 2.1e6 cells in ~2 s at
+# 0.16 GB peak, transmission-map 3e6 in ~4 s at 0.25 GB (2-vCPU host).
+MAX_SAMPLES = 100_000     # bandstructure --samples
+MAX_BANDS = 20            # bandstructure --bands
+MAX_MAP_SAMPLES = 1000    # transmission-map --det-samples and --x-samples
+
+
+def _count(count: int, cap: int, flag: str) -> int:
+    """A count flag: at least 1 and at most its cap."""
+    if not 1 <= count <= cap:
+        raise ValidationError(f"{flag} must be between 1 and {cap} (got {count})")
+    return count
+
+
+def _span(lo: float, hi: float, flags: str) -> tuple[float, float]:
+    """The ends of a sampled interval from the command line, which must be finite."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"{flags} must be finite (got {lo} and {hi})")
-    if count < 1:
-        raise ValidationError(f"{flags} need at least one sample (got {count})")
-    return lo, hi, count
+    return lo, hi
 
 
-def _x_span(args, lam: float, count: int) -> tuple[float, float, int]:
+def _x_span(args, lam: float) -> tuple[float, float]:
     """--xmin/--xmax, the upper end defaulting to lambda/2."""
     xmax = args.xmax if args.xmax is not None else lam / 2.0
-    return _span(args.xmin, xmax, count, "--xmin/--xmax")
+    return _span(args.xmin, xmax, "--xmin/--xmax")
 
 
 def _cmd_bandstructure(args) -> int:
+    samples = _count(args.samples, MAX_SAMPLES, "--samples")
+    bands = _count(args.bands, MAX_BANDS, "--bands")
     r_c, _, L, lam = _optics(args, ("r_c", "L", "lam"))
-    xmin, xmax, samples = _x_span(args, lam, args.samples)
-    bs = cavity.band_structure(r_c, L, lam, (xmin, xmax), samples, args.bands)
+    bs = cavity.band_structure(r_c, L, lam, _x_span(args, lam), samples, bands)
     header, rows = cavity.band_structure_rows(bs)
     meta = _base_metadata(args)
     meta.update({"r_c": r_c, "L": L, "lambda": lam, "omega_fsr_rad_s": bs.omega_fsr})
@@ -95,17 +109,20 @@ def _cmd_bandstructure(args) -> int:
 
 
 def _cmd_transmission_map(args) -> int:
+    det_samples = _count(args.det_samples, MAX_MAP_SAMPLES, "--det-samples")
+    x_samples = _count(args.x_samples, MAX_MAP_SAMPLES, "--x-samples")
     membrane = None
     if args.membrane_index is not None:
         if args.membrane_thickness is None:
             raise ValidationError("--membrane-index requires --membrane-thickness")
         membrane = MembraneSpec(args.membrane_index, args.membrane_thickness)
+    elif args.membrane_thickness is not None:
+        raise ValidationError("--membrane-thickness requires --membrane-index")
     r_c, F, L, lam = _optics(args, ("F", "L", "lam") if membrane else ("r_c", "F", "L", "lam"))
     if membrane:
         r_c = None
-    det = np.linspace(*_span(args.det_min, args.det_max, args.det_samples,
-                             "--det-min/--det-max"))
-    xs = np.linspace(*_x_span(args, lam, args.x_samples))
+    det = np.linspace(*_span(args.det_min, args.det_max, "--det-min/--det-max"), det_samples)
+    xs = np.linspace(*_x_span(args, lam), x_samples)
     tm = cavity.transmission_map(F, L, lam, det, xs, r_c=r_c, membrane=membrane)
     header, rows = cavity.transmission_rows(tm)
     meta = _base_metadata(args)
@@ -240,15 +257,14 @@ def _cmd_sweep(args) -> int:
     p = load_config(args.config)
     axes = [_parse_axis(a) for a in args.axis]
     result = sweep.grid_sweep(p, axes)
-    header, rows = sweep.sweep_rows(result)
     meta = _base_metadata(args, p)
     for i, axis in enumerate(axes):
         meta[f"axis_{i}"] = (f"{axis.param_name}:{axis.minimum}:{axis.maximum}"
                              f":{axis.count}:{axis.scale}")
-    write_csv(args.output, header, rows, meta)
+    write_csv(args.output, sweep.HEADER, sweep.iter_rows(result), meta)
     if args.best is not None:
         # an OptimizeResult, or the best SweepEntry (None if no grid point is feasible)
-        best = (sweep.maximize_snr(p, axes, refine_iters=args.refine_iters)
+        best = (sweep.maximize_snr(p, axes, refine_iters=args.refine_iters, grid=result)
                 if args.maximize else result.best)
         payload = {"feasible": False}
         if best is not None and best.feasible:
@@ -287,8 +303,10 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("bandstructure", parents=[optics],
                         help="sample the dispersive band structure")
-    sp.add_argument("--samples", type=int, default=201)
-    sp.add_argument("--bands", type=int, default=4)
+    sp.add_argument("--samples", type=int, default=201,
+                    help=f"points along x (default 201, at most {MAX_SAMPLES})")
+    sp.add_argument("--bands", type=int, default=4,
+                    help=f"bands to sample (default 4, at most {MAX_BANDS})")
     sp.set_defaults(func=_cmd_bandstructure)
 
     sp = sub.add_parser("transmission-map", parents=[optics],
@@ -298,8 +316,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--membrane-thickness", type=float)
     sp.add_argument("--det-min", type=float, required=True)
     sp.add_argument("--det-max", type=float, required=True)
-    sp.add_argument("--det-samples", type=int, default=101)
-    sp.add_argument("--x-samples", type=int, default=101)
+    sp.add_argument("--det-samples", type=int, default=101,
+                    help=f"detunings (default 101, at most {MAX_MAP_SAMPLES})")
+    sp.add_argument("--x-samples", type=int, default=101,
+                    help=f"membrane positions (default 101, at most {MAX_MAP_SAMPLES})")
     sp.set_defaults(func=_cmd_transmission_map)
 
     sp = sub.add_parser("ringdown-fit", parents=[output], help="fit a cavity ringdown trace")
@@ -339,7 +359,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", parents=[config], help="grid sweep of the jump budget")
     sp.add_argument("--axis", action="append", required=True,
-                    metavar="NAME:MIN:MAX:COUNT[:SCALE]")
+                    metavar="NAME:MIN:MAX:COUNT[:SCALE]",
+                    help=f"1-3 axes, at most {sweep.MAX_SWEEP_POINTS} points in all")
     sp.add_argument("--best", help="write the best feasible point as JSON here")
     sp.add_argument("--maximize", action="store_true",
                     help="refine the best point with golden-section search")

@@ -8,9 +8,11 @@ deliberately not exposed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .elementwise import sqrt
 from .errors import ValidationError
 from .fitting import fit_exponential_decay
 from .params import HBAR, K_B
@@ -31,10 +33,14 @@ class OscillatorParams:
 
 
 def zero_point_amplitude(m: float, omega_m: float) -> float:
-    """RMS ground-state displacement sqrt(hbar / (2 m omega_m)) [m]."""
-    if m <= 0 or omega_m <= 0:
+    """RMS ground-state displacement sqrt(hbar / (2 m omega_m)) [m].
+
+    Like thermal_occupation, elementwise and unchecked on arrays: a sweep
+    grid reports its invalid points through params.grid_violations.
+    """
+    if not isinstance(m, np.ndarray) and (m <= 0 or omega_m <= 0):
         raise ValidationError("m and omega_m must be positive")
-    return math.sqrt(HBAR / (2.0 * m * omega_m))
+    return sqrt(HBAR / (2.0 * m * omega_m))
 
 
 def thermal_occupation(T: float, omega_m: float) -> float:
@@ -43,10 +49,11 @@ def thermal_occupation(T: float, omega_m: float) -> float:
     Valid for n_bar >> 1; callers should check is_classical_bath() before
     leaning on the high-temperature form.
     """
-    if T < 0:
-        raise ValidationError(f"T must be >= 0 (got {T})")
-    if omega_m <= 0:
-        raise ValidationError(f"omega_m must be positive (got {omega_m})")
+    if not isinstance(T, np.ndarray):
+        if T < 0:
+            raise ValidationError(f"T must be >= 0 (got {T})")
+        if omega_m <= 0:
+            raise ValidationError(f"omega_m must be positive (got {omega_m})")
     return K_B * T / (HBAR * omega_m)
 
 

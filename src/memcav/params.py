@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, ValidationError
 
 
@@ -68,9 +70,6 @@ CONFIG_KEYS = ("L", "lambda", "F", "P_in", "T", "m", "omega_m", "Q", "r_c", "x0"
 _KEY_TO_ATTR = {k: ("lam" if k == "lambda" else k) for k in CONFIG_KEYS}
 _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 
-# Violations are reported in this fixed order (config keys, sorted).
-_VALIDATION_ORDER = tuple(sorted(CONFIG_KEYS))
-
 
 @dataclass(frozen=True)
 class MembraneSpec:
@@ -86,6 +85,30 @@ class MembraneSpec:
             raise ValidationError(f"d must be > 0 (got {self.d})")
 
 
+def _rules(p) -> tuple:
+    """(config key, value, [(holds, message), ...]) per key, in report order.
+
+    The fields of p are floats, or arrays that broadcast together (a sweep
+    grid), in which case every `holds` is a bool array over the grid.
+    """
+    # x0 must stay well inside one quarter-period of the detuning curve;
+    # the bound applies only once lambda itself is positive ("a <= b" is
+    # "a implies b" for bools and bool arrays alike).
+    x0_in_period = (p.lam > 0.0) <= (p.x0 < p.lam / 8.0)
+    return (
+        ("F", p.F, ((p.F >= 1.0, "must be >= 1"),)),
+        ("L", p.L, ((p.L > 0.0, "must be > 0"),)),
+        ("P_in", p.P_in, ((p.P_in > 0.0, "must be > 0"),)),
+        ("Q", p.Q, ((p.Q > 0.0, "must be > 0"),)),
+        ("T", p.T, ((p.T > 0.0, "must be > 0"),)),
+        ("lambda", p.lam, ((p.lam > 0.0, "must be > 0"),)),
+        ("m", p.m, ((p.m > 0.0, "must be > 0"),)),
+        ("omega_m", p.omega_m, ((p.omega_m > 0.0, "must be > 0"),)),
+        ("r_c", p.r_c, ((p.r_c >= 0.0, "must be >= 0"), (p.r_c < 1.0, "must be < 1"))),
+        ("x0", p.x0, ((p.x0 >= 0.0, "must be >= 0"), (x0_in_period, "must be < lambda/8"))),
+    )
+
+
 def validate(p: ExperimentParams) -> list[str]:
     """Check every parameter invariant; return violations, empty if valid.
 
@@ -93,31 +116,36 @@ def validate(p: ExperimentParams) -> list[str]:
     message, ordered deterministically by config-key name.  A non-finite
     value gives a single "must be finite" message for its key.
     """
-    # (holds, message) per key; a message is formatted only if its check fails
-    checks = {
-        "F": [(p.F >= 1.0, "must be >= 1")],
-        "L": [(p.L > 0.0, "must be > 0")],
-        "P_in": [(p.P_in > 0.0, "must be > 0")],
-        "Q": [(p.Q > 0.0, "must be > 0")],
-        "T": [(p.T > 0.0, "must be > 0")],
-        "lambda": [(p.lam > 0.0, "must be > 0")],
-        "m": [(p.m > 0.0, "must be > 0")],
-        "omega_m": [(p.omega_m > 0.0, "must be > 0")],
-        "r_c": [(p.r_c >= 0.0, "must be >= 0"), (p.r_c < 1.0, "must be < 1")],
-        "x0": [(p.x0 >= 0.0, "must be >= 0")],
-    }
-    # x0 must stay well inside one quarter-period of the detuning curve;
-    # only meaningful once lambda itself is valid.
-    if p.lam > 0.0:
-        checks["x0"].append((p.x0 < p.lam / 8.0, "must be < lambda/8"))
     out = []
-    for key in _VALIDATION_ORDER:
-        value = getattr(p, _KEY_TO_ATTR[key])
+    for key, value, checks in _rules(p):
         if not math.isfinite(value):
             out.append(f"{key} must be finite (got {value})")
             continue
-        out += [f"{key} {msg} (got {value})" for ok, msg in checks[key] if not ok]
+        for ok, msg in checks:
+            if not ok:
+                out.append(f"{key} {msg} (got {value})")
     return out
+
+
+def grid_violations(p, shape: tuple) -> dict[int, str]:
+    """validate() at every point of a grid, for the points that fail it.
+
+    p's fields are arrays that broadcast to `shape`.  Returns the flat
+    (row-major) index of each failing point mapped to the messages validate
+    gives there, joined by "; "; a message is formatted only for a failing
+    point.
+    """
+    found: dict[int, list] = {}
+    for key, value, checks in _rules(p):
+        finite = np.isfinite(value)
+        for bad, msg in [(~finite, "must be finite"),
+                         *((finite & ~ok, msg) for ok, msg in checks)]:
+            if bad.any():
+                where = np.flatnonzero(np.broadcast_to(bad, shape))
+                got = np.broadcast_to(value, shape).ravel()[where]
+                for i, v in zip(where.tolist(), got.tolist()):
+                    found.setdefault(i, []).append(f"{key} {msg} (got {v})")
+    return {i: "; ".join(found[i]) for i in sorted(found)}
 
 
 def load_config(path) -> ExperimentParams:

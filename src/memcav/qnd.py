@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import NamedTuple
 
+import numpy as np
+
 from . import cavity, mechanics
+from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
-from .params import C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, validate
-
-
-def _require_valid(p: ExperimentParams) -> None:
-    violations = validate(p)
-    if violations:
-        raise ValidationError("; ".join(violations))
+from .params import C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, grid_violations, validate
 
 
 def _kappa(p: ExperimentParams) -> float:
@@ -40,14 +38,15 @@ def _kappa(p: ExperimentParams) -> float:
 def _one_minus_rc(p: ExperimentParams) -> float:
     """1 - r_c, which every near-unity-reflectivity form divides by or roots."""
     one_minus = 1.0 - p.r_c
-    if one_minus <= 0.0:
+    # a grid leaves r_c >= 1 to params.grid_violations
+    if not isinstance(one_minus, np.ndarray) and one_minus <= 0.0:
         raise SingularityError("1 - r_c underflowed in a near-unity-reflectivity form")
     return one_minus
 
 
 def detuning_per_phonon(p: ExperimentParams) -> float:
     """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
-    root = math.sqrt(2.0 * _one_minus_rc(p))
+    root = sqrt(2.0 * _one_minus_rc(p))
     x_m = mechanics.zero_point_amplitude(p.m, p.omega_m)
     return 16.0 * math.pi**2 * C_LIGHT * x_m**2 / (p.L * p.lam**2 * root)
 
@@ -110,14 +109,23 @@ def linear_lifetime(p: ExperimentParams) -> float:
 
     Returns math.inf for x0 = 0 (no linear coupling channel).
     """
-    if p.x0 == 0.0:
+    grid = isinstance(p.x0, np.ndarray)
+    if not grid and p.x0 == 0.0:
         return math.inf
     kappa = _kappa(p)
-    return (
+    tau = (
         p.m * p.omega_m * p.L**2 * p.lam**3 * _one_minus_rc(p)
         * (4.0 * p.omega_m**2 + kappa**2)
         / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2)
     )
+    return np.where(p.x0 == 0.0, math.inf, tau) if grid else tau
+
+
+def _rate(tau: float) -> float:
+    """Decay rate 1/tau of a channel; 0 for an absent one (infinite lifetime)."""
+    if isinstance(tau, np.ndarray):
+        return np.where(np.isfinite(tau), 1.0 / tau, 0.0)
+    return 1.0 / tau if math.isfinite(tau) else 0.0
 
 
 @dataclass(frozen=True)
@@ -147,41 +155,125 @@ class QndBudget:
     flags: QndFlags
 
 
-def jump_budget(p: ExperimentParams) -> QndBudget:
-    """Assemble the full ground-state jump budget.
+# Output names of QndBudget's first ten fields, which are in the same order.
+BUDGET_NAMES = ("delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_rad2_s",
+                "tau_thermal_s", "tau_rwa_s", "tau_lin_s", "tau_total_s", "snr", "gap_rad_s")
+FLAG_NAMES = tuple(f.name for f in fields(QndFlags))
+# budget_values' tuple: QndBudget's eleven numbers, then QndFlags' four flags
+VALUE_NAMES = (*BUDGET_NAMES, "n_bar_thermal")
 
-    tau_total is the harmonic sum of the finite channel lifetimes, and
-    SNR = (shift per phonon)^2 tau_total / S_omega.
+
+def _budget(p) -> tuple:
+    """The budget of p as budget_values returns it, without validating p.
+
+    On floats, a step that leaves the float range raises SingularityError.
+    On arrays the same step leaves inf, NaN or a zero tau_total behind,
+    and budget_grid re-runs such points on floats.
     """
-    _require_valid(p)
     try:
         dw = detuning_per_phonon(p)
         s_omega, kappa, n_bar_photons = pdh_noise_psd(p)
         tau_t = thermal_lifetime(0, p)
         tau_r = rwa_lifetime(p)
         tau_l = linear_lifetime(p)
-        rate = sum(1.0 / tau for tau in (tau_t, tau_r, tau_l) if math.isfinite(tau))
-        tau_total = 1.0 / rate
+        tau_total = 1.0 / (_rate(tau_t) + _rate(tau_r) + _rate(tau_l))
         snr = dw**2 * tau_total / s_omega
     except (ZeroDivisionError, OverflowError) as exc:  # e.g. a lifetime underflows to 0
         # the class name, not str(exc), keeps commas out of sweep CSV cells
         raise SingularityError(f"jump budget left the float range ({type(exc).__name__})") from None
-    gap = cavity.mode_gap(p.r_c, p.L).approx
+    gap = cavity.near_unity_gap(p.r_c, p.L)
     n_bar = mechanics.thermal_occupation(p.T, p.omega_m)
-    flags = QndFlags(
-        qnd_time_ok=tau_total * p.omega_m > 1.0,
-        gap_ok=gap > p.omega_m,
-        classical_bath_ok=mechanics.is_classical_bath(n_bar),
-        good_cavity=p.omega_m > kappa,
-    )
-    return QndBudget(dw, kappa, n_bar_photons, s_omega, tau_t, tau_r, tau_l,
-                     tau_total, snr, gap, n_bar, flags)
+    return (dw, kappa, n_bar_photons, s_omega, tau_t, tau_r, tau_l, tau_total, snr, gap, n_bar,
+            tau_total * p.omega_m > 1.0, gap > p.omega_m, mechanics.is_classical_bath(n_bar),
+            p.omega_m > kappa)
 
 
-# Output names of QndBudget's first ten fields, which are in the same order.
-BUDGET_NAMES = ("delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_rad2_s",
-                "tau_thermal_s", "tau_rwa_s", "tau_lin_s", "tau_total_s", "snr", "gap_rad_s")
-FLAG_NAMES = tuple(f.name for f in fields(QndFlags))
+def budget_values(p: ExperimentParams) -> tuple:
+    """jump_budget's numbers and flags as one flat tuple, no objects built.
+
+    Ordered as VALUE_NAMES then FLAG_NAMES; raises as jump_budget does.
+    """
+    violations = validate(p)
+    if violations:
+        raise ValidationError("; ".join(violations))
+    return _budget(p)
+
+
+def as_budget(values: tuple) -> QndBudget:
+    """QndBudget from a budget_values tuple."""
+    return QndBudget(*values[:11], QndFlags(*values[11:]))
+
+
+def jump_budget(p: ExperimentParams) -> QndBudget:
+    """Assemble the full ground-state jump budget.
+
+    tau_total is the harmonic sum of the finite channel lifetimes, and
+    SNR = (shift per phonon)^2 tau_total / S_omega.
+    """
+    return as_budget(budget_values(p))
+
+
+@dataclass(frozen=True)
+class BudgetGrid:
+    """jump_budget at every point of a grid, as flat row-major columns.
+
+    `values` maps VALUE_NAMES, and `flags` FLAG_NAMES, to arrays; they hold
+    NaN and False at the `failed` points.  `errors` maps the flat index of
+    each failed point to the message jump_budget raises there.
+    """
+
+    values: dict
+    flags: dict
+    errors: dict
+    failed: np.ndarray
+    feasible: np.ndarray
+
+
+_RERUN_CHUNK = 65536   # points re-run on floats per batch, which bounds its lists
+
+
+def budget_grid(p) -> BudgetGrid:
+    """The budget of every point of p, whose fields are LibmArrays that broadcast.
+
+    One broadcast pass over the grid.  Points whose result is not finite
+    (bar tau_lin at x0 = 0), or whose tau_total is 0, are re-run one at a
+    time on floats, so they raise, or not, exactly as jump_budget does;
+    every value is bit-identical to jump_budget's.
+    """
+    shape = np.broadcast_shapes(*(v.shape for v in vars(p).values()))
+    errors = grid_violations(p, shape)
+    with np.errstate(all="ignore"):
+        out = [np.broadcast_to(v, shape).flatten() for v in _budget(p)]
+    values = dict(zip(VALUE_NAMES, out))
+    # tau_lin is inf by design where x0 = 0; any other value that is not
+    # finite, or a zero tau_total (an infinite rate), marks a point to re-run
+    tau_lin, tau_total = values["tau_lin_s"], values["tau_total_s"]
+    x0 = np.broadcast_to(p.x0, shape).ravel()
+    suspect = (tau_total == 0.0) | ~np.isfinite(tau_lin) & (x0 != 0.0)
+    for name, col in values.items():
+        if name != "tau_lin_s":
+            suspect |= ~np.isfinite(col)
+    suspect[list(errors)] = False
+    rerun = np.flatnonzero(suspect)
+    for chunk in np.array_split(rerun, rerun.size // _RERUN_CHUNK + 1):
+        at = np.unravel_index(chunk, shape)
+        fields = {k: np.broadcast_to(v, shape)[at].tolist() for k, v in vars(p).items()}
+        for i, point in zip(chunk.tolist(), zip(*fields.values())):
+            try:
+                for col, v in zip(out, _budget(SimpleNamespace(**dict(zip(fields, point))))):
+                    col[i] = v
+            except SingularityError as exc:
+                errors[i] = str(exc)
+    failed = np.zeros(len(tau_total), dtype=bool)
+    failed[list(errors)] = True
+    for col in out[:len(VALUE_NAMES)]:
+        col[failed] = np.nan
+    flags = dict(zip(FLAG_NAMES, out[len(VALUE_NAMES):]))
+    feasible = ~failed
+    for col in flags.values():
+        col[failed] = False
+        feasible &= col
+    return BudgetGrid(values, flags, dict(sorted(errors.items())), failed, feasible)
 
 
 def budget_fields(b: QndBudget) -> dict:

@@ -4,21 +4,33 @@ Feasibility is hard: a point counts only if every budget validity flag
 passes.  Singular or invalid grid points are recorded as failures and the
 sweep continues.  Ties break toward the lowest flattened grid index, and
 refinement never returns a point worse than the best feasible grid point.
+
+A grid is evaluated in one broadcast pass (qnd.budget_grid) and kept as
+columns; per-point objects are built only when asked for.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import qnd
+from .elementwise import LibmArray
 from .errors import MemcavError, ValidationError
-from .params import CONFIG_KEYS, ExperimentParams, as_dict, attr_name, with_value
+from .params import CONFIG_KEYS, ExperimentParams, attr_name
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Most points one grid_sweep evaluates.  At the cap, a 3-axis grid took
+# 1-6 s and at most 0.32 GB (6 s when half its points leave the float
+# range and are re-run on floats), and memcav sweep, which streams its
+# ~0.35 GB CSV, ~20 s at the same peak (2-vCPU host).
+MAX_SWEEP_POINTS = 1_000_000
+# positions in a qnd.budget_values tuple
+_SNR = qnd.VALUE_NAMES.index("snr")
+_N_VALUES = len(qnd.VALUE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -59,40 +71,71 @@ class SweepEntry:
         return self.budget is not None and self.budget.flags.all_ok()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A grid sweep as columns, flattened row-major over the axis grids."""
+
     axes: tuple
-    entries: list            # flattened, row-major over the axis grids
     shape: tuple
+    base: ExperimentParams
+    samples: dict            # swept attribute -> its axis values, in axis order
+    budget: qnd.BudgetGrid
+    _entries: dict = field(default_factory=dict, init=False, repr=False)  # flat index -> SweepEntry
+
+    def entry(self, i: int) -> SweepEntry:
+        """The point at flat index i, built once."""
+        if i not in self._entries:
+            at = np.unravel_index(i, self.shape)
+            params = replace(self.base, **{attr: float(v[j])
+                                           for (attr, v), j in zip(self.samples.items(), at)})
+            error = self.budget.errors.get(i)
+            budget = None if error else qnd.as_budget(
+                [self.budget.values[name][i].item() for name in qnd.VALUE_NAMES]
+                + [bool(self.budget.flags[name][i]) for name in qnd.FLAG_NAMES])
+            self._entries[i] = SweepEntry(params, budget, error)
+        return self._entries[i]
+
+    @property
+    def entries(self) -> list:
+        return [self.entry(i) for i in range(math.prod(self.shape))]
 
     @property
     def best(self) -> SweepEntry | None:
         """Highest-SNR feasible entry; first one wins on ties."""
-        best = None
-        for entry in self.entries:
-            if entry.feasible and (best is None or entry.budget.snr > best.budget.snr):
-                best = entry
-        return best
-
-
-def _evaluate(p: ExperimentParams) -> SweepEntry:
-    try:
-        return SweepEntry(p, qnd.jump_budget(p))
-    except MemcavError as exc:
-        return SweepEntry(p, None, error=str(exc))
+        feasible = np.flatnonzero(self.budget.feasible)
+        if not feasible.size:
+            return None
+        snr = self.budget.values["snr"][feasible]
+        # as a scan that keeps the first feasible point and then any strictly
+        # higher SNR: a NaN SNR wins only as the first feasible point
+        k = 0 if np.isnan(snr[0]) else np.argmax(np.where(np.isnan(snr), -math.inf, snr))
+        return self.entry(int(feasible[k]))
 
 
 def grid_sweep(base: ExperimentParams, axes) -> SweepResult:
-    """Evaluate the jump budget on the cartesian grid of 1-3 axes."""
+    """Evaluate the jump budget on the cartesian grid of 1-3 axes.
+
+    Raises ValidationError, before evaluating anything, for a grid of more
+    than MAX_SWEEP_POINTS points.
+    """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 3:
         raise ValidationError("grid_sweep supports 1 to 3 axes")
     attrs = [attr_name(a.param_name) for a in axes]
     if len(set(attrs)) != len(attrs):
         raise ValidationError("axes must reference distinct parameters")
-    entries = [_evaluate(replace(base, **{attr: float(v) for attr, v in zip(attrs, combo)}))
-               for combo in itertools.product(*[axis.values() for axis in axes])]
-    return SweepResult(axes, entries, tuple(a.count for a in axes))
+    shape = tuple(a.count for a in axes)
+    if math.prod(shape) > MAX_SWEEP_POINTS:
+        raise ValidationError(f"sweep of {math.prod(shape)} points exceeds {MAX_SWEEP_POINTS}; "
+                              "use fewer or coarser axes")
+    samples = {attr: axis.values() for attr, axis in zip(attrs, axes)}
+    # every field an array with one dimension per axis, long only along its own
+    ones = (1,) * len(axes)
+    fields = {attr: np.full(ones, value, dtype=float) for attr, value in vars(base).items()}
+    for k, attr in enumerate(attrs):
+        fields[attr] = samples[attr].reshape(ones[:k] + (-1,) + ones[k + 1:])
+    grid = SimpleNamespace(**{attr: v.view(LibmArray) for attr, v in fields.items()})
+    return SweepResult(axes, shape, base, samples, qnd.budget_grid(grid))
 
 
 @dataclass(frozen=True)
@@ -105,16 +148,18 @@ class OptimizeResult:
 
 
 def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
-                 golden_steps: int = 40) -> OptimizeResult:
+                 golden_steps: int = 40, grid: SweepResult | None = None) -> OptimizeResult:
     """Coarse grid then coordinate-wise golden-section refinement.
 
     The refinement searches each axis inside the grid interval bracketing
     the current best point (other coordinates held fixed), keeps a candidate
     only if it is feasible and strictly better, and is fully deterministic.
+    `grid` is grid_sweep(base, axes) when the caller has it already; its
+    points count as evaluations all the same.
     """
-    result = grid_sweep(base, axes)
+    result = grid if grid is not None else grid_sweep(base, axes)
     best = result.best
-    evals = len(result.entries)
+    evals = math.prod(result.shape)
     if best is None:
         return OptimizeResult(False, None, None, evals, "no feasible grid point")
 
@@ -122,8 +167,9 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     current_p, current_b = best.params, best.budget
     for _ in range(refine_iters):
         for axis in axes:
+            attr = attr_name(axis.param_name)
             values = axis.values()
-            x_now = getattr(current_p, attr_name(axis.param_name))
+            x_now = getattr(current_p, attr)
             idx = int(np.argmin(np.abs(values - x_now)))
             lo = values[max(idx - 1, 0)]
             hi = values[min(idx + 1, len(values) - 1)]
@@ -132,17 +178,23 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
             transform = (math.log, math.exp) if axis.scale == "log" else (lambda v: v, lambda v: v)
             fwd, inv = transform
             a, b = fwd(lo), fwd(hi)
+            # every point differs from the current best only along this axis,
+            # so taking a better one at once changes no later point
+            others = dict(vars(current_p))
 
             def objective(u: float) -> float:
-                # every point differs from the current best only along this
-                # axis, so taking a better one at once changes no later point
                 nonlocal current_p, current_b
-                entry = _evaluate(with_value(current_p, axis.param_name, inv(u)))
-                if not entry.feasible:
+                others[attr] = x = inv(u)
+                try:
+                    v = qnd.budget_values(SimpleNamespace(**others))
+                except MemcavError:
                     return -math.inf
-                if entry.budget.snr > current_b.snr:
-                    current_p, current_b = entry.params, entry.budget
-                return entry.budget.snr
+                if not all(v[_N_VALUES:]):   # infeasible
+                    return -math.inf
+                if v[_SNR] > current_b.snr:
+                    current_p = replace(current_p, **{attr: x})
+                    current_b = qnd.as_budget(v)
+                return v[_SNR]
 
             for u in (a, b):
                 objective(u)
@@ -162,18 +214,44 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     return OptimizeResult(True, current_p, current_b, evals)
 
 
+HEADER = (*CONFIG_KEYS, *qnd.BUDGET_NAMES, *qnd.FLAG_NAMES, "error")
+_ROW_CHUNK = 65536   # points per batch of iter_rows
+
+
+def iter_rows(result: SweepResult):
+    """The CSV rows of sweep_rows, built a batch of points at a time."""
+    n = math.prod(result.shape)
+    for lo in range(0, n, _ROW_CHUNK):
+        yield from _rows(result, lo, min(lo + _ROW_CHUNK, n))
+
+
+def _rows(result: SweepResult, lo: int, hi: int) -> list:
+    """The CSV rows of the points lo to hi - 1."""
+    g = result.budget
+    failed = g.failed[lo:hi]
+
+    def cells(array, blank):
+        out = array.astype(object)
+        out[blank] = ""
+        return out.tolist()
+
+    at = dict(zip(result.samples, np.unravel_index(np.arange(lo, hi), result.shape)))
+    cols = [result.samples[attr][at[attr]].tolist() if attr in at
+            else [getattr(result.base, attr)] * (hi - lo)
+            for attr in map(attr_name, CONFIG_KEYS)]
+    for name in qnd.BUDGET_NAMES:
+        values = g.values[name][lo:hi]
+        # an infinite tau_lin (x0 = 0) is blank, as qnd.budget_fields makes it None
+        cols.append(cells(values, failed | np.isinf(values) if name == "tau_lin_s" else failed))
+    cols += [cells(g.flags[name][lo:hi].astype(np.int8), failed) for name in qnd.FLAG_NAMES]
+    cols.append([g.errors.get(i, "") for i in range(lo, hi)])
+    return list(zip(*cols))
+
+
 def sweep_rows(result: SweepResult):
-    """CSV columns and rows: parameters, budget fields, flags, error."""
-    header = [*CONFIG_KEYS, *qnd.BUDGET_NAMES, *qnd.FLAG_NAMES, "error"]
-    blank = [""] * (len(qnd.BUDGET_NAMES) + len(qnd.FLAG_NAMES))
-    rows = []
-    for entry in result.entries:
-        row = list(as_dict(entry.params).values())
-        b = entry.budget
-        if b is None:
-            row += blank + [entry.error or "failed"]
-        else:
-            row += ["" if v is None else v for v in qnd.budget_fields(b).values()]
-            row += [int(v) for v in vars(b.flags).values()] + [""]
-        rows.append(row)
-    return header, rows
+    """CSV columns and rows: parameters, budget fields, flags, error.
+
+    A failed point leaves its budget and flag cells blank, and x0 = 0 its
+    tau_lin cell.
+    """
+    return list(HEADER), list(iter_rows(result))

@@ -10,6 +10,7 @@ identical inputs must give byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -32,26 +33,37 @@ def metadata_lines(metadata: dict) -> list[str]:
     return [f"# {key} = {format_value(val)}" for key, val in metadata.items()]
 
 
-# Exact-type fast path for the cells write_csv sees most; each entry formats
-# its type exactly as format_value does, which handles every other type.
-_CELL_FORMATTERS = {
-    float: "{:.17g}".format,
-    bool: lambda v: "1" if v else "0",
-    int: str,
-    str: str,
-}
+# printf-style code per exact cell type, each giving the text format_value
+# gives; a row with a cell of any other type goes through format_value
+_CELL_CODES = {float: "%.17g", bool: "%d", int: "%d", str: "%s"}
+_BATCH = 8192   # rows formatted per write
+
+
+@functools.lru_cache(maxsize=256)
+def _row_format(types: tuple) -> str | None:
+    """The format of a row whose cells have these exact types, or None."""
+    codes = [_CELL_CODES.get(t) for t in types]
+    return None if None in codes else ",".join(codes)
 
 
 def write_csv(path, columns, rows, metadata: dict | None = None) -> None:
-    """Write rows (an iterable of sequences, or a 2-D ndarray) under a metadata header."""
-    lines = metadata_lines(metadata or {})
-    lines.append(",".join(columns))
+    """Write rows (an iterable of sequences, or a 2-D ndarray) under a metadata header.
+
+    Rows are formatted and written a batch at a time, so an iterator of
+    rows is never held whole.
+    """
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()  # Python scalars hit the fast path
-    formatter = _CELL_FORMATTERS.get
-    for row in rows:
-        lines.append(",".join([formatter(type(v), format_value)(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [*metadata_lines(metadata or {}), ",".join(columns)]
+    with open(path, "w", encoding="utf-8") as out:
+        for row in rows:
+            fmt = _row_format(tuple(map(type, row)))
+            lines.append(fmt % tuple(row) if fmt else ",".join(map(format_value, row)))
+            if len(lines) >= _BATCH:
+                out.write("\n".join(lines) + "\n")
+                lines.clear()
+        if lines:
+            out.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

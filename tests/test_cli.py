@@ -284,6 +284,19 @@ _OPTICS = ["--det-min=-1e9", "--det-max=1e9", "--det-samples", "5", "--x-samples
       "--xmin=nan"], 1),
     (["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7",
       "--xmax=inf"], 1),
+    # a membrane thickness without its index
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", "--membrane-thickness", "5e-8", *_OPTICS], 1),
+    # sample counts above their caps, rejected before anything is allocated
+    (["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7",
+      "--samples", "100000000"], 1),
+    (["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7",
+      "--bands", "1000000000"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS, "--det-samples", "100000000"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", *_OPTICS, "--x-samples", "100000000"], 1),
+    (["sweep", "T = 0.3", "--axis", "F:1e5:1e6:1001:log", "--axis", "P_in:1e-6:1e-5:1000:log"], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
@@ -299,6 +312,23 @@ def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, 
     assert run([command, *rest, "-o", str(out)]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transmission-map", "--membrane-thickness", "5e-8"],
+     "--membrane-thickness requires --membrane-index"),
+    (["bandstructure", "--samples", "100001"], "--samples must be between 1 and 100000"),
+    (["bandstructure", "--bands", "21"], "--bands must be between 1 and 20"),
+    (["transmission-map", "--det-samples", "1001"], "--det-samples must be between 1 and 1000"),
+    (["transmission-map", "--x-samples", "0"], "--x-samples must be between 1 and 1000"),
+])
+def test_optics_flag_errors_named(tmp_path, capsys, argv, message):
+    command, *flags = argv
+    optics = ["--rc", "0.31", "--length", "1.0", "--wavelength", "5.32e-7"]
+    if command == "transmission-map":
+        optics += ["--finesse", "200", "--det-min=-1e9", "--det-max=1e9"]
+    assert run([command, *optics, *flags, "-o", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cool_fit_non_numeric_psd_exit_one(tmp_path, capsys):

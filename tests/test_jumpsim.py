@@ -9,7 +9,8 @@ from memcav import jumpsim, qnd
 from memcav.errors import SingularityError, ValidationError
 from memcav.params import with_value
 
-from oracles import bose_einstein_pmf
+from oracles import (bin_average_char_fn, bin_average_char_fn_expm, birth_death_generator,
+                     bose_einstein_pmf)
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +279,19 @@ def test_detection_threshold_validation(small_bath):
         jumpsim.jump_detection_stats(trace, trace.signal_level(0) * 0.5)
     with pytest.raises(ValidationError):
         jumpsim.jump_detection_stats(trace, trace.signal_level(1) * 1.5)
+
+
+def test_char_fn_oracle_matches_expm(row2):
+    # the batched eigendecomposition against one expm per alpha, on criterion
+    # 9(c)'s measurement-channel generator, bin width and starting states
+    b = qnd.jump_budget(row2)
+    bw = b.tau_total / 4
+    G = birth_death_generator(row2, 40, include_measurement_channels=True,
+                              rate01=1 / b.tau_lin, rate02=1 / b.tau_rwa)
+    starts = [np.eye(41)[0], np.eye(41)[1], np.full(41, 1 / 41)]
+    alphas = [0.0, 0.7, 3.1, 12.0]
+    batched = bin_average_char_fn(G, starts, bw, alphas)
+    direct = bin_average_char_fn_expm(G, starts, bw, alphas)
+    assert batched[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(batched - direct).max() < 1e-12
+

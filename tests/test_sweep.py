@@ -1,12 +1,16 @@
+import hashlib
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from memcav import qnd, sweep
-from memcav.errors import ValidationError
-from memcav.params import with_value
+from memcav import __version__, qnd, sweep
+from memcav.cli import run
+from memcav.errors import MemcavError, ValidationError
+from memcav.params import ExperimentParams, as_dict, attr_name, with_value
 
 
 def test_axis_validation():
@@ -169,3 +173,141 @@ def test_results_independent_of_evaluation_order(row1):
             assert math.isclose(result.entries[k].budget.snr,
                                 qnd.jump_budget(p).snr, rel_tol=1e-14)
             k += 1
+
+
+def test_sweep_point_cap_raises(row1, tmp_path, row1_config, monkeypatch):
+    monkeypatch.setattr(sweep, "MAX_SWEEP_POINTS", 100)
+    with pytest.raises(ValidationError, match="sweep of 110 points exceeds 100"):
+        sweep.grid_sweep(row1, [sweep.SweepAxis("F", 1e5, 1e6, 10),
+                                sweep.SweepAxis("T", 0.1, 0.3, 11)])
+    assert sweep.grid_sweep(row1, [sweep.SweepAxis("F", 1e5, 1e6, 10),
+                                   sweep.SweepAxis("T", 0.1, 0.3, 10)]).shape == (10, 10)
+    out = tmp_path / "s.csv"
+    assert run(["sweep", "--config", str(row1_config), "--axis", "F:1e5:1e6:101",
+                "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+def _old_rows(base, axes):
+    """Sweep CSV rows built point by point through jump_budget, as grid_sweep once did."""
+    attrs = [attr_name(a.param_name) for a in axes]
+    for combo in itertools.product(*[a.values() for a in axes]):
+        p = replace(base, **{attr: float(v) for attr, v in zip(attrs, combo)})
+        row = list(as_dict(p).values())
+        try:
+            b = qnd.jump_budget(p)
+        except MemcavError as exc:
+            yield row + [""] * (len(qnd.BUDGET_NAMES) + len(qnd.FLAG_NAMES)) + [str(exc)]
+            continue
+        row += ["" if v is None else v for v in qnd.budget_fields(b).values()]
+        yield row + [int(v) for v in vars(b.flags).values()] + [""]
+
+
+def _assert_rows_match_jump_budget(base, axes):
+    result = sweep.grid_sweep(base, axes)
+    _, rows = sweep.sweep_rows(result)
+    expected = list(_old_rows(base, axes))
+    # repr tells every float bit apart (bar NaN payloads), and 1 from 1.0
+    assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
+    # feasibility and the best point, as a scan over the per-point budgets would find them
+    feasible = [not row[-1] and all(row[-5:-1]) for row in expected]
+    assert result.budget.feasible.tolist() == feasible
+    best = None
+    for i, row in enumerate(expected):
+        if feasible[i] and (best is None or row[18] > expected[best][18]):
+            best = i
+    assert (result.best is None) if best is None else (result.best is result.entries[best])
+
+
+_ROW1 = dict(L=0.067, lam=5.32e-7, F=3e5, P_in=1e-5, T=0.3, m=5e-14,
+             omega_m=6.2831853071795865e5, Q=1.2e7, r_c=0.999, x0=5e-13)
+
+
+def _near(typical):
+    """Floats within a factor 100 of the scenario's value, every mantissa bit drawn."""
+    return st.floats(min_value=typical / 100, max_value=typical * 100)
+
+
+def _field(typical):
+    """Finite values: the scenario's rescaled by up to 1e+-300, arbitrary, or special."""
+    return st.one_of(
+        st.integers(-300, 300).map(lambda e: typical * 10.0**e),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -1.0, 5e-324, 1e-200, 1e200, 1.0 - 2.0**-53]),
+    ).filter(math.isfinite)
+
+
+@st.composite
+def _axis(draw, name):
+    count = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["near", "log", "linear"]))
+    if kind == "log":
+        lo, hi = sorted(draw(st.lists(st.integers(-300, 300), min_size=2, max_size=2, unique=True)))
+        return sweep.SweepAxis(name, 10.0**lo, 10.0**hi, count, "log")
+    ends = _near(_ROW1[attr_name(name)]) if kind == "near" else \
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return sweep.SweepAxis(name, lo, hi, count, draw(st.sampled_from(["linear", "log"]))
+                           if lo > 0 else "linear")
+
+
+@st.composite
+def _sweeps(draw):
+    # most fields near the scenario, so that most points get a budget
+    wild = draw(st.sets(st.sampled_from(sorted(_ROW1)), max_size=2))
+    base = ExperimentParams(**{name: draw(_field(v) if name in wild else _near(v))
+                               for name, v in _ROW1.items()})
+    names = draw(st.lists(st.sampled_from(sorted(_ROW1)), min_size=1, max_size=3, unique=True))
+    return base, [draw(_axis(name)) for name in names]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sweeps())
+def test_grid_rows_equal_jump_budget_bit_for_bit(case):
+    _assert_rows_match_jump_budget(*case)
+
+
+@pytest.mark.parametrize("axes", [
+    # x0 = 0 (no linear channel) up to x0 >= lambda/8 (ValidationError)
+    [("F", 1e4, 1e6, 8, "log"), ("P_in", 1e-8, 1e-3, 8, "log"), ("x0", 0.0, 1e-7, 8)],
+    # ZeroDivisionError and OverflowError points, among finite ones
+    [("omega_m", 1e-300, 1e300, 61, "log"), ("m", 1e-250, 1e250, 11, "log")],
+    [("omega_m", 1e-200, 1e5, 4, "log"), ("x0", 0.0, 1e-200, 3)],
+    [("Q", 1e-320, 1e300, 9, "log"), ("T", 1e-300, 1e300, 7, "log")],
+    [("L", 1e-300, 1e300, 9, "log"), ("lambda", 1e-300, 1e300, 9, "log")],
+    [("r_c", 0.0, 1.0 - 2.0**-53, 5), ("F", 1.0, 1e300, 7, "log"),
+     ("P_in", 1e-300, 1e300, 5, "log")],
+])
+def test_grid_rows_equal_jump_budget_at_extremes(row1, axes):
+    _assert_rows_match_jump_budget(row1, [sweep.SweepAxis(*a) for a in axes])
+
+
+# sha256 of `memcav sweep` outputs (CSV, then --best JSON) with the version
+# string blanked, generated before the sweep became one broadcast pass
+_PINNED_SWEEPS = {
+    "bench_grid": (
+        ["--axis", "F:1e4:1e6:8:log", "--axis", "P_in:1e-8:1e-3:8:log", "--axis", "x0:0:1e-7:8"],
+        "3ccd2c5cd55447793da26b35161236e48ac88692b06bbb2da79206db5dd1d9e1",
+        "2bb4943879190ed375ea3c044b64f38585ff5e2141b96b89dc1b7fad0aaa5e2b"),
+    "float_range": (
+        ["--axis", "omega_m:1e-300:1e300:61:log", "--axis", "m:1e-250:1e250:11:log"],
+        "0eeea9897244dfc8b253cf4a12b2048a89c5e60d8000f71068ef45b61f52756f",
+        "37412f63fc81ab6969f31ce83c6671303f7c441bb4ee020c1b87a51ad2700847"),
+    "maximize_3axis": (
+        ["--axis", "P_in:1e-7:1e-3:5:log", "--axis", "r_c:0.99:0.99999:4",
+         "--axis", "T:0.1:0.5:3", "--maximize"],
+        "e95f3cbc364292ac55520d994d0b6ea9ad3d8f13c7e54c4e850532c0911260eb",
+        "aa6414b9090fe2ab37bff1d90a80ef04ff31b95969054455a4f84f3ed65c0b63"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SWEEPS))
+def test_sweep_outputs_pinned(tmp_path, row1_config, name):
+    axes, csv_sha, json_sha = _PINNED_SWEEPS[name]
+    csv, best = tmp_path / "s.csv", tmp_path / "b.json"
+    assert run(["sweep", "--config", str(row1_config), *axes,
+                "-o", str(csv), "--best", str(best)]) == 0
+    digests = [hashlib.sha256(path.read_bytes().replace(__version__.encode(), b"<version>"))
+               .hexdigest() for path in (csv, best)]
+    assert digests == [csv_sha, json_sha]
+
