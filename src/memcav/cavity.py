@@ -26,6 +26,7 @@ import numpy as np
 
 from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
+from .fitting import require_positive
 from .params import C_LIGHT, MembraneSpec
 
 # Membrane-induced optical loss: measured upper limit only, kept as metadata.
@@ -203,13 +204,6 @@ def _slab_matrix(n, d, k):
     return _mat_mul(inner, _interface_matrix(n, 1.0, k + 0j))
 
 
-def slab_amplitudes(n: float, d: float, lam: float) -> tuple[complex, complex]:
-    """(r, t) of the bare slab from its transfer matrix (left incidence)."""
-    k = np.asarray(2.0 * np.pi / lam, dtype=float)
-    M = _slab_matrix(n, d, k)
-    return complex(M[2] / M[0]), complex(1.0 / M[0])
-
-
 def cavity_transmission(omega, x: float, F: float, L: float,
                         r_c: float | None = None,
                         membrane: MembraneSpec | None = None):
@@ -296,8 +290,7 @@ def locate_resonance(x: float, center: float, half_width: float, F: float, L: fl
     sqrt(eps)*|x| term of the scalar minimizer would otherwise dominate the
     linewidth.  Returns (omega_peak, transmission_at_peak).
     """
-    # imported here, not at module level: scipy.optimize is slow to import
-    # and only the fits and this refinement need it
+    # deferred like the fits' import: see fitting.least_squares
     from scipy.optimize import minimize_scalar
 
     delta = np.linspace(-half_width, half_width, n_scan)
@@ -321,10 +314,7 @@ def finesse_ringdown(value: float, direction: str, L: float) -> float:
 
     direction is "finesse_to_tau" or "tau_to_finesse".
     """
-    if value <= 0:
-        raise ValidationError(f"input must be positive (got {value})")
-    if L <= 0:
-        raise ValidationError(f"L must be positive (got {L})")
+    require_positive(value=value, L=L)
     if direction == "finesse_to_tau":
         return L * value / (math.pi * C_LIGHT)
     if direction == "tau_to_finesse":

@@ -74,12 +74,15 @@ def _optics(args, required) -> tuple:
 MAX_SAMPLES = 100_000     # bandstructure --samples
 MAX_BANDS = 20            # bandstructure --bands
 MAX_MAP_SAMPLES = 1000    # transmission-map --det-samples and --x-samples
+# Largest sweep --refine-iters: each round costs 44 budget evaluations per
+# axis, and at the cap a 3-axis --maximize refines for ~1 s (2-vCPU host).
+MAX_REFINE_ITERS = 1000
 
 
-def _count(count: int, cap: int, flag: str) -> int:
-    """A count flag: at least 1 and at most its cap."""
-    if not 1 <= count <= cap:
-        raise ValidationError(f"{flag} must be between 1 and {cap} (got {count})")
+def _count(count: int, cap: int, flag: str, lowest: int = 1) -> int:
+    """A count flag: at least `lowest` and at most its cap."""
+    if not lowest <= count <= cap:
+        raise ValidationError(f"{flag} must be between {lowest} and {cap} (got {count})")
     return count
 
 
@@ -254,6 +257,7 @@ def _parse_axis(text: str) -> sweep.SweepAxis:
 
 
 def _cmd_sweep(args) -> int:
+    refine_iters = _count(args.refine_iters, MAX_REFINE_ITERS, "--refine-iters", lowest=0)
     p = load_config(args.config)
     axes = [_parse_axis(a) for a in args.axis]
     result = sweep.grid_sweep(p, axes)
@@ -264,7 +268,7 @@ def _cmd_sweep(args) -> int:
     write_csv(args.output, sweep.HEADER, sweep.iter_rows(result), meta)
     if args.best is not None:
         # an OptimizeResult, or the best SweepEntry (None if no grid point is feasible)
-        best = (sweep.maximize_snr(p, axes, refine_iters=args.refine_iters, grid=result)
+        best = (sweep.maximize_snr(p, axes, refine_iters=refine_iters, grid=result)
                 if args.maximize else result.best)
         payload = {"feasible": False}
         if best is not None and best.feasible:
@@ -364,7 +368,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--best", help="write the best feasible point as JSON here")
     sp.add_argument("--maximize", action="store_true",
                     help="refine the best point with golden-section search")
-    sp.add_argument("--refine-iters", type=int, dest="refine_iters", default=3)
+    sp.add_argument("--refine-iters", type=int, dest="refine_iters", default=3,
+                    help=f"refinement rounds (default 3, 0 to {MAX_REFINE_ITERS})")
     sp.set_defaults(func=_cmd_sweep)
 
     return parser

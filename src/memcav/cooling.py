@@ -18,11 +18,12 @@ input or a fit output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError, FitError, ValidationError
+from .fitting import check_samples, least_squares, require_positive
 from .params import ExperimentParams, HBAR, K_B, C_LIGHT
 
 
@@ -49,8 +50,7 @@ class PsdTrace:
 
 def psd_model(omega, m: float, t_eff: float, omega_eff: float, gamma_eff: float):
     """Thermally driven damped oscillator PSD at omega = 2 pi nu [m^2/Hz]."""
-    if min(m, t_eff, omega_eff, gamma_eff) <= 0:
-        raise ValidationError("m, t_eff, omega_eff, gamma_eff must be positive")
+    require_positive(m=m, t_eff=t_eff, omega_eff=omega_eff, gamma_eff=gamma_eff)
     omega = np.asarray(omega, dtype=float)
     out = (4.0 * K_B * t_eff * gamma_eff / m) / (
         (omega_eff**2 - omega**2) ** 2 + (gamma_eff * omega) ** 2
@@ -65,8 +65,7 @@ def teff_from_area(trace: PsdTrace, m: float, omega_m: float) -> float:
     the trace should span the resonance by many linewidths for the tails to
     be negligible.
     """
-    if m <= 0 or omega_m <= 0:
-        raise ValidationError("m and omega_m must be positive")
+    require_positive(m=m, omega_m=omega_m)
     area = float(np.trapezoid(trace.psd - trace.noise_floor, trace.freq_samples))
     if area <= 0:
         raise EstimationError("non-positive spectrum area after floor subtraction")
@@ -75,9 +74,12 @@ def teff_from_area(trace: PsdTrace, m: float, omega_m: float) -> float:
 
 def teff_from_q(t_bath: float, q_eff: float, q: float) -> float:
     """Effective temperature T Q_eff / Q from the fitted effective Q."""
-    if min(t_bath, q_eff, q) <= 0:
-        raise ValidationError("t_bath, q_eff, q must be positive")
+    require_positive(t_bath=t_bath, q_eff=q_eff, q=q)
     return t_bath * q_eff / q
+
+
+def _lorentzian(omega, amp, omega_eff, gamma_eff, floor):
+    return amp / ((omega_eff**2 - omega**2) ** 2 + (gamma_eff * omega) ** 2) + floor
 
 
 def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
@@ -90,19 +92,7 @@ def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
     to drop a spurious feature.  Supplying m (and optionally omega_m,
     t_bath, q_intrinsic) additionally populates the temperature estimates.
     """
-    from scipy.optimize import curve_fit  # deferred: see cavity.locate_resonance
-
-    freq_hz = np.asarray(freq_hz, dtype=float)
-    psd = np.asarray(psd, dtype=float)
-    if freq_hz.shape != psd.shape or freq_hz.ndim != 1:
-        raise ValidationError("freq_hz and psd must be 1-D arrays of equal length")
-    bad = int(np.count_nonzero(~(np.isfinite(freq_hz) & np.isfinite(psd))))
-    if bad:
-        raise ValidationError(f"{bad} of {len(freq_hz)} samples have a non-finite "
-                              "frequency or PSD")
-    if len(freq_hz) < 50:
-        raise ValidationError(f"need at least 50 samples, got {len(freq_hz)}")
-
+    freq_hz, psd = check_samples(freq_hz, psd, ("frequency", "PSD"), 50)
     keep = np.ones_like(freq_hz, dtype=bool)
     for lo, hi in exclude_bands:
         keep &= ~((freq_hz >= lo) & (freq_hz <= hi))
@@ -121,25 +111,13 @@ def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
     gamma0 = 2.0 * np.pi * max(np.ptp(f[above]), f[1] - f[0])
     amp0 = peak * (gamma0 * omega0) ** 2
 
-    def model(omega, amp, omega_eff, gamma_eff, floor):
-        return amp / ((omega_eff**2 - omega**2) ** 2 + (gamma_eff * omega) ** 2) + floor
-
-    try:
-        popt, _ = curve_fit(
-            model, 2.0 * np.pi * f, s, p0=(amp0, omega0, gamma0, floor0), maxfev=20000
-        )
-    except RuntimeError as exc:
-        raise FitError(f"PSD fit did not converge: {exc}") from exc
-    amp, omega_eff, gamma_eff, floor = (float(v) for v in popt)
+    popt, rms = least_squares(_lorentzian, 2.0 * np.pi * f, s,
+                              (amp0, omega0, gamma0, floor0), 20000, "PSD")
     # the model depends on omega_eff and gamma_eff only through their squares
-    omega_eff, gamma_eff = abs(omega_eff), abs(gamma_eff)
-    if not np.isfinite(gamma_eff) or gamma_eff <= 0:
-        raise FitError(f"fitted gamma_eff is not positive ({gamma_eff})")
-
-    resid = s - model(2.0 * np.pi * f, amp, omega_eff, gamma_eff, floor)
+    omega_eff, gamma_eff, floor = abs(float(popt[1])), abs(float(popt[2])), float(popt[3])
+    require_positive(FitError, gamma_eff=gamma_eff)
     q_eff = omega_eff / gamma_eff
 
-    trace = PsdTrace(freq_hz, psd, noise_floor=floor)
     t_area = None
     if m is not None:
         om_ref = omega_m if omega_m is not None else omega_eff
@@ -148,9 +126,8 @@ def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
     t_q = None
     if t_bath is not None and q_intrinsic is not None:
         t_q = teff_from_q(t_bath, q_eff, q_intrinsic)
-    fit = PsdFit(omega_eff, gamma_eff, q_eff, t_area, t_q, floor,
-                 float(np.sqrt(np.mean(resid**2))))
-    return replace(trace, fit=fit)
+    fit = PsdFit(omega_eff, gamma_eff, q_eff, t_area, t_q, floor, rms)
+    return PsdTrace(freq_hz, psd, noise_floor=floor, fit=fit)
 
 
 def shot_thermal_ratio(p: ExperimentParams) -> float:

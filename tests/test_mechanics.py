@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memcav import mechanics
-from memcav.errors import FitError, ValidationError
+from memcav.errors import FitError
 from memcav.params import HBAR
 
 
@@ -104,9 +104,3 @@ def test_fit_mech_ringdown_constant_errors():
     t = np.linspace(0, 1, 60)
     with pytest.raises(FitError):
         mechanics.fit_mech_ringdown(t, np.ones_like(t))
-
-
-def test_oscillator_params_invariants():
-    mechanics.OscillatorParams(4e-11, OMEGA_134K, 1.1e6)
-    with pytest.raises(ValidationError):
-        mechanics.OscillatorParams(-1.0, OMEGA_134K, 1.1e6)
