@@ -105,11 +105,11 @@ class BandStructure:
 
 
 def band_structure(r_c: float, L: float, lam: float, x_range, n_samples: int,
-                   n_bands: int, j_start: int = 1) -> BandStructure:
+                   n_bands: int) -> BandStructure:
     """Sample n_bands consecutive bands over a displacement window.
 
-    Bands are ordered (j_start, -), (j_start, +), (j_start+1, -), ... which
-    is ascending in frequency since theta(x) stays inside (0, pi).
+    Bands are ordered (1, -), (1, +), (2, -), ... which is ascending in
+    frequency since theta(x) stays inside (0, pi).
     """
     _check_rc(r_c)
     _check_lengths(L, lam)
@@ -120,7 +120,7 @@ def band_structure(r_c: float, L: float, lam: float, x_range, n_samples: int,
     xs = np.linspace(x_range[0], x_range[1], n_samples)
     theta = np.arccos(r_c * np.cos(4.0 * np.pi * xs / lam))
     bands = []
-    j, sign = j_start, -1
+    j, sign = 1, -1
     for _ in range(n_bands):
         omega = (C_LIGHT / L) * (2.0 * np.pi * j + sign * theta)
         bands.append(((j, sign), omega))
@@ -181,9 +181,8 @@ def _mat_mul(A, B):
             A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3])
 
 
-def _sheet_matrix(zeta, like):
-    one = np.ones_like(like)
-    return ((1 - 1j * zeta) * one, -1j * zeta * one, 1j * zeta * one, (1 + 1j * zeta) * one)
+def _sheet_matrix(zeta):
+    return (1 - 1j * zeta, -1j * zeta, 1j * zeta, 1 + 1j * zeta)
 
 
 def _prop_matrix(k, d):
@@ -192,43 +191,43 @@ def _prop_matrix(k, d):
     return (ph, zero, zero, 1.0 / ph)
 
 
-def _interface_matrix(n1, n2, like):
+def _interface_matrix(n1, n2):
     r12 = (n1 - n2) / (n1 + n2)
     t12 = 2.0 * n1 / (n1 + n2)
-    one = np.ones_like(like)
-    return (one / t12, (r12 / t12) * one, (r12 / t12) * one, one / t12)
+    return (1.0 / t12, r12 / t12, r12 / t12, 1.0 / t12)
 
 
 def _slab_matrix(n, d, k):
-    inner = _mat_mul(_interface_matrix(1.0, n, k + 0j), _prop_matrix(n * k, d))
-    return _mat_mul(inner, _interface_matrix(n, 1.0, k + 0j))
+    inner = _mat_mul(_interface_matrix(1.0, n), _prop_matrix(n * k, d))
+    return _mat_mul(inner, _interface_matrix(n, 1.0))
 
 
-def cavity_transmission(omega, x: float, F: float, L: float,
+def cavity_transmission(omega, x, F: float, L: float,
                         r_c: float | None = None,
                         membrane: MembraneSpec | None = None):
     """Normalized transmitted power of mirror / membrane / mirror at omega.
 
-    omega is the absolute optical angular frequency (vectorized); the
-    membrane (sheet of reflectivity r_c, or dielectric slab) is centered a
-    displacement x from the cavity midpoint.  Mirrors are lossless sheets
-    matched to the finesse.
+    omega is the absolute optical angular frequency; the membrane (sheet of
+    reflectivity r_c, or dielectric slab) is centered a displacement x from
+    the cavity midpoint.  omega and x broadcast against each other.  Mirrors
+    are lossless sheets matched to the finesse.
     """
     if (r_c is None) == (membrane is None):
         raise ValidationError("provide exactly one of r_c or membrane")
     k = np.asarray(omega, dtype=float) / C_LIGHT
+    x = np.asarray(x, dtype=float)
     R = mirror_reflectivity_from_finesse(F)
     zeta_m = math.sqrt(R / (1.0 - R))
-    mirror = _sheet_matrix(zeta_m, k + 0j)
+    mirror = _sheet_matrix(zeta_m)
     if membrane is None:
-        mid = _sheet_matrix(sheet_strength(r_c), k + 0j)
+        mid = _sheet_matrix(sheet_strength(r_c))
         d1 = L / 2.0 + x
         d2 = L / 2.0 - x
     else:
         mid = _slab_matrix(membrane.n_index, membrane.d, k)
         d1 = L / 2.0 + x - membrane.d / 2.0
         d2 = L / 2.0 - x - membrane.d / 2.0
-    if d1 <= 0 or d2 <= 0:
+    if not (np.all(d1 > 0) and np.all(d2 > 0)):
         raise ValidationError("membrane displacement places it outside the cavity")
     M = _mat_mul(mirror, _prop_matrix(k, d1))
     M = _mat_mul(M, mid)
@@ -250,25 +249,20 @@ class TransmissionMap:
 
 def transmission_map(F: float, L: float, lam: float, detuning_grid, x_grid,
                      r_c: float | None = None,
-                     membrane: MembraneSpec | None = None,
-                     omega_base: float | None = None) -> TransmissionMap:
+                     membrane: MembraneSpec | None = None) -> TransmissionMap:
     """Evaluate cavity_transmission on a (detuning x position) grid.
 
-    omega_base defaults to the longitudinal mode nearest the design
-    wavelength, round(2 L / lambda) * omega_FSR.
+    Detunings are taken from omega_base, the longitudinal mode nearest the
+    design wavelength, round(2 L / lambda) * omega_FSR.
     """
     _check_lengths(L, lam)
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     if detuning_grid.size == 0 or x_grid.size == 0:
         raise ValidationError("grids must be non-empty")
-    if omega_base is None:
-        omega_base = round(2.0 * L / lam) * omega_fsr(L)
-    intensity = np.empty((len(detuning_grid), len(x_grid)))
-    for j, x in enumerate(x_grid):
-        intensity[:, j] = cavity_transmission(
-            omega_base + detuning_grid, float(x), F, L, r_c=r_c, membrane=membrane
-        )
+    omega_base = round(2.0 * L / lam) * omega_fsr(L)
+    intensity = cavity_transmission((omega_base + detuning_grid)[:, None], x_grid[None, :],
+                                    F, L, r_c=r_c, membrane=membrane)
     return TransmissionMap(detuning_grid, x_grid, intensity, float(omega_base))
 
 

@@ -93,6 +93,22 @@ def _span(lo: float, hi: float, flags: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _requires(args, dest: str, partner: str) -> None:
+    """The flag of `dest` is taken only together with that of `partner`."""
+    if getattr(args, dest) is not None and getattr(args, partner) is None:
+        raise ValidationError(f"{_flag(dest)} requires {_flag(partner)}")
+
+
+def _positive(args, *dests: str) -> None:
+    """The given scalar flags must be positive and finite; fits check before reading input."""
+    fitting.require_positive(**{_flag(dest): getattr(args, dest) for dest in dests
+                                if getattr(args, dest) is not None})
+
+
 def _x_span(args, lam: float) -> tuple[float, float]:
     """--xmin/--xmax, the upper end defaulting to lambda/2."""
     xmax = args.xmax if args.xmax is not None else lam / 2.0
@@ -114,13 +130,10 @@ def _cmd_bandstructure(args) -> int:
 def _cmd_transmission_map(args) -> int:
     det_samples = _count(args.det_samples, MAX_MAP_SAMPLES, "--det-samples")
     x_samples = _count(args.x_samples, MAX_MAP_SAMPLES, "--x-samples")
-    membrane = None
-    if args.membrane_index is not None:
-        if args.membrane_thickness is None:
-            raise ValidationError("--membrane-index requires --membrane-thickness")
-        membrane = MembraneSpec(args.membrane_index, args.membrane_thickness)
-    elif args.membrane_thickness is not None:
-        raise ValidationError("--membrane-thickness requires --membrane-index")
+    _requires(args, "membrane_index", "membrane_thickness")
+    _requires(args, "membrane_thickness", "membrane_index")
+    membrane = (None if args.membrane_index is None
+                else MembraneSpec(args.membrane_index, args.membrane_thickness))
     r_c, F, L, lam = _optics(args, ("F", "L", "lam") if membrane else ("r_c", "F", "L", "lam"))
     if membrane:
         r_c = None
@@ -149,6 +162,7 @@ def _columns(path, *names) -> list:
 
 
 def _cmd_ringdown_fit(args) -> int:
+    _positive(args, "length")
     fit = fitting.fit_exponential_decay(*_columns(args.input, "t_s", "power"))
     payload = {"tau_s": fit.tau, "amplitude": fit.amplitude, "offset": fit.offset,
                "residual_rms": fit.residual_rms}
@@ -159,6 +173,7 @@ def _cmd_ringdown_fit(args) -> int:
 
 
 def _cmd_mech_ringdown_fit(args) -> int:
+    _positive(args, "omega_m")
     tau = mechanics.fit_mech_ringdown(*_columns(args.input, "t_s", "amplitude"))
     payload = {"tau_s": tau}
     if args.omega_m is not None:
@@ -168,7 +183,10 @@ def _cmd_mech_ringdown_fit(args) -> int:
 
 
 def _cmd_cool_fit(args) -> int:
-    freq, psd = _columns(args.input, "freq_hz", "psd_m2_per_hz")
+    _requires(args, "omega_m", "mass")
+    _requires(args, "q_intrinsic", "t_bath")
+    _requires(args, "t_bath", "q_intrinsic")
+    _positive(args, "mass", "omega_m", "t_bath", "q_intrinsic")
     exclude = []
     for band in args.exclude or []:
         lo, _, hi = band.partition(":")
@@ -176,6 +194,7 @@ def _cmd_cool_fit(args) -> int:
             exclude.append((float(lo), float(hi)))
         except ValueError:
             raise ValidationError(f"bad --exclude band '{band}', expected lo:hi") from None
+    freq, psd = _columns(args.input, "freq_hz", "psd_m2_per_hz")
     trace = cooling.fit_psd(freq, psd, m=args.mass, omega_m=args.omega_m,
                             t_bath=args.t_bath, q_intrinsic=args.q_intrinsic,
                             exclude_bands=exclude)

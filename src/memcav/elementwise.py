@@ -27,8 +27,8 @@ class LibmArray(np.ndarray):
     Every other operation is numpy's own, and results that involve a
     LibmArray are LibmArrays too (np.where's are not), so a formula written
     for floats runs unchanged on a grid.  Where a float's power would raise
-    OverflowError, the element becomes inf; the caller re-runs such points
-    on floats.
+    OverflowError, the element becomes inf, which the jump budget's
+    float-range rule then reports as a failed point.
     """
 
     def __pow__(self, k):

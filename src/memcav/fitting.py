@@ -66,14 +66,15 @@ def _decay(t, A, tau, B=0.0):
     return A * np.exp(-t / tau) + B
 
 
-def fit_exponential_decay(t, y, with_offset: bool = True, min_samples: int = 10) -> ExpDecayFit:
+def fit_exponential_decay(t, y, with_offset: bool = True) -> ExpDecayFit:
     """Fit y(t) = A exp(-t/tau) + B (B fixed to 0 when with_offset is False).
 
     Initial guesses come from a log-linear regression of (y - min) over the
-    samples still well above the floor, then curve_fit refines.  Raises
-    FitError for flat traces, non-convergence, or tau <= 0.
+    samples still well above the floor, then curve_fit refines.  Takes at
+    least 10 samples; raises FitError for flat traces, non-convergence, or
+    tau <= 0.
     """
-    t, y = check_samples(t, y, ("time", "value"), min_samples)
+    t, y = check_samples(t, y, ("time", "value"), 10)
     if np.any(np.diff(t) <= 0):
         raise ValidationError("t samples must be strictly increasing")
 

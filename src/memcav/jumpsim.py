@@ -58,13 +58,12 @@ class JumpTrajectory:
     duration: float      # s
     seed: int
     measurement_channels: bool
-    n_initial: int = 0
     rng_algorithm: str = field(default=RNG_ALGORITHM)
 
     @cached_property
     def states(self) -> np.ndarray:
-        """Occupation on each stretch between events: n_initial, then levels."""
-        return np.concatenate(([self.n_initial], self.levels))
+        """Occupation on each stretch between events: 0, then levels."""
+        return np.concatenate(([0], self.levels))
 
     def state_at(self, t):
         """Occupation number at time(s) t (piecewise-constant lookup)."""
@@ -126,16 +125,15 @@ def _draw_blocks(rng: np.random.Generator, duration: float):
 
 
 def _channel_rates(p: ExperimentParams) -> tuple[float, float]:
-    """Ground-state exit rates (0 -> 1 linear, 0 -> 2 counter-rotating) [1/s]."""
+    """Ground-state exit rates [1/s]: 0 -> 1 linear (0 at x0 = 0), 0 -> 2 counter-rotating."""
+    out_of_range = "measurement-channel rates left the float range"
     try:
+        rate01 = 1.0 / qnd.linear_lifetime(p)
         rate02 = 1.0 / qnd.rwa_lifetime(p)
-        tau_lin = qnd.linear_lifetime(p)
-        rate01 = 0.0 if math.isinf(tau_lin) else 1.0 / tau_lin
-    except (ZeroDivisionError, OverflowError) as exc:  # a lifetime underflows, a power overflows
-        raise SingularityError(
-            f"measurement-channel rates left the float range ({type(exc).__name__})") from None
+    except (ZeroDivisionError, OverflowError):  # a lifetime underflows, a power overflows
+        raise SingularityError(out_of_range) from None
     if not math.isfinite(rate01 + rate02):
-        raise SingularityError("measurement-channel rates are not finite")
+        raise SingularityError(out_of_range)
     return rate01, rate02
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,19 +68,9 @@ def pdh_noise_psd(p: ExperimentParams) -> PdhNoise:
     return PdhNoise(s_omega, kappa, n_bar)
 
 
-def thermal_lifetime(n: int, p: ExperimentParams) -> float:
-    """Lifetime of phonon state n against the thermal bath [s],
-
-    tau_T = Q / (omega_m (n (n_bar+1) + n_bar (n+1))).
-
-    For n = 0 this reduces exactly to Q hbar / (k_B T).
-    """
-    if n < 0:
-        raise ValidationError(f"n must be >= 0 (got {n})")
-    n_bar = mechanics.thermal_occupation(p.T, p.omega_m)
-    if n == 0:
-        return p.Q * HBAR / (K_B * p.T)
-    return p.Q / (p.omega_m * (n * (n_bar + 1.0) + n_bar * (n + 1.0)))
+def thermal_lifetime(p: ExperimentParams) -> float:
+    """Ground-state lifetime against the thermal bath, Q hbar / (k_B T) [s]."""
+    return p.Q * HBAR / (K_B * p.T)
 
 
 def rwa_lifetime(p: ExperimentParams) -> float:
@@ -121,13 +110,6 @@ def linear_lifetime(p: ExperimentParams) -> float:
     return np.where(p.x0 == 0.0, math.inf, tau) if grid else tau
 
 
-def _rate(tau: float) -> float:
-    """Decay rate 1/tau of a channel; 0 for an absent one (infinite lifetime)."""
-    if isinstance(tau, np.ndarray):
-        return np.where(np.isfinite(tau), 1.0 / tau, 0.0)
-    return 1.0 / tau if math.isfinite(tau) else 0.0
-
-
 @dataclass(frozen=True)
 class QndFlags:
     qnd_time_ok: bool        # tau_total * omega_m > 1
@@ -161,6 +143,7 @@ BUDGET_NAMES = ("delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_ra
 FLAG_NAMES = tuple(f.name for f in fields(QndFlags))
 # budget_values' tuple: QndBudget's eleven numbers, then QndFlags' four flags
 VALUE_NAMES = (*BUDGET_NAMES, "n_bar_thermal")
+_FLOAT_RANGE = "jump budget left the float range"
 
 
 def _budget(p) -> tuple:
@@ -168,24 +151,38 @@ def _budget(p) -> tuple:
 
     On floats, a step that leaves the float range raises SingularityError.
     On arrays the same step leaves inf, NaN or a zero tau_total behind,
-    and budget_grid re-runs such points on floats.
+    which _left_float_range marks.
     """
     try:
         dw = detuning_per_phonon(p)
         s_omega, kappa, n_bar_photons = pdh_noise_psd(p)
-        tau_t = thermal_lifetime(0, p)
+        tau_t = thermal_lifetime(p)
         tau_r = rwa_lifetime(p)
         tau_l = linear_lifetime(p)
-        tau_total = 1.0 / (_rate(tau_t) + _rate(tau_r) + _rate(tau_l))
+        # an absent channel's infinite lifetime adds a rate of 0
+        tau_total = 1.0 / (1.0 / tau_t + 1.0 / tau_r + 1.0 / tau_l)
         snr = dw**2 * tau_total / s_omega
-    except (ZeroDivisionError, OverflowError) as exc:  # e.g. a lifetime underflows to 0
-        # the class name, not str(exc), keeps commas out of sweep CSV cells
-        raise SingularityError(f"jump budget left the float range ({type(exc).__name__})") from None
-    gap = cavity.near_unity_gap(p.r_c, p.L)
-    n_bar = mechanics.thermal_occupation(p.T, p.omega_m)
+        gap = cavity.near_unity_gap(p.r_c, p.L)
+        n_bar = mechanics.thermal_occupation(p.T, p.omega_m)
+    except (ZeroDivisionError, OverflowError):  # e.g. a lifetime underflows to 0
+        raise SingularityError(_FLOAT_RANGE) from None
     return (dw, kappa, n_bar_photons, s_omega, tau_t, tau_r, tau_l, tau_total, snr, gap, n_bar,
             tau_total * p.omega_m > 1.0, gap > p.omega_m, mechanics.is_classical_bath(n_bar),
             p.omega_m > kappa)
+
+
+def _left_float_range(values, x0):
+    """Whether a budget has left the float range, elementwise on grid columns.
+
+    It has when any of its values is not finite, bar tau_lin at x0 = 0
+    (infinite by design), or when tau_total is 0.
+    """
+    dw, kappa, n_photons, s_omega, tau_t, tau_r, tau_lin, tau_total, snr, gap, n_bar = values[:11]
+    # v - v is 0 for a finite v and NaN for any other, which makes the sum NaN
+    spread = ((dw - dw) + (kappa - kappa) + (n_photons - n_photons) + (s_omega - s_omega)
+              + (tau_t - tau_t) + (tau_r - tau_r) + (tau_total - tau_total) + (snr - snr)
+              + (gap - gap) + (n_bar - n_bar))
+    return (spread != 0.0) | (tau_total == 0.0) | (tau_lin - tau_lin != 0.0) & (x0 != 0.0)
 
 
 def budget_values(p: ExperimentParams) -> tuple:
@@ -196,7 +193,10 @@ def budget_values(p: ExperimentParams) -> tuple:
     violations = validate(p)
     if violations:
         raise ValidationError("; ".join(violations))
-    return _budget(p)
+    values = _budget(p)
+    if _left_float_range(values, p.x0):
+        raise SingularityError(_FLOAT_RANGE)
+    return values
 
 
 def as_budget(values: tuple) -> QndBudget:
@@ -229,43 +229,22 @@ class BudgetGrid:
     feasible: np.ndarray
 
 
-_RERUN_CHUNK = 65536   # points re-run on floats per batch, which bounds its lists
-
-
 def budget_grid(p) -> BudgetGrid:
     """The budget of every point of p, whose fields are LibmArrays that broadcast.
 
-    One broadcast pass over the grid.  Points whose result is not finite
-    (bar tau_lin at x0 = 0), or whose tau_total is 0, are re-run one at a
-    time on floats, so they raise, or not, exactly as jump_budget does;
-    every value is bit-identical to jump_budget's.
+    One broadcast pass through jump_budget's formulas and float-range rule,
+    so every point fails, or not, as jump_budget does there, and every
+    value is bit-identical to jump_budget's.
     """
     shape = np.broadcast_shapes(*(v.shape for v in vars(p).values()))
     errors = grid_violations(p, shape)
     with np.errstate(all="ignore"):
         out = [np.broadcast_to(v, shape).flatten() for v in _budget(p)]
-    values = dict(zip(VALUE_NAMES, out))
-    # tau_lin is inf by design where x0 = 0; any other value that is not
-    # finite, or a zero tau_total (an infinite rate), marks a point to re-run
-    tau_lin, tau_total = values["tau_lin_s"], values["tau_total_s"]
-    x0 = np.broadcast_to(p.x0, shape).ravel()
-    suspect = (tau_total == 0.0) | ~np.isfinite(tau_lin) & (x0 != 0.0)
-    for name, col in values.items():
-        if name != "tau_lin_s":
-            suspect |= ~np.isfinite(col)
-    suspect[list(errors)] = False
-    rerun = np.flatnonzero(suspect)
-    for chunk in np.array_split(rerun, rerun.size // _RERUN_CHUNK + 1):
-        at = np.unravel_index(chunk, shape)
-        fields = {k: np.broadcast_to(v, shape)[at].tolist() for k, v in vars(p).items()}
-        for i, point in zip(chunk.tolist(), zip(*fields.values())):
-            try:
-                for col, v in zip(out, _budget(SimpleNamespace(**dict(zip(fields, point))))):
-                    col[i] = v
-            except SingularityError as exc:
-                errors[i] = str(exc)
-    failed = np.zeros(len(tau_total), dtype=bool)
+        out_of_range = _left_float_range(out, np.broadcast_to(p.x0, shape).ravel())
+    failed = np.zeros(out_of_range.shape, dtype=bool)
     failed[list(errors)] = True
+    errors.update(dict.fromkeys(np.flatnonzero(out_of_range & ~failed).tolist(), _FLOAT_RANGE))
+    failed |= out_of_range
     for col in out[:len(VALUE_NAMES)]:
         col[failed] = np.nan
     flags = dict(zip(FLAG_NAMES, out[len(VALUE_NAMES):]))
@@ -273,7 +252,8 @@ def budget_grid(p) -> BudgetGrid:
     for col in flags.values():
         col[failed] = False
         feasible &= col
-    return BudgetGrid(values, flags, dict(sorted(errors.items())), failed, feasible)
+    return BudgetGrid(dict(zip(VALUE_NAMES, out)), flags, dict(sorted(errors.items())),
+                      failed, feasible)
 
 
 def budget_fields(b: QndBudget) -> dict:

@@ -23,9 +23,10 @@ from .errors import MemcavError, ValidationError
 from .params import CONFIG_KEYS, ExperimentParams, attr_name
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 40   # golden-section steps per axis and refinement round
 # Most points one grid_sweep evaluates.  At the cap, a 3-axis grid took
-# 1-6 s and at most 0.32 GB (6 s when half its points leave the float
-# range and are re-run on floats), and memcav sweep, which streams its
+# 0.5-1.4 s and at most 0.25 GB (most of it formatting the messages of
+# points that fail validation), and memcav sweep, which streams its
 # ~0.35 GB CSV, ~20 s at the same peak (2-vCPU host).
 MAX_SWEEP_POINTS = 1_000_000
 # positions in a qnd.budget_values tuple
@@ -148,7 +149,7 @@ class OptimizeResult:
 
 
 def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
-                 golden_steps: int = 40, grid: SweepResult | None = None) -> OptimizeResult:
+                 grid: SweepResult | None = None) -> OptimizeResult:
     """Coarse grid then coordinate-wise golden-section refinement.
 
     The refinement searches each axis inside the grid interval bracketing
@@ -201,7 +202,7 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
             c = b - _GOLDEN * (b - a)
             d = a + _GOLDEN * (b - a)
             fc, fd = objective(c), objective(d)
-            for _ in range(golden_steps):
+            for _ in range(_GOLDEN_STEPS):
                 if fc >= fd:
                     b, d, fd = d, c, fc
                     c = b - _GOLDEN * (b - a)
@@ -210,7 +211,7 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
                     a, c, fc = c, d, fd
                     d = a + _GOLDEN * (b - a)
                     fd = objective(d)
-            evals += 4 + golden_steps
+            evals += 4 + _GOLDEN_STEPS
     return OptimizeResult(True, current_p, current_b, evals)
 
 

@@ -118,6 +118,19 @@ def linear_rate_golden_rule(p: ExperimentParams) -> float:
     return coupling**2 * photon_psd(-p.omega_m, 0.0, kappa, n_bar)
 
 
+def thermal_lifetime_n(n: int, p: ExperimentParams) -> float:
+    """Lifetime of phonon state n against the thermal bath [s],
+
+    tau_T = Q / (omega_m (n (n_bar+1) + n_bar (n+1))).
+
+    For n = 0 this reduces exactly to qnd.thermal_lifetime, Q hbar / (k_B T).
+    """
+    if n == 0:
+        return qnd.thermal_lifetime(p)
+    n_bar = thermal_occupation(p.T, p.omega_m)
+    return p.Q / (p.omega_m * (n * (n_bar + 1.0) + n_bar * (n + 1.0)))
+
+
 def snr_general_n(n: int, p: ExperimentParams) -> float:
     """SNR for resolving a jump out of phonon state n.
 
@@ -126,7 +139,7 @@ def snr_general_n(n: int, p: ExperimentParams) -> float:
     """
     dw = qnd.detuning_per_phonon(p)
     s_omega = qnd.pdh_noise_psd(p).s_omega
-    return dw**2 * qnd.thermal_lifetime(n, p) / s_omega
+    return dw**2 * thermal_lifetime_n(n, p) / s_omega
 
 
 @dataclass(frozen=True)

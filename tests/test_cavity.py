@@ -230,10 +230,8 @@ def test_empty_cavity_linewidth_matches_finesse():
 def test_transmission_rc0_ridges_independent_of_x():
     F, L = 200.0, 1.0
     fsr = cavity.omega_fsr(L)
-    base = round(2 * L / LAM_REF) * fsr
     det = np.linspace(-0.5 * fsr, 0.5 * fsr, 1201)
-    tm = cavity.transmission_map(F, L, LAM_REF, det, np.linspace(0, LAM_REF / 2, 7),
-                                 r_c=0.0, omega_base=base)
+    tm = cavity.transmission_map(F, L, LAM_REF, det, np.linspace(0, LAM_REF / 2, 7), r_c=0.0)
     ridge = tm.detuning_grid[np.argmax(tm.intensity, axis=0)]
     assert np.ptp(ridge) < fsr / 1000
 
@@ -309,6 +307,23 @@ def test_thin_slab_cavity_behaves_like_matched_sheet():
                                          r_c=rc_equiv, n_scan=20001)
     assert t_slab > 0.5
     assert abs(w_slab - w_sheet) < 0.05 * fsr
+
+
+@pytest.mark.parametrize("membrane", [dict(r_c=0.31), dict(membrane=MembraneSpec(2.0, 50e-9))],
+                         ids=["sheet", "slab"])
+def test_transmission_map_columns_equal_pointwise_transmission(membrane):
+    F, L = 200.0, 1.0
+    det = np.linspace(-1e9, 1e9, 41)
+    xs = np.linspace(-LAM_REF / 3, LAM_REF / 2, 13)
+    tm = cavity.transmission_map(F, L, LAM_REF, det, xs, **membrane)
+    for j, x in enumerate(xs):
+        column = cavity.cavity_transmission(tm.omega_base + det, float(x), F, L, **membrane)
+        assert tm.intensity[:, j].tobytes() == column.tobytes()
+    # one position past the mirror fails the whole map
+    with pytest.raises(ValidationError, match="outside the cavity"):
+        cavity.transmission_map(F, L, LAM_REF, det, np.append(xs, 0.6 * L), **membrane)
+    with pytest.raises(ValidationError, match="outside the cavity"):
+        cavity.transmission_map(F, L, LAM_REF, det, np.insert(xs, 0, -L), **membrane)
 
 
 def test_slab_cavity_map_intensity_bounded():

@@ -330,6 +330,13 @@ _FIT_CSV["mech_nan.csv"] = _FIT_CSV["mech.csv"].replace("\n0.0,0.8\n", "\n0.0,na
     # refinement rounds outside 0..MAX_REFINE_ITERS, rejected before the grid
     (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--refine-iters", "100000000"], 1),
     (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--refine-iters=-5"], 1),
+    # a valid config whose budget has an infinite photon number (no linear channel)
+    (["qnd-budget", "x0 = 0", "P_in = 1e300"], 2),
+    # a fit flag without the partner it is read with
+    (["cool-fit", "-i", "psd.csv", "--omega-m", "8.42e5"], 1),
+    (["cool-fit", "-i", "psd.csv", "--q-intrinsic", "1.1e6"], 1),
+    (["cool-fit", "-i", "psd.csv", "--t-bath", "294"], 1),
+    (["cool-fit", "-i", "psd.csv", "--omega-m", "nan", "--q-intrinsic", "-5"], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
@@ -365,6 +372,23 @@ def test_optics_flag_errors_named(tmp_path, capsys, argv, message):
     if command == "transmission-map":
         optics += ["--finesse", "200", "--det-min=-1e9", "--det-max=1e9"]
     assert run([command, *optics, *flags, "-o", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ringdown-fit", "--length", "nan"], "--length must be positive and finite (got nan)"),
+    (["mech-ringdown-fit", "--omega-m", "nan"], "--omega-m must be positive and finite (got nan)"),
+    (["cool-fit", "--mass", "4e-11", "--omega-m", "-1"], "--omega-m must be positive and finite"),
+    (["cool-fit", "--t-bath", "inf", "--q-intrinsic", "1.1e6"], "--t-bath must be positive"),
+    (["cool-fit", "--omega-m", "8.42e5"], "--omega-m requires --mass"),
+    (["cool-fit", "--q-intrinsic", "1.1e6"], "--q-intrinsic requires --t-bath"),
+    (["cool-fit", "--t-bath", "294"], "--t-bath requires --q-intrinsic"),
+])
+def test_fit_flag_errors_named(tmp_path, capsys, argv, message):
+    # the input does not exist: the flags are checked before it is read
+    command, *flags = argv
+    assert run([command, "-i", str(tmp_path / "missing.csv"), *flags,
+                "-o", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
 
 

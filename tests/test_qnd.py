@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from memcav import mechanics, qnd
-from memcav.errors import ValidationError
+from memcav.errors import SingularityError, ValidationError
 from memcav.params import C_LIGHT, HBAR, with_value
 from oracles import (consistency_ratios, linear_rate_golden_rule, photon_psd,
-                     rwa_rate_golden_rule, snr_general_n)
+                     rwa_rate_golden_rule, snr_general_n, thermal_lifetime_n)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_photon_psd_total_area(row1):
 # ---------------------------------------------------------------------------
 
 def test_thermal_lifetime_ground_state(row1):
-    tau = qnd.thermal_lifetime(0, row1)
+    tau = qnd.thermal_lifetime(row1)
     assert math.isclose(tau, 3.055e-4, rel_tol=1e-3)
     # closed form equals the general-n formula at n=0
     n_bar = mechanics.thermal_occupation(row1.T, row1.omega_m)
@@ -108,14 +108,14 @@ def test_thermal_lifetime_ground_state(row1):
 
 def test_thermal_lifetime_first_excited(row1):
     # out-rate n_bar (2n+1) + n: at n=1 that is 3 n_bar + 1
-    tau0 = qnd.thermal_lifetime(0, row1)
-    tau1 = qnd.thermal_lifetime(1, row1)
+    tau0 = qnd.thermal_lifetime(row1)
+    tau1 = thermal_lifetime_n(1, row1)
     assert abs(tau0 / tau1 - 3.0) < 1e-4
 
 
 def test_thermal_lifetime_temperature_scaling(row1):
-    tau = qnd.thermal_lifetime(0, row1)
-    tau_hot = qnd.thermal_lifetime(0, with_value(row1, "T", 2 * row1.T))
+    tau = qnd.thermal_lifetime(row1)
+    tau_hot = qnd.thermal_lifetime(with_value(row1, "T", 2 * row1.T))
     assert math.isclose(tau_hot, tau / 2, rel_tol=1e-12)
 
 
@@ -186,6 +186,20 @@ def test_jump_budget_zero_offset_channel_omitted(row1):
     assert qnd.budget_report(with_value(row1, "x0", 0.0))["tau_lin_s"] is None
     rate = 1 / b.tau_thermal + 1 / b.tau_rwa
     assert math.isclose(b.tau_total, 1 / rate, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("changes", [
+    {"omega_m": 1e-200},              # a lifetime underflows to 0
+    {"omega_m": 1e200},               # a power overflows
+    {"x0": 0.0, "P_in": 1e300},       # the photon number is infinite
+])
+def test_jump_budget_outside_float_range_raises(row1, changes):
+    p = row1
+    for name, value in changes.items():
+        p = with_value(p, name, value)
+    with pytest.raises(SingularityError) as info:
+        qnd.jump_budget(p)
+    assert str(info.value) == "jump budget left the float range"
 
 
 def test_jump_budget_rejects_invalid(row1):
