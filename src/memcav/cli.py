@@ -153,12 +153,13 @@ def _cmd_transmission_map(args) -> int:
     return 0
 
 
-def _columns(path, *names) -> list:
-    """The named columns of a CSV, in the order asked for."""
+def _columns(path, x_name: str, y_name: str) -> tuple:
+    """Two columns of a CSV, whose samples must be finite; errors name the columns."""
     cols = read_csv(path)
-    if any(name not in cols for name in names):
-        raise ValidationError(f"{path}: needs columns {', '.join(names)}")
-    return [cols[name] for name in names]
+    if x_name not in cols or y_name not in cols:
+        raise ValidationError(f"{path}: needs columns {x_name}, {y_name}")
+    # each fit checks its own minimum sample count
+    return fitting.check_samples(cols[x_name], cols[y_name], (x_name, y_name), 0)
 
 
 def _cmd_ringdown_fit(args) -> int:

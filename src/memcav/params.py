@@ -131,11 +131,11 @@ def grid_violations(p, shape: tuple) -> dict[int, str]:
     """validate() at every point of a grid, for the points that fail it.
 
     p's fields are arrays that broadcast to `shape`.  Returns the flat
-    (row-major) index of each failing point mapped to the messages validate
-    gives there, joined by "; "; a message is formatted only for a failing
-    point.
+    (row-major) index of each failing point, in no particular order, mapped
+    to the messages validate gives there, joined by "; ".  Each rule formats
+    a message only for a failing point, and once per distinct value.
     """
-    found: dict[int, list] = {}
+    found: dict[int, str] = {}
     for key, value, checks in _rules(p):
         finite = np.isfinite(value)
         for bad, msg in [(~finite, "must be finite"),
@@ -143,9 +143,15 @@ def grid_violations(p, shape: tuple) -> dict[int, str]:
             if bad.any():
                 where = np.flatnonzero(np.broadcast_to(bad, shape))
                 got = np.broadcast_to(value, shape).ravel()[where]
+                texts: dict = {}   # value -> message; 0.0 == -0.0 and NaN != NaN stay out
                 for i, v in zip(where.tolist(), got.tolist()):
-                    found.setdefault(i, []).append(f"{key} {msg} (got {v})")
-    return {i: "; ".join(found[i]) for i in sorted(found)}
+                    text = texts.get(v)
+                    if text is None:
+                        text = f"{key} {msg} (got {v})"
+                        if v != 0 and v == v:
+                            texts[v] = text
+                    found[i] = f"{found[i]}; {text}" if i in found else text
+    return found
 
 
 def load_config(path) -> ExperimentParams:

@@ -43,11 +43,21 @@ def _one_minus_rc(p: ExperimentParams) -> float:
     return one_minus
 
 
+def _x_m2(p) -> float:
+    """Squared zero-point amplitude hbar / (2 m omega_m) [m^2], as x_m**2."""
+    return mechanics.zero_point_amplitude(p.m, p.omega_m)**2
+
+
+# The budget's formulas take the quantities they share (1 - r_c, kappa and
+# x_m^2), so that _budget derives each once; the public forms derive them.
+
+def _detuning_per_phonon(p, one_minus_rc, x_m2):
+    return 16.0 * math.pi**2 * C_LIGHT * x_m2 / (p.L * p.lam**2 * sqrt(2.0 * one_minus_rc))
+
+
 def detuning_per_phonon(p: ExperimentParams) -> float:
     """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
-    root = sqrt(2.0 * _one_minus_rc(p))
-    x_m = mechanics.zero_point_amplitude(p.m, p.omega_m)
-    return 16.0 * math.pi**2 * C_LIGHT * x_m**2 / (p.L * p.lam**2 * root)
+    return _detuning_per_phonon(p, _one_minus_rc(p), _x_m2(p))
 
 
 class PdhNoise(NamedTuple):
@@ -56,21 +66,32 @@ class PdhNoise(NamedTuple):
     n_bar_photons: float    # mean circulating photon number
 
 
+def _pdh_noise_psd(p, kappa) -> PdhNoise:
+    n_bar = p.P_in * p.lam / (math.pi * HBAR * C_LIGHT * kappa)
+    s_omega = math.pi**3 * HBAR * C_LIGHT**3 / (16.0 * p.F**2 * p.L**2 * p.lam * p.P_in)
+    return PdhNoise(s_omega, kappa, n_bar)
+
+
 def pdh_noise_psd(p: ExperimentParams) -> PdhNoise:
     """Shot-noise-limited frequency readout floor of the locked probe.
 
     S_omega = pi^3 hbar c^3 / (16 F^2 L^2 lambda P_in), which equals
     kappa / (16 N_bar) with N_bar kappa = P_in lambda / (pi hbar c).
     """
-    kappa = _kappa(p)
-    n_bar = p.P_in * p.lam / (math.pi * HBAR * C_LIGHT * kappa)
-    s_omega = math.pi**3 * HBAR * C_LIGHT**3 / (16.0 * p.F**2 * p.L**2 * p.lam * p.P_in)
-    return PdhNoise(s_omega, kappa, n_bar)
+    return _pdh_noise_psd(p, _kappa(p))
 
 
 def thermal_lifetime(p: ExperimentParams) -> float:
     """Ground-state lifetime against the thermal bath, Q hbar / (k_B T) [s]."""
     return p.Q * HBAR / (K_B * p.T)
+
+
+def _rwa_lifetime(p, one_minus_rc, kappa, x_m2):
+    return (
+        p.lam**3 * p.L**2 * one_minus_rc * p.m * p.omega_m
+        * (p.omega_m**2 + kappa**2 / 16.0)
+        / (8.0 * math.pi**3 * x_m2 * C_LIGHT * p.P_in)
+    )
 
 
 def rwa_lifetime(p: ExperimentParams) -> float:
@@ -81,13 +102,20 @@ def rwa_lifetime(p: ExperimentParams) -> float:
               / (8 pi^3 x_m^2 c P_in),
     equal to the golden-rule route 1 / ((shift/phonon)^2 S_NN(-2 omega_m) / 2).
     """
-    kappa = _kappa(p)
-    x_m = mechanics.zero_point_amplitude(p.m, p.omega_m)
-    return (
-        p.lam**3 * p.L**2 * _one_minus_rc(p) * p.m * p.omega_m
-        * (p.omega_m**2 + kappa**2 / 16.0)
-        / (8.0 * math.pi**3 * x_m**2 * C_LIGHT * p.P_in)
+    x_m2 = _x_m2(p)   # m and omega_m are checked before 1 - r_c
+    return _rwa_lifetime(p, _one_minus_rc(p), _kappa(p), x_m2)
+
+
+def _linear_lifetime(p, one_minus_rc, kappa):
+    grid = isinstance(p.x0, np.ndarray)
+    if not grid and p.x0 == 0.0:
+        return math.inf
+    tau = (
+        p.m * p.omega_m * p.L**2 * p.lam**3 * one_minus_rc
+        * (4.0 * p.omega_m**2 + kappa**2)
+        / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2)
     )
+    return np.where(p.x0 == 0.0, math.inf, tau) if grid else tau
 
 
 def linear_lifetime(p: ExperimentParams) -> float:
@@ -98,16 +126,7 @@ def linear_lifetime(p: ExperimentParams) -> float:
 
     Returns math.inf for x0 = 0 (no linear coupling channel).
     """
-    grid = isinstance(p.x0, np.ndarray)
-    if not grid and p.x0 == 0.0:
-        return math.inf
-    kappa = _kappa(p)
-    tau = (
-        p.m * p.omega_m * p.L**2 * p.lam**3 * _one_minus_rc(p)
-        * (4.0 * p.omega_m**2 + kappa**2)
-        / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2)
-    )
-    return np.where(p.x0 == 0.0, math.inf, tau) if grid else tau
+    return _linear_lifetime(p, _one_minus_rc(p), _kappa(p))
 
 
 @dataclass(frozen=True)
@@ -154,11 +173,14 @@ def _budget(p) -> tuple:
     which _left_float_range marks.
     """
     try:
-        dw = detuning_per_phonon(p)
-        s_omega, kappa, n_bar_photons = pdh_noise_psd(p)
+        one_minus_rc = _one_minus_rc(p)
+        kappa = _kappa(p)
+        x_m2 = _x_m2(p)
+        dw = _detuning_per_phonon(p, one_minus_rc, x_m2)
+        s_omega, _, n_bar_photons = _pdh_noise_psd(p, kappa)
         tau_t = thermal_lifetime(p)
-        tau_r = rwa_lifetime(p)
-        tau_l = linear_lifetime(p)
+        tau_r = _rwa_lifetime(p, one_minus_rc, kappa, x_m2)
+        tau_l = _linear_lifetime(p, one_minus_rc, kappa)
         # an absent channel's infinite lifetime adds a rate of 0
         tau_total = 1.0 / (1.0 / tau_t + 1.0 / tau_r + 1.0 / tau_l)
         snr = dw**2 * tau_total / s_omega

@@ -25,9 +25,8 @@ from .params import CONFIG_KEYS, ExperimentParams, attr_name
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 40   # golden-section steps per axis and refinement round
 # Most points one grid_sweep evaluates.  At the cap, a 3-axis grid took
-# 0.5-1.4 s and at most 0.25 GB (most of it formatting the messages of
-# points that fail validation), and memcav sweep, which streams its
-# ~0.35 GB CSV, ~20 s at the same peak (2-vCPU host).
+# ~0.45 s and at most 0.25 GB, and memcav sweep, which streams its
+# ~0.35 GB CSV, 9-12 s at the same peak (2-vCPU host).
 MAX_SWEEP_POINTS = 1_000_000
 # positions in a qnd.budget_values tuple
 _SNR = qnd.VALUE_NAMES.index("snr")

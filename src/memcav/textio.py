@@ -2,16 +2,18 @@
 
 CSV files use '.' decimals, ',' delimiters, and '#'-prefixed metadata
 header lines; floats are printed with 17 significant digits so a value
-round-trips losslessly.  JSON cannot carry comments, so metadata goes into
-a leading "metadata" object instead; JSON is written strictly, with a
-missing (NaN) value as null.  Nothing time-dependent is ever written:
-identical inputs must give byte-identical files.
+round-trips losslessly.  Rows are written a batch at a time, and a value
+that repeats within a batch is formatted once.  JSON cannot carry
+comments, so metadata goes into a leading "metadata" object instead; JSON
+is written strictly, with a missing (NaN) value as null.  Nothing
+time-dependent is ever written: identical inputs must give byte-identical
+files.
 """
 
 from __future__ import annotations
 
-import functools
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -34,36 +36,51 @@ def metadata_lines(metadata: dict) -> list[str]:
 
 
 # printf-style code per exact cell type, each giving the text format_value
-# gives; a row with a cell of any other type goes through format_value
+# gives.  A column whose cell types all lie in one group is formatted through
+# that group's memo; any other column goes through format_value per cell.
 _CELL_CODES = {float: "%.17g", bool: "%d", int: "%d", str: "%s"}
+# Within a group, cells that compare equal print alike, zeros aside (see
+# _Memo).  Across groups they need not: 1e17 == 10**17 and -0.0 == False,
+# so floats and ints never share a memo.
+_GROUPS = (frozenset({float, str}), frozenset({int, bool, str}))
 _BATCH = 8192   # rows formatted per write
 
 
-@functools.lru_cache(maxsize=256)
-def _row_format(types: tuple) -> str | None:
-    """The format of a row whose cells have these exact types, or None."""
-    codes = [_CELL_CODES.get(t) for t in types]
-    return None if None in codes else ",".join(codes)
+class _Memo(dict):
+    """cell -> text, formatting a cell the first time it is looked up."""
+
+    def __missing__(self, v):
+        text = _CELL_CODES[type(v)] % v
+        if v != 0:   # 0.0 == -0.0, which print differently
+            self[v] = text
+        return text
+
+
+def _column_texts(column: tuple, memos: list) -> list:
+    """The texts of one column's cells, through the memo of its type group."""
+    types = set(map(type, column))
+    for group, memo in zip(_GROUPS, memos):
+        if types <= group:
+            return list(map(memo.__getitem__, column))
+    return list(map(format_value, column))
 
 
 def write_csv(path, columns, rows, metadata: dict | None = None) -> None:
     """Write rows (an iterable of sequences, or a 2-D ndarray) under a metadata header.
 
     Rows are formatted and written a batch at a time, so an iterator of
-    rows is never held whole.
+    rows is never held whole; the memos of repeated cells live for one
+    batch.  Raises ValueError if the rows of a batch differ in length.
     """
     if isinstance(rows, np.ndarray):
-        rows = rows.tolist()  # Python scalars hit the fast path
-    lines = [*metadata_lines(metadata or {}), ",".join(columns)]
+        rows = rows.tolist()  # Python scalars hit the memos
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as out:
-        for row in rows:
-            fmt = _row_format(tuple(map(type, row)))
-            lines.append(fmt % tuple(row) if fmt else ",".join(map(format_value, row)))
-            if len(lines) >= _BATCH:
-                out.write("\n".join(lines) + "\n")
-                lines.clear()
-        if lines:
-            out.write("\n".join(lines) + "\n")
+        out.write("\n".join([*metadata_lines(metadata or {}), ",".join(columns)]) + "\n")
+        while batch := list(islice(rows, _BATCH)):
+            memos = [_Memo() for _ in _GROUPS]
+            cols = [_column_texts(col, memos) for col in zip(*batch, strict=True)]
+            out.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

@@ -404,6 +404,24 @@ def test_cool_fit_non_numeric_psd_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, x_name, y_name", [
+    ("ringdown-fit", "t_s", "power"),
+    ("mech-ringdown-fit", "t_s", "amplitude"),
+    ("cool-fit", "freq_hz", "psd_m2_per_hz"),
+])
+def test_fit_non_finite_sample_names_columns(tmp_path, capsys, command, x_name, y_name):
+    data = tmp_path / "in.csv"
+    cells = [f"{1e5 + k},{1.0 / (k + 1)}" for k in range(60)]
+    cells[7] = f"{1e5 + 7},x"
+    data.write_text(f"{x_name},{y_name}\n" + "\n".join(cells) + "\n")
+    out = tmp_path / "fit.json"
+    assert run([command, "-i", str(data), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"1 of 60 samples have a non-finite {x_name} or {y_name}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ragged_csv_exit_one(tmp_path, capsys):
     data = tmp_path / "ragged.csv"
     data.write_text("t_s,power\n0,1.0\n1e-6,0.5,7\n")

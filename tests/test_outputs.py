@@ -2,9 +2,10 @@
 
 The fit inputs come from one fixed seed and are written with repr floats,
 as the bench writes its own; the other commands run on the README's
-scenario config and flags.  The version string in the metadata is blanked
-before hashing, so a version bump alone moves no pin.  A change that alters
-any of these bytes updates its row and says why in CHANGES.md.
+scenario config and flags, plus one sweep longer than a CSV write batch.
+The version string in the metadata is blanked before hashing, so a version
+bump alone moves no pin.  A change that alters any of these bytes updates
+its row and says why in CHANGES.md.
 """
 
 import hashlib
@@ -151,6 +152,12 @@ README_PINS = [
          "3bddfb156837c185336f8848ef9d3f374057dd01189a7cb1a7cd8ddb9b10807a",
       "best.json":
          "b85bde4816ef606d28ab3912c06474981cb9726640855edb2130667925750088"}),
+    # 9,261 rows, more than one write_csv batch; 3,087 points fail at x0 >= lambda/8
+    ("sweep multi-batch", ["sweep", "--config", "scenario.cfg", "--axis", "F:1e4:1e6:21:log",
+                           "--axis", "P_in:1e-8:1e-3:21:log", "--axis", "x0:0:1e-7:21",
+                           "-o", "sweep.csv"],
+     {"sweep.csv":
+         "ed46a229dec0b70849ce14af178aca65f4a098f257c730fc11e3c44117f10385"}),
 ]
 
 

@@ -1,6 +1,9 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memcav.errors import ConfigError, ValidationError
 from memcav.params import (
@@ -9,6 +12,7 @@ from memcav.params import (
     MembraneSpec,
     PhysicalConstants,
     attr_name,
+    grid_violations,
     load_config,
     save_config,
     validate,
@@ -130,3 +134,47 @@ def test_attr_name_accepts_attribute_or_config_key():
     assert attr_name("lambda") == attr_name("lam") == "lam" and attr_name("F") == "F"
     with pytest.raises(ValueError):
         attr_name("Lambda")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.floats()] * 10))
+def test_validate_never_raises(values):
+    violations = validate(ExperimentParams(*values))
+    assert all(isinstance(v, str) for v in violations)
+    assert any("must be finite" in v for v in violations) == (not all(map(math.isfinite, values)))
+
+
+_ROW1 = dict(L=0.067, lam=5.32e-7, F=3e5, P_in=1e-5, T=0.3, m=5e-14,
+             omega_m=6.2831853071795865e5, Q=1.2e7, r_c=0.999, x0=5e-13)
+
+
+def _grid_values(typical):
+    """A field's values: the scenario's, ones that fail a rule, and the non-finite."""
+    return st.sampled_from([typical, typical, 2 * typical, 0.0, -0.0, -1.0, 1.0, 1e-7,
+                            math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _grids(draw):
+    """(fields as arrays with one dimension per axis, the shape) of a 1-3 axis grid."""
+    names = draw(st.lists(st.sampled_from(sorted(_ROW1)), min_size=1, max_size=3, unique=True))
+    ones = (1,) * len(names)
+    fields = {name: np.full(ones, draw(_grid_values(v))) for name, v in _ROW1.items()}
+    for k, name in enumerate(names):
+        # repeated values along an axis are drawn often from these small pools
+        values = draw(st.lists(_grid_values(_ROW1[name]), min_size=1, max_size=4))
+        fields[name] = np.array(values).reshape(ones[:k] + (-1,) + ones[k + 1:])
+    return fields, np.broadcast_shapes(*(v.shape for v in fields.values()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grids())
+def test_grid_violations_equal_validate_at_every_point(grid):
+    fields, shape = grid
+    expected = {}
+    for i, at in enumerate(np.ndindex(*shape)):
+        point = ExperimentParams(**{name: np.broadcast_to(v, shape)[at].item()
+                                    for name, v in fields.items()})
+        if validate(point):
+            expected[i] = "; ".join(validate(point))
+    assert grid_violations(SimpleNamespace(**fields), shape) == expected

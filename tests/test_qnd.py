@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from memcav import mechanics, qnd
-from memcav.errors import SingularityError, ValidationError
-from memcav.params import C_LIGHT, HBAR, with_value
+from memcav.errors import MemcavError, SingularityError, ValidationError
+from memcav.params import C_LIGHT, HBAR, ExperimentParams, with_value
 from oracles import (consistency_ratios, linear_rate_golden_rule, photon_psd,
                      rwa_rate_golden_rule, snr_general_n, thermal_lifetime_n)
 
@@ -205,6 +206,45 @@ def test_jump_budget_outside_float_range_raises(row1, changes):
 def test_jump_budget_rejects_invalid(row1):
     with pytest.raises(ValidationError):
         qnd.jump_budget(with_value(row1, "T", -1.0))
+
+
+_ROW1 = dict(L=0.067, lam=5.32e-7, F=3e5, P_in=1e-5, T=0.3, m=5e-14,
+             omega_m=6.2831853071795865e5, Q=1.2e7, r_c=0.999, x0=5e-13)
+
+
+def _near(typical):
+    return st.floats(min_value=typical / 100, max_value=typical * 100)
+
+
+def _finite(typical):
+    """Finite floats: rescaled by up to 1e+-300, arbitrary, or special."""
+    return st.one_of(
+        st.integers(-300, 300).map(lambda e: typical * 10.0**e),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, 1.0 - 2.0**-53]),
+    ).filter(math.isfinite)
+
+
+@st.composite
+def _params(draw):
+    # most fields within a factor 100 of the scenario's, so that most draws get a budget
+    wild = draw(st.sets(st.sampled_from(sorted(_ROW1)), max_size=3))
+    return ExperimentParams(**{name: draw(_finite(v) if name in wild else _near(v))
+                               for name, v in _ROW1.items()})
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_params())
+def test_jump_budget_finite_or_memcav_error(p):
+    try:
+        b = qnd.jump_budget(p)
+    except MemcavError:
+        return
+    numbers = dict(zip(qnd.VALUE_NAMES, vars(b).values()))
+    if p.x0 == 0.0:
+        assert numbers.pop("tau_lin_s") == math.inf
+    assert all(map(math.isfinite, numbers.values())), numbers
+    assert b.tau_total > 0.0
 
 
 def test_snr_nearly_linear_in_power_when_thermal_dominated(row1):

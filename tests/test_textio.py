@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from memcav import textio
 from memcav.errors import NumericsError, ValidationError
 from memcav.fitting import fit_exponential_decay
 from memcav.textio import format_value, read_csv, write_csv, write_json
@@ -102,3 +106,39 @@ def test_fit_rejects_non_increasing_time():
     y = np.exp(-t)
     with pytest.raises(ValidationError):
         fit_exponential_decay(t, y)
+
+
+# small pools, so that equal cells of different types (1e17 and 10**17,
+# -0.0 and False, 1.0 and True) meet in one column and in neighbouring ones
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                     2.2250738585072e-308, 1e17, 1.0, -1.0, 0.1]),
+                    st.floats())
+_INTS = st.sampled_from([0, 1, -1, 10**17, 7, True, False])
+_STRS = st.sampled_from(["", "x", "0", "nan"])
+_NUMPY = st.sampled_from([np.float64(-0.0), np.float64(0.1), np.int64(10**17), np.bool_(True),
+                          np.float32(0.5)])
+_COLUMNS = st.sampled_from([st.one_of(_FLOATS, _STRS), st.one_of(_INTS, _STRS), _STRS,
+                            st.one_of(_FLOATS, _INTS, _STRS, _NUMPY)])
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(_COLUMNS, min_size=1, max_size=5))
+    return [[draw(cells) for cells in columns] for _ in range(draw(st.integers(1, 12)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tables(), st.integers(1, 5))
+def test_write_csv_equals_format_value_join(tmp_path_factory, rows, batch):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_BATCH", batch)   # several batches, each with fresh memos
+        write_csv(path, [f"c{k}" for k in range(len(rows[0]))], rows)
+    expected = [",".join(f"c{k}" for k in range(len(rows[0])))]
+    expected += [",".join(map(format_value, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+def test_write_csv_rejects_ragged_rows(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
