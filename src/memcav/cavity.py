@@ -117,6 +117,11 @@ def band_structure(r_c: float, L: float, lam: float, x_range, n_samples: int,
         raise ValidationError("n_samples must be >= 2")
     if n_bands < 1:
         raise ValidationError("n_bands must be >= 1")
+    # the phase 4 pi x / lambda is largest at an end; finite there, it is finite
+    # throughout and so is the span of the range
+    if not all(math.isfinite(4.0 * math.pi * float(x) / float(lam)) for x in x_range):
+        raise ValidationError(f"x range ({x_range[0]}, {x_range[1]}) puts the phase "
+                              "4 pi x / lambda out of the float range")
     xs = np.linspace(x_range[0], x_range[1], n_samples)
     theta = np.arccos(r_c * np.cos(4.0 * np.pi * xs / lam))
     bands = []
@@ -172,7 +177,10 @@ def mirror_reflectivity_from_finesse(F: float) -> float:
     """Power reflectivity R of identical lossless mirrors, F = pi sqrt(R)/(1-R)."""
     if not 1.0 <= F < math.inf:
         raise ValidationError(f"finesse must be finite and >= 1 (got {F})")
-    s = (-math.pi + math.sqrt(math.pi**2 + 4.0 * F**2)) / (2.0 * F)  # sqrt(R)
+    try:
+        s = (-math.pi + math.sqrt(math.pi**2 + 4.0 * F**2)) / (2.0 * F)  # sqrt(R)
+    except OverflowError:   # F**2
+        raise SingularityError(f"finesse {F} leaves the float range") from None
     return s * s
 
 
@@ -217,23 +225,29 @@ def cavity_transmission(omega, x, F: float, L: float,
     k = np.asarray(omega, dtype=float) / C_LIGHT
     x = np.asarray(x, dtype=float)
     R = mirror_reflectivity_from_finesse(F)
+    if R == 1.0:
+        raise SingularityError(f"finesse {F} rounds the mirror reflectivity to 1")
     zeta_m = math.sqrt(R / (1.0 - R))
     mirror = _sheet_matrix(zeta_m)
-    if membrane is None:
-        mid = _sheet_matrix(sheet_strength(r_c))
-        d1 = L / 2.0 + x
-        d2 = L / 2.0 - x
-    else:
-        mid = _slab_matrix(membrane.n_index, membrane.d, k)
-        d1 = L / 2.0 + x - membrane.d / 2.0
-        d2 = L / 2.0 - x - membrane.d / 2.0
-    if not (np.all(d1 > 0) and np.all(d2 > 0)):
-        raise ValidationError("membrane displacement places it outside the cavity")
-    M = _mat_mul(mirror, _prop_matrix(k, d1))
-    M = _mat_mul(M, mid)
-    M = _mat_mul(M, _prop_matrix(k, d2))
-    M = _mat_mul(M, mirror)
-    out = np.abs(1.0 / M[0]) ** 2
+    # a product that leaves the float range shows as a non-finite result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if membrane is None:
+            mid = _sheet_matrix(sheet_strength(r_c))
+            d1 = L / 2.0 + x
+            d2 = L / 2.0 - x
+        else:
+            mid = _slab_matrix(membrane.n_index, membrane.d, k)
+            d1 = L / 2.0 + x - membrane.d / 2.0
+            d2 = L / 2.0 - x - membrane.d / 2.0
+        if not (np.all(d1 > 0) and np.all(d2 > 0)):
+            raise ValidationError("membrane displacement places it outside the cavity")
+        M = _mat_mul(mirror, _prop_matrix(k, d1))
+        M = _mat_mul(M, mid)
+        M = _mat_mul(M, _prop_matrix(k, d2))
+        M = _mat_mul(M, mirror)
+        out = np.abs(1.0 / M[0]) ** 2
+    if not np.all(np.isfinite(out)):
+        raise SingularityError("cavity transmission left the float range")
     return float(out) if out.ndim == 0 else out
 
 
@@ -260,7 +274,10 @@ def transmission_map(F: float, L: float, lam: float, detuning_grid, x_grid,
     x_grid = np.asarray(x_grid, dtype=float)
     if detuning_grid.size == 0 or x_grid.size == 0:
         raise ValidationError("grids must be non-empty")
-    omega_base = round(2.0 * L / lam) * omega_fsr(L)
+    modes = 2.0 * L / lam
+    if not math.isfinite(modes):
+        raise ValidationError(f"2 L / lambda leaves the float range (L = {L}, lambda = {lam})")
+    omega_base = round(modes) * omega_fsr(L)
     intensity = cavity_transmission((omega_base + detuning_grid)[:, None], x_grid[None, :],
                                     F, L, r_c=r_c, membrane=membrane)
     return TransmissionMap(detuning_grid, x_grid, intensity, float(omega_base))

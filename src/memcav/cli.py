@@ -75,8 +75,14 @@ MAX_SAMPLES = 100_000     # bandstructure --samples
 MAX_BANDS = 20            # bandstructure --bands
 MAX_MAP_SAMPLES = 1000    # transmission-map --det-samples and --x-samples
 # Largest sweep --refine-iters: each round costs 44 budget evaluations per
-# axis, and at the cap a 3-axis --maximize refines for ~1 s (2-vCPU host).
+# axis.  Refinement stops after a round that moves nothing, so most runs end
+# after one or two rounds; 1000 rounds of a 3-axis --maximize would take
+# ~1 s (2-vCPU host).
 MAX_REFINE_ITERS = 1000
+# Most readout bins (--duration / --bin-width) of jump-sim and jump-stats,
+# checked before simulating.  At the cap jump-sim writes its readout in ~5 s
+# at 0.25 GB peak (2-vCPU host).
+MAX_BINS = 1_000_000
 
 
 def _count(count: int, cap: int, flag: str, lowest: int = 1) -> int:
@@ -217,6 +223,10 @@ def _simulate(args, bin_width):
     here, so a failure leaves no partial output set behind.
     """
     p = load_config(args.config)
+    if (bin_width is not None and bin_width > 0.0 and math.isfinite(args.duration)
+            and args.duration / bin_width > MAX_BINS):
+        raise ValidationError(f"--duration / --bin-width gives more than {MAX_BINS} "
+                              f"readout bins (got {args.duration} / {bin_width})")
     traj = jumpsim.simulate_trajectory(p, args.duration, args.seed,
                                        include_measurement_channels=args.channels)
     meta = _base_metadata(args, p)

@@ -155,25 +155,36 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     rate01, rate02 = _channel_rates(p) if include_measurement_channels else (0.0, 0.0)
     rate0 = rate01 + rate02
 
+    # each level's rates, computed when the path first reaches it: ups[m] =
+    # heat (m + 1) and totals[m] = ups[m] + cool m, or ups[0] + rate0 at m = 0
+    ups = [heat]
+    totals = [heat + rate0]
+    ground_up = heat + rate01   # a ground-state pick below this climbs one level
     t = 0.0
     n = 0
     # 8 bytes an event each, and no float object outlives its event
     times = array("d")
     levels = array("q")
     for wait, pick in chain.from_iterable(_draw_blocks(np.random.default_rng(seed), duration)):
-        up = heat * (n + 1)
-        total = up + cool * n if n else up + rate0
+        try:
+            total = totals[n]
+        except IndexError:   # a new highest level; a 0 -> 2 jump adds two
+            for m in range(len(totals), n + 1):
+                up = heat * (m + 1)
+                ups.append(up)
+                totals.append(up + cool * m)
+            total = totals[n]
         if total <= 0.0:
             break
         t += wait / total
         if t >= duration:
             break
         u = pick * total
-        if u < up:
+        if u < ups[n]:
             n += 1
         elif n:
             n -= 1
-        elif u < up + rate01:
+        elif u < ground_up:
             n += 1
         else:
             n += 2

@@ -79,10 +79,10 @@ class MembraneSpec:
     d: float
 
     def __post_init__(self):
-        if not self.n_index >= 1.0:
-            raise ValidationError(f"n_index must be >= 1 (got {self.n_index})")
-        if not self.d > 0.0:
-            raise ValidationError(f"d must be > 0 (got {self.d})")
+        if not 1.0 <= self.n_index < math.inf:
+            raise ValidationError(f"n_index must be finite and >= 1 (got {self.n_index})")
+        if not 0.0 < self.d < math.inf:
+            raise ValidationError(f"d must be finite and > 0 (got {self.d})")
 
 
 def _rules(p) -> tuple:

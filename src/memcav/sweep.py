@@ -45,6 +45,9 @@ class SweepAxis:
 
     def __post_init__(self):
         attr_name(self.param_name)
+        if not math.isfinite(self.maximum - self.minimum):   # finite only if both ends are
+            raise ValidationError(f"axis {self.param_name}: min, max and max - min "
+                                  "must be finite")
         if not self.minimum < self.maximum:
             raise ValidationError(f"axis {self.param_name}: min must be < max")
         if self.count < 2:
@@ -154,6 +157,8 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     The refinement searches each axis inside the grid interval bracketing
     the current best point (other coordinates held fixed), keeps a candidate
     only if it is feasible and strictly better, and is fully deterministic.
+    Refinement stops after a round that leaves the point where it was, since
+    every later round would repeat that round exactly.
     `grid` is grid_sweep(base, axes) when the caller has it already; its
     points count as evaluations all the same.
     """
@@ -163,19 +168,18 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     if best is None:
         return OptimizeResult(False, None, None, evals, "no feasible grid point")
 
-    axes = tuple(axes)
+    searches = [(attr_name(axis.param_name), axis.values(), axis.scale) for axis in axes]
     current_p, current_b = best.params, best.budget
     for _ in range(refine_iters):
-        for axis in axes:
-            attr = attr_name(axis.param_name)
-            values = axis.values()
+        start = current_p
+        for attr, values, scale in searches:
             x_now = getattr(current_p, attr)
             idx = int(np.argmin(np.abs(values - x_now)))
             lo = values[max(idx - 1, 0)]
             hi = values[min(idx + 1, len(values) - 1)]
             if lo == hi:
                 continue
-            transform = (math.log, math.exp) if axis.scale == "log" else (lambda v: v, lambda v: v)
+            transform = (math.log, math.exp) if scale == "log" else (lambda v: v, lambda v: v)
             fwd, inv = transform
             a, b = fwd(lo), fwd(hi)
             # every point differs from the current best only along this axis,
@@ -211,6 +215,8 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
                     d = a + _GOLDEN * (b - a)
                     fd = objective(d)
             evals += 4 + _GOLDEN_STEPS
+        if current_p is start:   # every later round would repeat this one
+            break
     return OptimizeResult(True, current_p, current_b, evals)
 
 

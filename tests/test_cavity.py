@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from memcav import cavity
-from memcav.errors import FitError, ValidationError
+from memcav.errors import FitError, SingularityError, ValidationError
 from memcav.fitting import fit_exponential_decay
 from memcav.params import C_LIGHT, MembraneSpec
 
@@ -261,6 +261,31 @@ def test_transmission_map_intensity_range(row1):
 def test_transmission_map_rejects_bad_finesse():
     with pytest.raises(ValidationError):
         cavity.transmission_map(0.5, 1.0, LAM_REF, [0.0], [0.0], r_c=0.31)
+
+
+@pytest.mark.parametrize("F", [1e17, 1e200])
+def test_transmission_map_rejects_finesse_beyond_float_range(F):
+    # 1 - R rounds to 0 at F = 1e17, and F**2 overflows at 1e200
+    with pytest.raises(SingularityError, match="finesse"):
+        cavity.transmission_map(F, 1.0, LAM_REF, [0.0], [0.0], r_c=0.31)
+
+
+def test_transmission_map_rejects_non_finite_transmission():
+    # the slab's interface matrix overflows for an index of 1e308
+    with pytest.raises(SingularityError, match="float range"):
+        cavity.transmission_map(200.0, 1.0, LAM_REF, [0.0], [0.0],
+                                membrane=MembraneSpec(1e308, 5e-8))
+
+
+def test_transmission_map_rejects_mode_number_beyond_float_range():
+    with pytest.raises(ValidationError, match="float range"):
+        cavity.transmission_map(200.0, 1e308, LAM_REF, [0.0], [0.0], r_c=0.31)
+
+
+@pytest.mark.parametrize("x_range", [(1e308, LAM_REF / 2), (-1e307, 1e307)])
+def test_band_structure_rejects_phase_beyond_float_range(x_range):
+    with pytest.raises(ValidationError, match="float range"):
+        cavity.band_structure(0.31, L_REF, LAM_REF, x_range, 5, 2)
 
 
 def _track_ridge(rc, F, L, lam, xs):

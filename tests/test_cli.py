@@ -1,16 +1,22 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import memcav
 from memcav import cooling
 from memcav.cli import run
+from memcav.errors import MemcavError
 from memcav.textio import read_csv
+
+from conftest import ROW1_CONFIG
 
 
 def test_help_exits_zero(capsys):
@@ -494,3 +500,104 @@ def test_fit_command_in_fresh_process(tmp_path):
     proc = _run_python("-m", "memcav.cli", "ringdown-fit", "-i", str(data), "-o", str(out))
     assert proc.returncode == 0, proc.stderr
     assert abs(json.loads(out.read_text())["tau_s"] / 1.145e-6 - 1) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# fuzzed numeric flags: the non-fit commands exit 0, 1 or 2, never raise
+# ---------------------------------------------------------------------------
+
+_SPECIAL = ["nan", "inf", "-inf", "0", "-0", "1e400", "-1e-400", "5e-324", "1e308", "x"]
+
+
+@st.composite
+def _value(draw, typical):
+    """A flag's text: mostly its typical value, else a nearby, any or special one.
+
+    Integer flags (an int `typical`) get small counts or counts past any cap.
+    """
+    kind = draw(st.sampled_from(["typical"] * 5 + ["near", "any", "special"]))
+    if kind == "typical":
+        return repr(typical)
+    if kind == "special":
+        return draw(st.sampled_from(_SPECIAL + ["1.5", "1000001", "10000000000"]))
+    if isinstance(typical, int):
+        return str(draw(st.integers(-2, 2 * typical + 2)))
+    if kind == "near":
+        return repr(typical * draw(st.floats(-3.0, 3.0)))
+    return repr(draw(st.floats()))
+
+
+def _short(duration: str) -> str:
+    """A finite duration past 0.01 s becomes 0.01 s: row 1 heats by ~3e3 events/s."""
+    try:
+        return "0.01" if 0.01 < float(duration) < math.inf else duration
+    except ValueError:
+        return duration
+
+
+@st.composite
+def _commands(draw):
+    """argv of one non-fit command; "{cfg}" and "{out}" are filled in later."""
+    def flag(name, typical, often=True):
+        taken = draw(st.sampled_from([True, True, True, False] if often else [True, False]))
+        return [f"{name}={draw(_value(typical))}"] if taken else []
+
+    command = draw(st.sampled_from(["bandstructure", "transmission-map", "qnd-budget",
+                                    "jump-sim", "jump-stats", "sweep"]))
+    if command in ("bandstructure", "transmission-map"):
+        if draw(st.booleans()):
+            argv = ["--config", "{cfg}"]
+        else:
+            argv = (flag("--rc", 0.31) + flag("--length", 0.067)
+                    + flag("--wavelength", 5.32e-7))
+        argv += flag("--xmin", 0.0, often=False) + flag("--xmax", 2e-7, often=False)
+        if command == "bandstructure":
+            argv += flag("--samples", 11) + flag("--bands", 4)
+        else:
+            if "--config" not in argv:
+                argv += flag("--finesse", 200.0)
+            if draw(st.booleans()):
+                argv += flag("--membrane-index", 2.2) + flag("--membrane-thickness", 5e-8)
+            argv += [f"--det-min={draw(_value(-1e9))}", f"--det-max={draw(_value(1e9))}"]
+            argv += flag("--det-samples", 5) + flag("--x-samples", 3)
+    elif command == "qnd-budget":
+        argv = ["--config", "{cfg}"]
+    elif command in ("jump-sim", "jump-stats"):
+        argv = ["--config", "{cfg}", f"--seed={draw(_value(42))}",
+                f"--duration={_short(draw(_value(0.002)))}"]
+        argv += flag("--readout-seed", 7, often=False)
+        argv += ["--channels"] if draw(st.booleans()) else []
+        if command == "jump-sim":
+            if draw(st.booleans()):
+                argv += ["--readout", "{out}.readout"] + flag("--bin-width", 1e-4)
+        else:
+            argv += [f"--bin-width={draw(_value(1e-4))}",
+                     f"--threshold={draw(_value(0.09))}"]
+    else:
+        axes = draw(st.lists(st.sampled_from([
+            ("F", 3e5, 6e5, ":log"), ("P_in", 1e-6, 1e-4, ":log"), ("r_c", 0.99, 0.9999, ""),
+            ("x0", 0.0, 1e-7, ":linear"), ("lambda", 5e-7, 6e-7, ""), ("T", 0.1, 1.0, ":cubic"),
+            ("bogus", 0.0, 1.0, "")]), min_size=1, max_size=4))
+        argv = ["--config", "{cfg}"]
+        for name, lo, hi, scale in axes:
+            argv.append(f"--axis={name}:{draw(_value(lo))}:{draw(_value(hi))}"
+                        f":{draw(_value(3))}{scale}")
+        argv += flag("--refine-iters", 2, often=False)
+        if draw(st.booleans()):
+            argv += ["--best", "{out}.best"] + (["--maximize"] if draw(st.booleans()) else [])
+    return [command, *argv, "-o", "{out}"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_commands())
+def test_cli_run_raises_only_memcav_errors(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "row1.cfg"
+        cfg.write_text(ROW1_CONFIG)
+        out = str(Path(tmp) / "out")
+        argv = [a.replace("{cfg}", str(cfg)).replace("{out}", out) for a in argv]
+        try:
+            code = run(argv)
+        except MemcavError:
+            return
+        assert code in (0, 1, 2)

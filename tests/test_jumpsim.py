@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -117,6 +118,38 @@ def test_rwa_channel_allows_double_step(row1):
                                        include_measurement_channels=True)
     steps = np.diff(np.concatenate([[0], traj.levels]))
     assert 2 in set(steps)  # ground state exits by a two-phonon event
+
+
+def _path_sha256(traj) -> str:
+    return hashlib.sha256(traj.times.tobytes() + traj.levels.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case, n_events, top, digest", [
+    # T tiny and x0 = 0: the ground state exits only by 0 -> 2 jumps
+    ("two_phonon", 71, 2, "e2bf0bf14fda5b6b91cb08d3f6b97e79553ccf4bd941665746288b0cb62b6f85"),
+    # T = 0: the linear channel climbs, cooling alone comes back down
+    ("zero_temperature", 46, 1, "20ff39caf8d2dc8b7e86e008228fe35844bdfb35362a84d4092c47724ca4ad5a"),
+    # channels off, climbing well past level 10
+    ("small_bath", 8084, 25, "c318b9891e2b2079e94035fb58706bb8a9819dda81ef1db91501aca42eb7a9a1"),
+    # Q = inf: no thermal rates, so the first channel event is absorbing
+    ("absorbed", 1, 1, "a60fa8ef1b54338b8d08415867e30da50a804cb51a850f5bea1f7f1d814dffb0"),
+])
+def test_edge_paths_pinned(row1, small_bath, case, n_events, top, digest):
+    """Exact event records of the loop's edge paths under RNG_STREAM."""
+    if case == "two_phonon":
+        p = with_value(with_value(row1, "T", 1e-12), "x0", 0.0)
+        traj = jumpsim.simulate_trajectory(p, 100.0 * qnd.rwa_lifetime(p), seed=5,
+                                           include_measurement_channels=True)
+    elif case == "zero_temperature":
+        traj = jumpsim.simulate_trajectory(with_value(small_bath, "T", 0.0), 0.1, seed=3,
+                                           include_measurement_channels=True)
+    elif case == "small_bath":
+        traj = jumpsim.simulate_trajectory(small_bath, 0.05, seed=3)
+    else:
+        traj = jumpsim.simulate_trajectory(with_value(row1, "Q", math.inf), 1.0, seed=4,
+                                           include_measurement_channels=True)
+    assert (len(traj.times), int(traj.levels.max())) == (n_events, top)
+    assert _path_sha256(traj) == digest
 
 
 def test_state_at_and_dwells(small_bath):

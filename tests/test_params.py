@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,6 +127,13 @@ def test_membrane_spec_invariants():
         MembraneSpec(2.0, 0.0)
 
 
+@pytest.mark.parametrize("n_index, d", [(math.inf, 50e-9), (math.nan, 50e-9),
+                                         (2.0, math.inf), (2.0, math.nan)])
+def test_membrane_spec_rejects_non_finite(n_index, d):
+    with pytest.raises(ValidationError, match="must be finite"):
+        MembraneSpec(n_index, d)
+
+
 def test_with_value_unknown_field(row1):
     with pytest.raises(ValueError):
         with_value(row1, "nope", 1.0)
@@ -142,6 +151,35 @@ def test_validate_never_raises(values):
     violations = validate(ExperimentParams(*values))
     assert all(isinstance(v, str) for v in violations)
     assert any("must be finite" in v for v in violations) == (not all(map(math.isfinite, values)))
+
+
+@st.composite
+def _valid_params(draw):
+    """Any ten floats that pass validate(), signed zeros and subnormals included."""
+    def floats(lo, hi=None, exclude_min=True):
+        return st.floats(lo, hi, exclude_min=exclude_min, allow_infinity=False)
+    lam = draw(floats(8 * 5e-324))
+    zero_or = lambda s: st.one_of(st.sampled_from([0.0, -0.0]), s)
+    values = dict(
+        L=draw(floats(0.0)), lam=lam, F=draw(floats(1.0, exclude_min=False)),
+        P_in=draw(floats(0.0)), T=draw(floats(0.0)), m=draw(floats(0.0)),
+        omega_m=draw(floats(0.0)), Q=draw(floats(0.0)),
+        r_c=draw(zero_or(st.floats(0.0, 1.0, exclude_max=True))),
+        x0=draw(zero_or(st.floats(0.0, lam / 8, exclude_max=True))))
+    p = ExperimentParams(**values)
+    assert validate(p) == []
+    return p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_valid_params())
+def test_save_load_roundtrip_exact(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.cfg"
+        save_config(p, path)
+        loaded = load_config(path)
+    # bit for bit, so -0.0 stays -0.0
+    assert [v.hex() for v in vars(loaded).values()] == [v.hex() for v in vars(p).values()]
 
 
 _ROW1 = dict(L=0.067, lam=5.32e-7, F=3e5, P_in=1e-5, T=0.3, m=5e-14,

@@ -25,6 +25,12 @@ def test_axis_validation():
         sweep.SweepAxis("bogus", 0.0, 1.0, 5)
 
 
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)])
+def test_axis_rejects_ends_beyond_float_range(lo, hi):
+    with pytest.raises(ValidationError, match="must be finite"):
+        sweep.SweepAxis("x0", lo, hi, 3)
+
+
 def test_axis_values_scales():
     lin = sweep.SweepAxis("T", 0.1, 0.5, 5).values()
     assert np.allclose(lin, np.linspace(0.1, 0.5, 5))
@@ -125,6 +131,26 @@ def test_refinement_pinned_when_it_beats_grid(row1):
     assert opt.budget.snr == 19.224603346615275
     assert opt.evaluations == 16 + 2 * 2 * (4 + 40)
     assert opt.params == replace(row1, P_in=0.00035249598521233286, r_c=0.99999)
+
+
+@pytest.mark.parametrize("axes, rounds, snr_hex, moved", [
+    # the grid's corner is best and refinement cannot beat it: one round
+    ([sweep.SweepAxis("F", 1e5, 3e5, 4, "log"), sweep.SweepAxis("P_in", 1e-6, 1e-5, 4, "log")],
+     1, "0x1.fc80593db55f8p-1", {}),
+    # P_in refines off the interior of its log grid, r_c stays at the top
+    ([sweep.SweepAxis("P_in", 1e-6, 1e-3, 6, "log"), sweep.SweepAxis("r_c", 0.999, 0.99999, 6)],
+     2, "0x1.3397f9adcb4aap+4", {"P_in": 0.00035249598555733564, "r_c": 0.99999}),
+    ([sweep.SweepAxis("F", 2e5, 6e5, 4, "log"), sweep.SweepAxis("P_in", 1e-5, 1e-3, 5, "log"),
+      sweep.SweepAxis("r_c", 0.999, 0.99999, 4)],
+     2, "0x1.33460754a66b1p+6", {"F": 600000.0, "P_in": 0.0003521291520359514, "r_c": 0.99999}),
+])
+def test_refinement_stops_when_a_round_moves_nothing(row1, axes, rounds, snr_hex, moved):
+    # params and SNR as three full rounds give them; only the evaluations drop
+    opt = sweep.maximize_snr(row1, axes)
+    grid_points = math.prod(a.count for a in axes)
+    assert opt.evaluations == grid_points + rounds * len(axes) * (4 + 40)
+    assert opt.budget.snr.hex() == snr_hex
+    assert opt.params == replace(row1, **moved)
 
 
 def test_constant_objective_tie_break(row1):
