@@ -28,6 +28,7 @@ from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
 from .fitting import require_positive
 from .params import C_LIGHT, MembraneSpec
+from .textio import Table
 
 # Membrane-induced optical loss: measured upper limit only, kept as metadata.
 # No loss model is built on it; the optics here stay lossless.
@@ -125,23 +126,20 @@ def band_structure(r_c: float, L: float, lam: float, x_range, n_samples: int,
     xs = np.linspace(x_range[0], x_range[1], n_samples)
     theta = np.arccos(r_c * np.cos(4.0 * np.pi * xs / lam))
     bands = []
-    j, sign = 1, -1
-    for _ in range(n_bands):
-        omega = (C_LIGHT / L) * (2.0 * np.pi * j + sign * theta)
-        bands.append(((j, sign), omega))
-        if sign < 0:
-            sign = +1
-        else:
-            sign = -1
-            j += 1
+    with np.errstate(over="ignore"):   # an overflow leaves inf, checked below
+        for k in range(n_bands):
+            j, sign = k // 2 + 1, 1 if k % 2 else -1
+            bands.append(((j, sign), (C_LIGHT / L) * (2.0 * np.pi * j + sign * theta)))
+    # the bands ascend, so every one is finite if the last is
+    if not (math.isfinite(omega_fsr(L)) and np.isfinite(bands[-1][1]).all()):
+        raise ValidationError(f"L = {L} puts the band frequencies out of the float range")
     return BandStructure(xs, bands, omega_fsr(L))
 
 
 def band_structure_rows(bs: BandStructure):
-    """CSV columns and rows for a BandStructure (x_m, then one band per column)."""
+    """CSV header and Table for a BandStructure (x_m, then one band per column)."""
     header = ["x_m"] + [f"band_{j}_{'+' if s > 0 else '-'}" for (j, s), _ in bs.bands]
-    table = np.column_stack([bs.x_samples] + [om for _, om in bs.bands])
-    return header, table
+    return header, Table(bs.x_samples, *(om for _, om in bs.bands))
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +282,10 @@ def transmission_map(F: float, L: float, lam: float, detuning_grid, x_grid,
 
 
 def transmission_rows(tm: TransmissionMap):
-    """Long-form CSV (detuning_rad_s, x_m, intensity) for a TransmissionMap."""
+    """Long-form CSV (detuning_rad_s, x_m, intensity) for a TransmissionMap: header and Table."""
     header = ["detuning_rad_s", "x_m", "intensity"]
-    dg, xg = np.meshgrid(tm.detuning_grid, tm.x_grid, indexing="ij")
-    table = np.column_stack([dg.ravel(), xg.ravel(), tm.intensity.ravel()])
-    return header, table
+    det, x = tm.detuning_grid, tm.x_grid
+    return header, Table(np.repeat(det, len(x)), np.tile(x, len(det)), tm.intensity.ravel())
 
 
 def locate_resonance(x: float, center: float, half_width: float, F: float, L: float,

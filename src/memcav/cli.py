@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, cavity, cooling, fitting, jumpsim, mechanics, qnd, sweep
 from .errors import NumericsError, ValidationError
 from .params import MembraneSpec, as_dict, load_config
-from .textio import read_csv, write_csv, write_json
+from .textio import Table, read_csv, write_csv, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +80,8 @@ MAX_MAP_SAMPLES = 1000    # transmission-map --det-samples and --x-samples
 # ~1 s (2-vCPU host).
 MAX_REFINE_ITERS = 1000
 # Most readout bins (--duration / --bin-width) of jump-sim and jump-stats,
-# checked before simulating.  At the cap jump-sim writes its readout in ~5 s
-# at 0.25 GB peak (2-vCPU host).
+# checked before simulating.  At the cap jump-sim writes its readout in ~3 s
+# at 0.07 GB peak (2-vCPU host).
 MAX_BINS = 1_000_000
 
 
@@ -245,15 +245,12 @@ def _cmd_jump_sim(args) -> int:
         raise ValidationError("--readout requires --bin-width")
     traj, trace, meta, meta_r = _simulate(
         args, None if args.readout is None else args.bin_width)
-    # .tolist() hands write_csv Python scalars, which it formats fastest
-    rows = list(zip(traj.times.tolist(), traj.levels.tolist()))
-    write_csv(args.output, ["t_s", "n"], rows, meta)
+    write_csv(args.output, ["t_s", "n"], Table(traj.times, traj.levels), meta)
     if trace is not None:
         meta_r.update({"delta_omega_rad_s": trace.delta_omega,
                        "noise_sigma_rad_s": trace.noise_sigma})
-        rows_r = list(zip(trace.bin_centers.tolist(), trace.freq_estimates.tolist(),
-                          trace.true_n_per_bin.tolist()))
-        write_csv(args.readout, ["t_s", "freq_estimate_rad_s", "true_n"], rows_r, meta_r)
+        write_csv(args.readout, ["t_s", "freq_estimate_rad_s", "true_n"],
+                  Table(trace.bin_centers, trace.freq_estimates, trace.true_n_per_bin), meta_r)
     return 0
 
 
@@ -295,7 +292,7 @@ def _cmd_sweep(args) -> int:
     for i, axis in enumerate(axes):
         meta[f"axis_{i}"] = (f"{axis.param_name}:{axis.minimum}:{axis.maximum}"
                              f":{axis.count}:{axis.scale}")
-    write_csv(args.output, sweep.HEADER, sweep.iter_rows(result), meta)
+    write_csv(args.output, *sweep.sweep_rows(result), meta)
     if args.best is not None:
         # an OptimizeResult, or the best SweepEntry (None if no grid point is feasible)
         best = (sweep.maximize_snr(p, axes, refine_iters=refine_iters, grid=result)

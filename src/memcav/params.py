@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .textio import format_distinct
 
 
 @dataclass(frozen=True)
@@ -143,13 +144,8 @@ def grid_violations(p, shape: tuple) -> dict[int, str]:
             if bad.any():
                 where = np.flatnonzero(np.broadcast_to(bad, shape))
                 got = np.broadcast_to(value, shape).ravel()[where]
-                texts: dict = {}   # value -> message; 0.0 == -0.0 and NaN != NaN stay out
-                for i, v in zip(where.tolist(), got.tolist()):
-                    text = texts.get(v)
-                    if text is None:
-                        text = f"{key} {msg} (got {v})"
-                        if v != 0 and v == v:
-                            texts[v] = text
+                texts = format_distinct(got, lambda v: f"{key} {msg} (got {v})")
+                for i, text in zip(where.tolist(), texts):
                     found[i] = f"{found[i]}; {text}" if i in found else text
     return found
 

@@ -21,12 +21,13 @@ from . import qnd
 from .elementwise import LibmArray
 from .errors import MemcavError, ValidationError
 from .params import CONFIG_KEYS, ExperimentParams, attr_name
+from .textio import Table
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 40   # golden-section steps per axis and refinement round
 # Most points one grid_sweep evaluates.  At the cap, a 3-axis grid took
-# ~0.45 s and at most 0.25 GB, and memcav sweep, which streams its
-# ~0.35 GB CSV, 9-12 s at the same peak (2-vCPU host).
+# ~0.45 s, and memcav sweep, which writes its ~0.35 GB CSV a batch at a
+# time, ~6-7 s; both stay under 0.25 GB (2-vCPU host).
 MAX_SWEEP_POINTS = 1_000_000
 # positions in a qnd.budget_values tuple
 _SNR = qnd.VALUE_NAMES.index("snr")
@@ -221,43 +222,26 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
 
 
 HEADER = (*CONFIG_KEYS, *qnd.BUDGET_NAMES, *qnd.FLAG_NAMES, "error")
-_ROW_CHUNK = 65536   # points per batch of iter_rows
-
-
-def iter_rows(result: SweepResult):
-    """The CSV rows of sweep_rows, built a batch of points at a time."""
-    n = math.prod(result.shape)
-    for lo in range(0, n, _ROW_CHUNK):
-        yield from _rows(result, lo, min(lo + _ROW_CHUNK, n))
-
-
-def _rows(result: SweepResult, lo: int, hi: int) -> list:
-    """The CSV rows of the points lo to hi - 1."""
-    g = result.budget
-    failed = g.failed[lo:hi]
-
-    def cells(array, blank):
-        out = array.astype(object)
-        out[blank] = ""
-        return out.tolist()
-
-    at = dict(zip(result.samples, np.unravel_index(np.arange(lo, hi), result.shape)))
-    cols = [result.samples[attr][at[attr]].tolist() if attr in at
-            else [getattr(result.base, attr)] * (hi - lo)
-            for attr in map(attr_name, CONFIG_KEYS)]
-    for name in qnd.BUDGET_NAMES:
-        values = g.values[name][lo:hi]
-        # an infinite tau_lin (x0 = 0) is blank, as qnd.budget_fields makes it None
-        cols.append(cells(values, failed | np.isinf(values) if name == "tau_lin_s" else failed))
-    cols += [cells(g.flags[name][lo:hi].astype(np.int8), failed) for name in qnd.FLAG_NAMES]
-    cols.append([g.errors.get(i, "") for i in range(lo, hi)])
-    return list(zip(*cols))
 
 
 def sweep_rows(result: SweepResult):
-    """CSV columns and rows: parameters, budget fields, flags, error.
+    """The CSV header and Table: parameters, budget fields, flags (1 or 0), error.
 
     A failed point leaves its budget and flag cells blank, and x0 = 0 its
-    tau_lin cell.
+    tau_lin cell.  The other budget columns are the grid's own arrays.
     """
-    return list(HEADER), list(iter_rows(result))
+    g = result.budget
+    n = math.prod(result.shape)
+    grids = dict(zip(result.samples,
+                     np.meshgrid(*result.samples.values(), indexing="ij", copy=False)))
+    cols = [grids[attr].ravel() if attr in grids else np.broadcast_to(getattr(result.base, attr), n)
+            for attr in map(attr_name, CONFIG_KEYS)]
+    for name in qnd.BUDGET_NAMES:
+        values = g.values[name]
+        # an infinite tau_lin (x0 = 0) is blank, as qnd.budget_fields makes it None
+        cols.append(np.where(np.isinf(values), np.nan, values) if name == "tau_lin_s" else values)
+    cols += [np.where(g.failed, np.nan, g.flags[name]) for name in qnd.FLAG_NAMES]
+    error = [""] * n
+    for i, text in g.errors.items():
+        error[i] = text
+    return list(HEADER), Table(*cols, error)

@@ -1,9 +1,12 @@
 """CSV and JSON emission with embedded metadata.
 
-CSV files use '.' decimals, ',' delimiters, and '#'-prefixed metadata
-header lines; floats are printed with 17 significant digits so a value
-round-trips losslessly.  Rows are written a batch at a time, and a value
-that repeats within a batch is formatted once.  JSON cannot carry
+A CSV file is written from a Table of equal-length columns: float64
+arrays, int64 arrays or sequences of str.  It uses '.' decimals, ','
+delimiters and '#'-prefixed metadata header lines.  Floats are printed
+with 17 significant digits, so a value round-trips losslessly, and a
+missing (NaN) float is a blank cell, which read_csv reads back as NaN.
+Columns are written a batch of rows at a time, and within a batch each
+distinct bit pattern of a column is formatted once.  JSON cannot carry
 comments, so metadata goes into a leading "metadata" object instead; JSON
 is written strictly, with a missing (NaN) value as null.  Nothing
 time-dependent is ever written: identical inputs must give byte-identical
@@ -13,7 +16,6 @@ files.
 from __future__ import annotations
 
 import json
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -35,51 +37,69 @@ def metadata_lines(metadata: dict) -> list[str]:
     return [f"# {key} = {format_value(val)}" for key, val in metadata.items()]
 
 
-# printf-style code per exact cell type, each giving the text format_value
-# gives.  A column whose cell types all lie in one group is formatted through
-# that group's memo; any other column goes through format_value per cell.
-_CELL_CODES = {float: "%.17g", bool: "%d", int: "%d", str: "%s"}
-# Within a group, cells that compare equal print alike, zeros aside (see
-# _Memo).  Across groups they need not: 1e17 == 10**17 and -0.0 == False,
-# so floats and ints never share a memo.
-_GROUPS = (frozenset({float, str}), frozenset({int, bool, str}))
+def format_distinct(values, fmt) -> list[str]:
+    """fmt of each element of a float64 or int64 array, called once per distinct bit pattern.
+
+    Bit patterns tell -0.0 from 0.0 and match a NaN with itself, so neither
+    needs a rule of its own.
+    """
+    values = np.asarray(values)
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(fmt, bits.view(values.dtype).tolist())), dtype=object)
+    return texts[at].tolist()
+
+
+def _float_text(v: float) -> str:
+    return "%.17g" % v if v == v else ""   # NaN, a missing value, is a blank cell
+
+
+_FORMATS = {np.dtype(np.float64): _float_text, np.dtype(np.int64): "%d".__mod__}
 _BATCH = 8192   # rows formatted per write
 
 
-class _Memo(dict):
-    """cell -> text, formatting a cell the first time it is looked up."""
+class Table:
+    """Equal-length CSV columns, each a float64 or int64 array or a sequence of str.
 
-    def __missing__(self, v):
-        text = _CELL_CODES[type(v)] % v
-        if v != 0:   # 0.0 == -0.0, which print differently
-            self[v] = text
-        return text
-
-
-def _column_texts(column: tuple, memos: list) -> list:
-    """The texts of one column's cells, through the memo of its type group."""
-    types = set(map(type, column))
-    for group, memo in zip(_GROUPS, memos):
-        if types <= group:
-            return list(map(memo.__getitem__, column))
-    return list(map(format_value, column))
-
-
-def write_csv(path, columns, rows, metadata: dict | None = None) -> None:
-    """Write rows (an iterable of sequences, or a 2-D ndarray) under a metadata header.
-
-    Rows are formatted and written a batch at a time, so an iterator of
-    rows is never held whole; the memos of repeated cells live for one
-    batch.  Raises ValueError if the rows of a batch differ in length.
+    len() is the row count.  Raises ValueError for columns of unequal
+    length, or an array that is not 1-D float64 or int64.
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()  # Python scalars hit the memos
-    rows = iter(rows)
+
+    def __init__(self, *columns):
+        lengths = {len(col) for col in columns}
+        if len(lengths) != 1:
+            raise ValueError(f"table columns must share one length (got {sorted(lengths)})")
+        if any(isinstance(col, np.ndarray) and (col.dtype not in _FORMATS or col.ndim != 1)
+               for col in columns):
+            raise ValueError("table arrays must be 1-D float64 or int64")
+        self.columns = columns
+        self.rows = lengths.pop()
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, rows: slice) -> Table:
+        """The rows in a slice, as a Table of the columns' slices."""
+        return Table(*(col[rows] for col in self.columns))
+
+
+def _texts(column):
+    """The cell texts of one column of a batch."""
+    if isinstance(column, np.ndarray):
+        return format_distinct(column, _FORMATS[column.dtype])
+    return column   # str already
+
+
+def write_csv(path, header, table: Table, metadata: dict | None = None) -> None:
+    """Write a Table under its header and a metadata header, a batch of rows at a time.
+
+    Raises ValueError if the header and the table differ in column count.
+    """
+    if len(header) != len(table.columns):
+        raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
     with open(path, "w", encoding="utf-8") as out:
-        out.write("\n".join([*metadata_lines(metadata or {}), ",".join(columns)]) + "\n")
-        while batch := list(islice(rows, _BATCH)):
-            memos = [_Memo() for _ in _GROUPS]
-            cols = [_column_texts(col, memos) for col in zip(*batch, strict=True)]
+        out.write("\n".join([*metadata_lines(metadata or {}), ",".join(header)]) + "\n")
+        for lo in range(0, len(table), _BATCH):
+            cols = [_texts(col) for col in table[lo:lo + _BATCH].columns]
             out.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 

@@ -138,7 +138,8 @@ def test_band_structure_rows_header():
     bs = cavity.band_structure(0.5, L_REF, LAM_REF, (0.0, 1e-7), 5, 3)
     header, table = cavity.band_structure_rows(bs)
     assert header == ["x_m", "band_1_-", "band_1_+", "band_2_-"]
-    assert table.shape == (5, 4)
+    assert (len(table), len(table.columns)) == (5, 4)
+    assert all(np.array_equal(col, om) for col, (_, om) in zip(table.columns[1:], bs.bands))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,13 @@ def test_transmission_map_rejects_mode_number_beyond_float_range():
 def test_band_structure_rejects_phase_beyond_float_range(x_range):
     with pytest.raises(ValidationError, match="float range"):
         cavity.band_structure(0.31, L_REF, LAM_REF, x_range, 5, 2)
+
+
+@pytest.mark.parametrize("L, n_bands", [(5e-324, 4), (1.7e-300, 20)])
+def test_band_structure_rejects_bands_beyond_float_range(L, n_bands):
+    # c / L overflows at L = 5e-324; at 1.7e-300 it is finite, but the upper bands overflow
+    with pytest.raises(ValidationError, match="float range"):
+        cavity.band_structure(0.31, L, LAM_REF, (0.0, LAM_REF / 2), 3, n_bands)
 
 
 def _track_ridge(rc, F, L, lam, xs):

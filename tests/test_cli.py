@@ -8,12 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import memcav
-from memcav import cooling
+from memcav import cli, cooling
 from memcav.cli import run
-from memcav.errors import MemcavError
 from memcav.textio import read_csv
 
 from conftest import ROW1_CONFIG
@@ -491,6 +490,29 @@ def test_non_fit_commands_do_not_import_scipy(tmp_path, row1_config):
     assert result["scipy"] == []
 
 
+# Runs `memcav` in a grandchild that prints its own peak RSS (ru_maxrss, in
+# kB on Linux).  Linux carries the peak of the process that starts a child
+# over into the child's ru_maxrss, so a fresh, small interpreter starts it,
+# not the test process.
+_PEAK_RSS_SCRIPT = """
+import subprocess, sys
+child = ("import resource, sys; from memcav.cli import run; code = run(sys.argv[1:]); "
+         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+sys.exit(subprocess.run([sys.executable, "-c", child, *sys.argv[1:]]).returncode)
+"""
+
+
+def test_jump_sim_readout_at_max_bins_stays_small(tmp_path, row1_config):
+    readout = tmp_path / "r.csv"
+    proc = _run_python("-c", _PEAK_RSS_SCRIPT, "jump-sim", "--config", str(row1_config),
+                       "--seed", "1", "--duration", "0.01", "--bin-width", "1e-8",
+                       "--readout", str(readout), "-o", str(tmp_path / "t.csv"))
+    assert proc.returncode == 0, proc.stderr
+    with readout.open() as lines:
+        assert sum(not line.startswith("#") for line in lines) == 1 + cli.MAX_BINS
+    assert int(proc.stdout) < 150 * 1024
+
+
 def test_fit_command_in_fresh_process(tmp_path):
     t = np.linspace(0, 6e-6, 200)
     power = 1.7 * np.exp(-t / 1.145e-6) + 0.2
@@ -503,7 +525,8 @@ def test_fit_command_in_fresh_process(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fuzzed numeric flags: the non-fit commands exit 0, 1 or 2, never raise
+# fuzzed numeric flags: the non-fit commands exit 0, 1 or 2, never raise, and
+# write finite numbers only
 # ---------------------------------------------------------------------------
 
 _SPECIAL = ["nan", "inf", "-inf", "0", "-0", "1e400", "-1e-400", "5e-324", "1e308", "x"]
@@ -588,16 +611,45 @@ def _commands(draw):
     return [command, *argv, "-o", "{out}"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _assert_outputs_finite(command: str, paths) -> None:
+    """Every numeric CSV cell and metadata value is finite or blank; JSON is strict."""
+    for path in paths:
+        text = path.read_text()
+        if command in ("qnd-budget", "jump-stats") or path.suffix == ".best":
+            json.loads(text, parse_constant=_reject_constant)
+            continue
+        lines = text.splitlines()
+        for line in lines:
+            if line.startswith("# "):
+                try:
+                    value = float(line.partition(" = ")[2])
+                except ValueError:   # a name or version, not a number
+                    continue
+                assert math.isfinite(value), line
+        header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+        for row in rows:
+            for name, cell in zip(header, row, strict=True):
+                # the sweep's error column holds messages
+                assert name == "error" or cell == "" or math.isfinite(float(cell)), (name, cell)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_commands())
+@example(["bandstructure", "--rc=0.31", "--length=5e-324", "--wavelength=5.32e-7",
+          "--samples=3", "-o", "{out}"])
+@example(["bandstructure", "--rc=0.31", "--length=1.7e-300", "--wavelength=5.32e-7",
+          "--samples=3", "--bands=20", "-o", "{out}"])
 def test_cli_run_raises_only_memcav_errors(argv):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "row1.cfg"
         cfg.write_text(ROW1_CONFIG)
-        out = str(Path(tmp) / "out")
-        argv = [a.replace("{cfg}", str(cfg)).replace("{out}", out) for a in argv]
-        try:
-            code = run(argv)
-        except MemcavError:
-            return
+        out = Path(tmp) / "out"
+        argv = [a.replace("{cfg}", str(cfg)).replace("{out}", str(out)) for a in argv]
+        code = run(argv)
         assert code in (0, 1, 2)
+        if code == 0:
+            _assert_outputs_finite(argv[0], [p for p in Path(tmp).iterdir() if p != cfg])

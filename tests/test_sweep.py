@@ -162,9 +162,9 @@ def test_constant_objective_tie_break(row1):
 
 def test_sweep_rows_shape(row1):
     axes = [sweep.SweepAxis("F", 3e5, 6e5, 2)]
-    header, rows = sweep.sweep_rows(sweep.grid_sweep(row1, axes))
-    assert len(rows) == 2
-    assert len(header) == len(rows[0])
+    header, table = sweep.sweep_rows(sweep.grid_sweep(row1, axes))
+    assert len(table) == 2
+    assert len(header) == len(table.columns)
     assert header == [
         "L", "lambda", "F", "P_in", "T", "m", "omega_m", "Q", "r_c", "x0",
         "delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_rad2_s", "tau_thermal_s",
@@ -174,10 +174,12 @@ def test_sweep_rows_shape(row1):
 
 def test_sweep_rows_blank_cells(row1):
     # x0 = 0 has no linear channel; 1e-7 >= lambda/8 fails validation
-    header, rows = sweep.sweep_rows(sweep.grid_sweep(row1, [sweep.SweepAxis("x0", 0.0, 1e-7, 2)]))
-    centered, failed = (dict(zip(header, row)) for row in rows)
-    assert centered["tau_lin_s"] == centered["error"] == "" and centered["gap_ok"] == 1
-    assert set(header[10:-1]) == {k for k, v in failed.items() if v == ""}
+    # (a NaN cell is written blank)
+    header, table = sweep.sweep_rows(sweep.grid_sweep(row1, [sweep.SweepAxis("x0", 0.0, 1e-7, 2)]))
+    centered, failed = (dict(zip(header, row)) for row in zip(*table.columns))
+    assert math.isnan(centered["tau_lin_s"]) and centered["error"] == ""
+    assert centered["gap_ok"] == 1
+    assert set(header[10:-1]) == {k for k, v in failed.items() if k != "error" and math.isnan(v)}
     assert "lambda/8" in failed["error"]
 
 
@@ -231,10 +233,13 @@ def _old_rows(base, axes):
 
 def _assert_rows_match_jump_budget(base, axes):
     result = sweep.grid_sweep(base, axes)
-    _, rows = sweep.sweep_rows(result)
+    _, table = sweep.sweep_rows(result)
     expected = list(_old_rows(base, axes))
-    # repr tells every float bit apart (bar NaN payloads), and 1 from 1.0
-    assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
+    # every float bit for bit, and a NaN (a blank cell) exactly where a row was blank
+    *numbers, error = table.columns
+    assert [["" if v != v else v.hex() for v in col.tolist()] for col in numbers] == \
+        [["" if v == "" else float(v).hex() for v in col] for col in list(zip(*expected))[:-1]]
+    assert list(error) == [row[-1] for row in expected]
     # feasibility and the best point, as a scan over the per-point budgets would find them
     feasible = [not row[-1] and all(row[-5:-1]) for row in expected]
     assert result.budget.feasible.tolist() == feasible

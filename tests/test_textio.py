@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from memcav import textio
 from memcav.errors import NumericsError, ValidationError
 from memcav.fitting import fit_exponential_decay
-from memcav.textio import format_value, read_csv, write_csv, write_json
+from memcav.textio import Table, format_value, read_csv, write_csv, write_json
 
 
 @pytest.mark.parametrize("value", [1.0, -1.0, 0.067, 5.32e-7, 1.054571628e-34,
@@ -24,8 +24,8 @@ def test_format_value_ints_and_bools():
 
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    rows = [(1.5, -2.25e-7), (3.0, 4.0e12)]
-    write_csv(path, ["a", "b"], rows, {"seed": 42, "note": "x"})
+    table = Table(np.array([1.5, 3.0]), np.array([-2.25e-7, 4.0e12]))
+    write_csv(path, ["a", "b"], table, {"seed": 42, "note": "x"})
     text = path.read_text()
     assert text.startswith("# seed = 42\n# note = x\n")
     cols = read_csv(path)
@@ -40,18 +40,21 @@ def test_read_csv_skips_blank_and_comment_lines(tmp_path):
     assert list(cols["a"]) == [1.0, 3.0]
 
 
+def _cell(v) -> str:
+    """The CSV text of one cell: format_value's, blank for a NaN."""
+    return "" if isinstance(v, float) and v != v else format_value(v)
+
+
 def test_write_csv_matches_format_value_bytes(tmp_path):
-    cells = [1.5, -0.0, float("inf"), float("nan"), 5.32e-7, 7, -3, True, False,
-             np.float64(0.1), np.int64(-12), np.bool_(True), "x", ""]
-    rows = [cells, list(reversed(cells))]
-    table = np.array([[0.1, -0.0, 1e300], [float("nan"), -float("inf"), 2.99792458e8]])
+    floats = np.array([1.5, -0.0, math.inf, math.nan, 5.32e-7, 0.1, -math.inf, 1e300])
+    ints = np.array([7, -3, 0, 1, -12, 10**17, 2**63 - 1, -2**63])
+    strs = ["x", "", "nan", "0", "1e17", "-0", "a b", "x"]
     meta = {"seed": 3, "flag": np.bool_(False)}
-    for name, data in (("rows", rows), ("table", table)):
-        path = tmp_path / f"{name}.csv"
-        write_csv(path, ["c"] * len(data[0]), data, meta)
-        expected = ["# seed = 3", "# flag = 0", ",".join(["c"] * len(data[0]))]
-        expected += [",".join(format_value(v) for v in row) for row in data]
-        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+    path = tmp_path / "t.csv"
+    write_csv(path, ["f", "i", "s"], Table(floats, ints, strs), meta)
+    expected = ["# seed = 3", "# flag = 0", "f,i,s"]
+    expected += [",".join(map(_cell, row)) for row in zip(floats.tolist(), ints.tolist(), strs)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
 
 @pytest.mark.parametrize("text, lineno", [
@@ -108,37 +111,60 @@ def test_fit_rejects_non_increasing_time():
         fit_exponential_decay(t, y)
 
 
-# small pools, so that equal cells of different types (1e17 and 10**17,
-# -0.0 and False, 1.0 and True) meet in one column and in neighbouring ones
-_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+# small pools, so that equal values of different bits (0.0 and -0.0, NaN
+# payloads) and of different kinds (1e17 and 10**17) meet in one table
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                                      2.2250738585072e-308, 1e17, 1.0, -1.0, 0.1]),
                     st.floats())
-_INTS = st.sampled_from([0, 1, -1, 10**17, 7, True, False])
-_STRS = st.sampled_from(["", "x", "0", "nan"])
-_NUMPY = st.sampled_from([np.float64(-0.0), np.float64(0.1), np.int64(10**17), np.bool_(True),
-                          np.float32(0.5)])
-_COLUMNS = st.sampled_from([st.one_of(_FLOATS, _STRS), st.one_of(_INTS, _STRS), _STRS,
-                            st.one_of(_FLOATS, _INTS, _STRS, _NUMPY)])
+_INTS = st.one_of(st.sampled_from([0, 1, -1, 10**17, 7, 2**63 - 1, -2**63]),
+                  st.integers(-2**63, 2**63 - 1))
+_STRS = st.sampled_from(["", "x", "0", "nan", "1e17"])
+
+
+@st.composite
+def _column(draw, rows):
+    """(column, its cells) of one kind: floats, ints, strs or one repeated float."""
+    kind = draw(st.sampled_from(["floats", "ints", "strs", "constant"]))
+    if kind == "constant":   # a stride-0 view, as a sweep's fixed parameters are
+        value = draw(_FLOATS)
+        return np.broadcast_to(value, rows), [value] * rows
+    cells = draw(st.lists({"floats": _FLOATS, "ints": _INTS, "strs": _STRS}[kind],
+                          min_size=rows, max_size=rows))
+    if kind == "strs":
+        return cells, cells
+    return np.array(cells, dtype=float if kind == "floats" else np.int64), cells
 
 
 @st.composite
 def _tables(draw):
-    columns = draw(st.lists(_COLUMNS, min_size=1, max_size=5))
-    return [[draw(cells) for cells in columns] for _ in range(draw(st.integers(1, 12)))]
+    rows = draw(st.integers(1, 12))
+    return draw(st.lists(_column(rows), min_size=1, max_size=5))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_tables(), st.integers(1, 5))
-def test_write_csv_equals_format_value_join(tmp_path_factory, rows, batch):
+def test_write_csv_equals_format_value_join(tmp_path_factory, columns, batch):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{k}" for k in range(len(columns))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(textio, "_BATCH", batch)   # several batches, each with fresh memos
-        write_csv(path, [f"c{k}" for k in range(len(rows[0]))], rows)
-    expected = [",".join(f"c{k}" for k in range(len(rows[0])))]
-    expected += [",".join(map(format_value, row)) for row in rows]
+        mp.setattr(textio, "_BATCH", batch)   # several batches, each formatted on its own
+        write_csv(path, header, Table(*(col for col, _ in columns)))
+    expected = [",".join(header)]
+    expected += [",".join(map(_cell, row)) for row in zip(*(cells for _, cells in columns))]
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
 
-def test_write_csv_rejects_ragged_rows(tmp_path):
+def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [(1.0, 2.0), (3.0,)])
+        Table(np.array([1.0, 2.0]), np.array([3.0]))
+    with pytest.raises(ValueError):
+        Table(np.array([1.0, 2.0]), ["a"])
+    with pytest.raises(ValueError):   # the header names one column of two
+        write_csv(tmp_path / "t.csv", ["a"], Table(np.array([1.0]), np.array([2.0])))
+
+
+@pytest.mark.parametrize("array", [np.array([1.0, 2.0], dtype=np.float32),
+                                   np.array([True, False]), np.zeros((2, 2))])
+def test_table_rejects_other_arrays(array):
+    with pytest.raises(ValueError, match="1-D float64 or int64"):
+        Table(array)
