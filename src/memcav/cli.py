@@ -215,14 +215,15 @@ def _cmd_qnd_budget(args) -> int:
     return 0
 
 
-def _simulate(args, bin_width):
-    """Simulate the configured trajectory and, given a bin width, its readout.
+def _simulate(args):
+    """Simulate the configured trajectory and, given --bin-width, its readout.
 
     Returns (trajectory, readout, metadata, readout metadata); the readout
     and its metadata are None without a bin width.  Nothing is written
     here, so a failure leaves no partial output set behind.
     """
     p = load_config(args.config)
+    bin_width = args.bin_width
     if (bin_width is not None and bin_width > 0.0 and math.isfinite(args.duration)
             and args.duration / bin_width > MAX_BINS):
         raise ValidationError(f"--duration / --bin-width gives more than {MAX_BINS} "
@@ -241,10 +242,9 @@ def _simulate(args, bin_width):
 
 
 def _cmd_jump_sim(args) -> int:
-    if args.readout is not None and args.bin_width is None:
-        raise ValidationError("--readout requires --bin-width")
-    traj, trace, meta, meta_r = _simulate(
-        args, None if args.readout is None else args.bin_width)
+    _requires(args, "readout", "bin_width")
+    _requires(args, "bin_width", "readout")
+    traj, trace, meta, meta_r = _simulate(args)
     write_csv(args.output, ["t_s", "n"], Table(traj.times, traj.levels), meta)
     if trace is not None:
         meta_r.update({"delta_omega_rad_s": trace.delta_omega,
@@ -255,7 +255,7 @@ def _cmd_jump_sim(args) -> int:
 
 
 def _cmd_jump_stats(args) -> int:
-    _, trace, _, meta_r = _simulate(args, args.bin_width)
+    _, trace, _, meta_r = _simulate(args)
     stats = jumpsim.jump_detection_stats(trace, args.threshold)
     payload = {
         "detection_probability": stats.detection_probability,

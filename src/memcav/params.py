@@ -128,15 +128,15 @@ def validate(p: ExperimentParams) -> list[str]:
     return out
 
 
-def grid_violations(p, shape: tuple) -> dict[int, str]:
-    """validate() at every point of a grid, for the points that fail it.
+def grid_violations(p, shape: tuple) -> np.ndarray:
+    """validate() at every point of a grid, as one row-major object column.
 
-    p's fields are arrays that broadcast to `shape`.  Returns the flat
-    (row-major) index of each failing point, in no particular order, mapped
-    to the messages validate gives there, joined by "; ".  Each rule formats
-    a message only for a failing point, and once per distinct value.
+    p's fields are arrays that broadcast to `shape`.  Each point holds the
+    messages validate gives there, joined by "; ", and "" where it gives
+    none.  Each rule formats a message only for a failing point, and once
+    per distinct value.
     """
-    found: dict[int, str] = {}
+    found = np.full(math.prod(shape), "", dtype=object)
     for key, value, checks in _rules(p):
         finite = np.isfinite(value)
         for bad, msg in [(~finite, "must be finite"),
@@ -144,9 +144,10 @@ def grid_violations(p, shape: tuple) -> dict[int, str]:
             if bad.any():
                 where = np.flatnonzero(np.broadcast_to(bad, shape))
                 got = np.broadcast_to(value, shape).ravel()[where]
-                texts = format_distinct(got, lambda v: f"{key} {msg} (got {v})")
-                for i, text in zip(where.tolist(), texts):
-                    found[i] = f"{found[i]}; {text}" if i in found else text
+                texts = np.array(format_distinct(got, lambda v: f"{key} {msg} (got {v})"),
+                                 dtype=object)
+                prev = found[where]
+                found[where] = np.where(prev == "", texts, prev + "; " + texts)
     return found
 
 

@@ -240,13 +240,14 @@ class BudgetGrid:
     """jump_budget at every point of a grid, as flat row-major columns.
 
     `values` maps VALUE_NAMES, and `flags` FLAG_NAMES, to arrays; they hold
-    NaN and False at the `failed` points.  `errors` maps the flat index of
-    each failed point to the message jump_budget raises there.
+    NaN and False at the `failed` points.  `errors` is an object column of
+    the message jump_budget raises at each point, "" where it raises none;
+    `failed` is where it is not "".
     """
 
     values: dict
     flags: dict
-    errors: dict
+    errors: np.ndarray
     failed: np.ndarray
     feasible: np.ndarray
 
@@ -263,10 +264,8 @@ def budget_grid(p) -> BudgetGrid:
     with np.errstate(all="ignore"):
         out = [np.broadcast_to(v, shape).flatten() for v in _budget(p)]
         out_of_range = _left_float_range(out, np.broadcast_to(p.x0, shape).ravel())
-    failed = np.zeros(out_of_range.shape, dtype=bool)
-    failed[list(errors)] = True
-    errors.update(dict.fromkeys(np.flatnonzero(out_of_range & ~failed).tolist(), _FLOAT_RANGE))
-    failed |= out_of_range
+    errors[out_of_range & (errors == "")] = _FLOAT_RANGE
+    failed = errors != ""
     for col in out[:len(VALUE_NAMES)]:
         col[failed] = np.nan
     flags = dict(zip(FLAG_NAMES, out[len(VALUE_NAMES):]))
@@ -274,8 +273,7 @@ def budget_grid(p) -> BudgetGrid:
     for col in flags.values():
         col[failed] = False
         feasible &= col
-    return BudgetGrid(dict(zip(VALUE_NAMES, out)), flags, dict(sorted(errors.items())),
-                      failed, feasible)
+    return BudgetGrid(dict(zip(VALUE_NAMES, out)), flags, errors, failed, feasible)
 
 
 def budget_fields(b: QndBudget) -> dict:

@@ -25,9 +25,9 @@ from .textio import Table
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 40   # golden-section steps per axis and refinement round
-# Most points one grid_sweep evaluates.  At the cap, a 3-axis grid took
-# ~0.45 s, and memcav sweep, which writes its ~0.35 GB CSV a batch at a
-# time, ~6-7 s; both stay under 0.25 GB (2-vCPU host).
+# Most points one grid_sweep evaluates.  At the cap, a 3-axis grid and its
+# sweep_rows took ~0.3 s, and memcav sweep, which writes its ~0.35 GB CSV a
+# batch at a time, ~6-7 s; both stay under 0.25 GB (2-vCPU host).
 MAX_SWEEP_POINTS = 1_000_000
 # positions in a qnd.budget_values tuple
 _SNR = qnd.VALUE_NAMES.index("snr")
@@ -92,7 +92,7 @@ class SweepResult:
             at = np.unravel_index(i, self.shape)
             params = replace(self.base, **{attr: float(v[j])
                                            for (attr, v), j in zip(self.samples.items(), at)})
-            error = self.budget.errors.get(i)
+            error = self.budget.errors[i] or None
             budget = None if error else qnd.as_budget(
                 [self.budget.values[name][i].item() for name in qnd.VALUE_NAMES]
                 + [bool(self.budget.flags[name][i]) for name in qnd.FLAG_NAMES])
@@ -241,7 +241,4 @@ def sweep_rows(result: SweepResult):
         # an infinite tau_lin (x0 = 0) is blank, as qnd.budget_fields makes it None
         cols.append(np.where(np.isinf(values), np.nan, values) if name == "tau_lin_s" else values)
     cols += [np.where(g.failed, np.nan, g.flags[name]) for name in qnd.FLAG_NAMES]
-    error = [""] * n
-    for i, text in g.errors.items():
-        error[i] = text
-    return list(HEADER), Table(*cols, error)
+    return list(HEADER), Table(*cols, g.errors.tolist())

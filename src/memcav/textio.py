@@ -106,8 +106,8 @@ def write_csv(path, header, table: Table, metadata: dict | None = None) -> None:
 def read_csv(path) -> dict[str, np.ndarray]:
     """Read a metadata-headed CSV back as float columns (non-floats -> nan).
 
-    Raises ValidationError if there is no header row or a data row's cell
-    count differs from the header's.
+    Raises ValidationError if there is no header row, the header repeats a
+    column name, or a data row's cell count differs from the header's.
     """
     header = None
     data: list[list[float]] = []
@@ -117,6 +117,9 @@ def read_csv(path) -> dict[str, np.ndarray]:
             continue
         if header is None:
             header = [c.strip() for c in line.split(",")]
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise ValidationError(f"{path}:{lineno}: column '{name}' repeated in header")
             continue
         cells = line.split(",")
         if len(cells) != len(header):

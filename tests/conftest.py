@@ -1,7 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import memcav
 from memcav.params import ExperimentParams
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports memcav from this checkout."""
+    src = str(Path(memcav.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 @pytest.fixture(scope="session")

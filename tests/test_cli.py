@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -10,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import memcav
 from memcav import cli, cooling
 from memcav.cli import run
 from memcav.textio import read_csv
 
-from conftest import ROW1_CONFIG
+from conftest import ROW1_CONFIG, run_python
 
 
 def test_help_exits_zero(capsys):
@@ -260,6 +256,9 @@ _FIT_CSV = {
 }
 _FIT_CSV["ring_x.csv"] = _FIT_CSV["ring.csv"].replace("\n0.0,1.9\n", "\n0.0,x\n")
 _FIT_CSV["mech_nan.csv"] = _FIT_CSV["mech.csv"].replace("\n0.0,0.8\n", "\n0.0,nan\n")
+# a repeated column name, whose last column read alone once gave tau_s = 2e-06
+_FIT_CSV["ring_dup.csv"] = _csv(["t_s", "power", "t_s"], _T_RING,
+                                1.7 * np.exp(-_T_RING / 1.145e-6) + 0.2, 2 * _T_RING)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -342,6 +341,10 @@ _FIT_CSV["mech_nan.csv"] = _FIT_CSV["mech.csv"].replace("\n0.0,0.8\n", "\n0.0,na
     (["cool-fit", "-i", "psd.csv", "--q-intrinsic", "1.1e6"], 1),
     (["cool-fit", "-i", "psd.csv", "--t-bath", "294"], 1),
     (["cool-fit", "-i", "psd.csv", "--omega-m", "nan", "--q-intrinsic", "-5"], 1),
+    # a fit input whose header names a column twice
+    (["ringdown-fit", "-i", "ring_dup.csv"], 1),
+    # a readout bin width without the readout it is read with
+    (["jump-sim", "T = 0.3", "--seed", "1", "--duration", "0.001", "--bin-width", "1e-4"], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
@@ -437,19 +440,10 @@ def test_ragged_csv_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def _run_python(*args):
-    """Run a fresh interpreter that imports memcav from this checkout."""
-    src = str(Path(memcav.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
-
-
 def test_module_entry_point_runs_cli(tmp_path):
     out = tmp_path / "b.json"
-    proc = _run_python("-m", "memcav.cli", "qnd-budget",
-                       "--config", str(tmp_path / "missing.cfg"), "-o", str(out))
+    proc = run_python("-m", "memcav.cli", "qnd-budget",
+                      "--config", str(tmp_path / "missing.cfg"), "-o", str(out))
     assert proc.returncode == 1
     assert "config file not found" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -483,7 +477,7 @@ def test_non_fit_commands_do_not_import_scipy(tmp_path, row1_config):
         ["sweep", "--config", cfg, "--axis", "F:3e5:6e5:2:log", "--best",
          str(tmp_path / "best.json"), "--maximize", "-o", str(tmp_path / "sw.csv")],
     ]
-    proc = _run_python("-c", _NO_SCIPY_SCRIPT, json.dumps(commands))
+    proc = run_python("-c", _NO_SCIPY_SCRIPT, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * len(commands), proc.stderr
@@ -504,9 +498,9 @@ sys.exit(subprocess.run([sys.executable, "-c", child, *sys.argv[1:]]).returncode
 
 def test_jump_sim_readout_at_max_bins_stays_small(tmp_path, row1_config):
     readout = tmp_path / "r.csv"
-    proc = _run_python("-c", _PEAK_RSS_SCRIPT, "jump-sim", "--config", str(row1_config),
-                       "--seed", "1", "--duration", "0.01", "--bin-width", "1e-8",
-                       "--readout", str(readout), "-o", str(tmp_path / "t.csv"))
+    proc = run_python("-c", _PEAK_RSS_SCRIPT, "jump-sim", "--config", str(row1_config),
+                      "--seed", "1", "--duration", "0.01", "--bin-width", "1e-8",
+                      "--readout", str(readout), "-o", str(tmp_path / "t.csv"))
     assert proc.returncode == 0, proc.stderr
     with readout.open() as lines:
         assert sum(not line.startswith("#") for line in lines) == 1 + cli.MAX_BINS
@@ -519,7 +513,7 @@ def test_fit_command_in_fresh_process(tmp_path):
     data = tmp_path / "ring.csv"
     data.write_text("t_s,power\n" + "\n".join(f"{a},{b}" for a, b in zip(t, power)))
     out = tmp_path / "fit.json"
-    proc = _run_python("-m", "memcav.cli", "ringdown-fit", "-i", str(data), "-o", str(out))
+    proc = run_python("-m", "memcav.cli", "ringdown-fit", "-i", str(data), "-o", str(out))
     assert proc.returncode == 0, proc.stderr
     assert abs(json.loads(out.read_text())["tau_s"] / 1.145e-6 - 1) < 1e-6
 

@@ -209,10 +209,9 @@ def _grids(draw):
 @given(_grids())
 def test_grid_violations_equal_validate_at_every_point(grid):
     fields, shape = grid
-    expected = {}
-    for i, at in enumerate(np.ndindex(*shape)):
-        point = ExperimentParams(**{name: np.broadcast_to(v, shape)[at].item()
-                                    for name, v in fields.items()})
-        if validate(point):
-            expected[i] = "; ".join(validate(point))
-    assert grid_violations(SimpleNamespace(**fields), shape) == expected
+    expected = ["; ".join(validate(ExperimentParams(**{name: np.broadcast_to(v, shape)[at].item()
+                                                       for name, v in fields.items()})))
+                for at in np.ndindex(*shape)]
+    found = grid_violations(SimpleNamespace(**fields), shape)
+    assert found.dtype == object and found.shape == (math.prod(shape),)
+    assert found.tolist() == expected   # "" at every valid point

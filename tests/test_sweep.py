@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from memcav import __version__, qnd, sweep
 from memcav.cli import run
-from memcav.errors import MemcavError, ValidationError
+from memcav.errors import MemcavError, SingularityError, ValidationError
 from memcav.params import ExperimentParams, as_dict, attr_name, with_value
+
+from conftest import run_python
 
 
 def test_axis_validation():
@@ -190,6 +192,24 @@ def test_float_range_point_recorded_not_raised(row1):
     assert result.entries[2].budget is not None
 
 
+def test_float_range_message_at_every_out_of_range_point(row1):
+    # the float_range pin grid: every point that passes validate() but whose
+    # budget leaves the float range carries jump_budget's message
+    axes = [sweep.SweepAxis("omega_m", 1e-300, 1e300, 61, "log"),
+            sweep.SweepAxis("m", 1e-250, 1e250, 11, "log")]
+    errors = sweep.grid_sweep(row1, axes).budget.errors
+    out_of_range = []
+    for i, (omega_m, m) in enumerate(itertools.product(*(a.values() for a in axes))):
+        p = replace(row1, omega_m=float(omega_m), m=float(m))
+        try:
+            qnd.jump_budget(p)
+        except SingularityError as exc:
+            assert errors[i] == str(exc) == "jump budget left the float range"
+            out_of_range.append(i)
+    assert len(out_of_range) == 445   # of 671 points
+    assert np.flatnonzero(errors == "jump budget left the float range").tolist() == out_of_range
+
+
 def test_results_independent_of_evaluation_order(row1):
     axes = [sweep.SweepAxis("F", 2e5, 8e5, 3), sweep.SweepAxis("T", 0.2, 0.4, 3)]
     result = sweep.grid_sweep(row1, axes)
@@ -216,6 +236,35 @@ def test_sweep_point_cap_raises(row1, tmp_path, row1_config, monkeypatch):
     assert not out.exists()
 
 
+# grid_sweep and sweep_rows on a 100^3 grid in a grandchild that prints the
+# row count and its peak RSS (ru_maxrss, in kB on Linux).  Linux carries the
+# peak of the process that starts a child over into the child's ru_maxrss,
+# so a fresh, small interpreter starts it, not the test process.
+_MAX_POINTS_SCRIPT = """
+import subprocess, sys
+child = '''
+import resource
+from memcav import sweep
+from memcav.params import ExperimentParams
+base = ExperimentParams(L=0.067, lam=5.32e-7, F=3e5, P_in=1e-5, T=0.3, m=5e-14,
+                        omega_m=6.2831853071795865e5, Q=1.2e7, r_c=0.999, x0=5e-13)
+axes = [sweep.SweepAxis("F", 1e4, 1e6, 100, "log"), sweep.SweepAxis("P_in", 1e-8, 1e-3, 100, "log"),
+        sweep.SweepAxis("x0", 0.0, 1e-7, 100)]
+_, table = sweep.sweep_rows(sweep.grid_sweep(base, axes))
+print(len(table), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+'''
+sys.exit(subprocess.run([sys.executable, "-c", child]).returncode)
+"""
+
+
+def test_sweep_rows_at_max_points_stay_under_a_quarter_gb():
+    proc = run_python("-c", _MAX_POINTS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    rows, peak_kb = map(int, proc.stdout.split())
+    assert rows == sweep.MAX_SWEEP_POINTS
+    assert peak_kb * 1024 < 0.25e9   # as the MAX_SWEEP_POINTS comment promises
+
+
 def _old_rows(base, axes):
     """Sweep CSV rows built point by point through jump_budget, as grid_sweep once did."""
     attrs = [attr_name(a.param_name) for a in axes]
@@ -240,6 +289,9 @@ def _assert_rows_match_jump_budget(base, axes):
     assert [["" if v != v else v.hex() for v in col.tolist()] for col in numbers] == \
         [["" if v == "" else float(v).hex() for v in col] for col in list(zip(*expected))[:-1]]
     assert list(error) == [row[-1] for row in expected]
+    # the error column is the only record of failure, and an entry's error is None or a message
+    assert np.array_equal(result.budget.failed, result.budget.errors != "")
+    assert [e.error for e in result.entries] == [row[-1] or None for row in expected]
     # feasibility and the best point, as a scan over the per-point budgets would find them
     feasible = [not row[-1] and all(row[-5:-1]) for row in expected]
     assert result.budget.feasible.tolist() == feasible

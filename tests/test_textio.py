@@ -69,6 +69,13 @@ def test_read_csv_rejects_ragged_rows(tmp_path, text, lineno):
         read_csv(path)
 
 
+def test_read_csv_rejects_repeated_column(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# meta\nt_s,power,t_s\n1,2,2\n")
+    with pytest.raises(ValidationError, match="t.csv:2: column 't_s' repeated in header"):
+        read_csv(path)
+
+
 def test_read_csv_without_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# only metadata\n")
