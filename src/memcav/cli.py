@@ -69,8 +69,9 @@ def _optics(args, required) -> tuple:
 
 
 # Largest sample counts of the optics commands, checked before anything is
-# allocated.  At the caps bandstructure writes 2.1e6 cells in ~2 s at
-# 0.16 GB peak, transmission-map 3e6 in ~4 s at 0.25 GB (2-vCPU host).
+# allocated.  At the caps bandstructure writes 2.1e6 cells in ~3 s at
+# 0.08 GB peak, transmission-map 3e6 in ~3 s at 0.21 GB with either model
+# (2-vCPU host).
 MAX_SAMPLES = 100_000     # bandstructure --samples
 MAX_BANDS = 20            # bandstructure --bands
 MAX_MAP_SAMPLES = 1000    # transmission-map --det-samples and --x-samples
@@ -122,7 +123,7 @@ def _x_span(args, lam: float) -> tuple[float, float]:
 
 
 def _cmd_bandstructure(args) -> int:
-    samples = _count(args.samples, MAX_SAMPLES, "--samples")
+    samples = _count(args.samples, MAX_SAMPLES, "--samples", lowest=2)
     bands = _count(args.bands, MAX_BANDS, "--bands")
     r_c, _, L, lam = _optics(args, ("r_c", "L", "lam"))
     bs = cavity.band_structure(r_c, L, lam, _x_span(args, lam), samples, bands)
@@ -138,6 +139,8 @@ def _cmd_transmission_map(args) -> int:
     x_samples = _count(args.x_samples, MAX_MAP_SAMPLES, "--x-samples")
     _requires(args, "membrane_index", "membrane_thickness")
     _requires(args, "membrane_thickness", "membrane_index")
+    if args.membrane_index is not None and args.rc is not None:
+        raise ValidationError("--membrane-index excludes --rc")
     membrane = (None if args.membrane_index is None
                 else MembraneSpec(args.membrane_index, args.membrane_thickness))
     r_c, F, L, lam = _optics(args, ("F", "L", "lam") if membrane else ("r_c", "F", "L", "lam"))
@@ -284,6 +287,7 @@ def _parse_axis(text: str) -> sweep.SweepAxis:
 
 
 def _cmd_sweep(args) -> int:
+    _requires(args, "maximize", "best")
     refine_iters = _count(args.refine_iters, MAX_REFINE_ITERS, "--refine-iters", lowest=0)
     p = load_config(args.config)
     axes = [_parse_axis(a) for a in args.axis]
@@ -335,7 +339,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("bandstructure", parents=[optics],
                         help="sample the dispersive band structure")
     sp.add_argument("--samples", type=int, default=201,
-                    help=f"points along x (default 201, at most {MAX_SAMPLES})")
+                    help=f"points along x (default 201, 2 to {MAX_SAMPLES})")
     sp.add_argument("--bands", type=int, default=4,
                     help=f"bands to sample (default 4, at most {MAX_BANDS})")
     sp.set_defaults(func=_cmd_bandstructure)
@@ -393,7 +397,7 @@ def build_parser() -> _Parser:
                     metavar="NAME:MIN:MAX:COUNT[:SCALE]",
                     help=f"1-3 axes, at most {sweep.MAX_SWEEP_POINTS} points in all")
     sp.add_argument("--best", help="write the best feasible point as JSON here")
-    sp.add_argument("--maximize", action="store_true",
+    sp.add_argument("--maximize", action="store_true", default=None,
                     help="refine the best point with golden-section search")
     sp.add_argument("--refine-iters", type=int, dest="refine_iters", default=3,
                     help=f"refinement rounds (default 3, 0 to {MAX_REFINE_ITERS})")

@@ -88,13 +88,16 @@ def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
     """Nonlinear least-squares fit of the oscillator PSD plus constant floor.
 
     Free parameters: amplitude, omega_eff, gamma_eff, floor.  Frequency
-    intervals in exclude_bands (pairs of Hz) are masked out of the fit, e.g.
-    to drop a spurious feature.  Supplying m (and optionally omega_m,
-    t_bath, q_intrinsic) additionally populates the temperature estimates.
+    intervals in exclude_bands (pairs of Hz, finite and low < high) are
+    masked out of the fit, e.g. to drop a spurious feature.  Supplying m
+    (and optionally omega_m, t_bath, q_intrinsic) additionally populates
+    the temperature estimates.
     """
     freq_hz, psd = check_samples(freq_hz, psd, ("frequency", "PSD"), 50)
     keep = np.ones_like(freq_hz, dtype=bool)
     for lo, hi in exclude_bands:
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValidationError(f"exclude band ({lo}, {hi}) needs finite ends, low < high")
         keep &= ~((freq_hz >= lo) & (freq_hz <= hi))
     if keep.sum() < 50:
         raise ValidationError("masking left fewer than 50 samples")

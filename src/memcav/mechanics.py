@@ -66,9 +66,6 @@ def ringdown_time_from_q(Q: float, omega_m: float) -> float:
     return 2.0 * Q / omega_m
 
 
-def fit_mech_ringdown(t, amplitude, with_offset: bool = False) -> float:
-    """Exponential envelope fit of a mechanical ringdown; returns tau [s].
-
-    Amplitude decay, no offset by default.
-    """
-    return fit_exponential_decay(t, amplitude, with_offset=with_offset).tau
+def fit_mech_ringdown(t, amplitude) -> float:
+    """Exponential envelope fit of a mechanical ringdown, without offset; returns tau [s]."""
+    return fit_exponential_decay(t, amplitude, with_offset=False).tau

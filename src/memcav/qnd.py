@@ -18,7 +18,7 @@ from the total decay rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -129,19 +129,21 @@ def linear_lifetime(p: ExperimentParams) -> float:
     return _linear_lifetime(p, _one_minus_rc(p), _kappa(p))
 
 
-@dataclass(frozen=True)
-class QndFlags:
+class QndFlags(NamedTuple):
+    """The budget's validity flags: bools for one parameter set, bool columns for a grid."""
+
     qnd_time_ok: bool        # tau_total * omega_m > 1
     gap_ok: bool             # mode gap > omega_m
     classical_bath_ok: bool  # n_bar >> 1
     good_cavity: bool        # omega_m > kappa
 
     def all_ok(self) -> bool:
-        return all(vars(self).values())
+        return all(self)
 
 
-@dataclass(frozen=True)
-class QndBudget:
+class QndBudget(NamedTuple):
+    """The jump budget: floats for one parameter set, flat row-major columns for a grid."""
+
     delta_omega: float     # rad/s, shift per phonon
     kappa: float           # rad/s
     n_bar_photons: float
@@ -159,14 +161,12 @@ class QndBudget:
 # Output names of QndBudget's first ten fields, which are in the same order.
 BUDGET_NAMES = ("delta_omega_rad_s", "kappa_rad_s", "n_bar_photons", "s_omega_rad2_s",
                 "tau_thermal_s", "tau_rwa_s", "tau_lin_s", "tau_total_s", "snr", "gap_rad_s")
-FLAG_NAMES = tuple(f.name for f in fields(QndFlags))
-# budget_values' tuple: QndBudget's eleven numbers, then QndFlags' four flags
-VALUE_NAMES = (*BUDGET_NAMES, "n_bar_thermal")
+FLAG_NAMES = QndFlags._fields
 _FLOAT_RANGE = "jump budget left the float range"
 
 
-def _budget(p) -> tuple:
-    """The budget of p as budget_values returns it, without validating p.
+def _budget(p) -> QndBudget:
+    """The budget of p, without validating p, on floats or on arrays that broadcast.
 
     On floats, a step that leaves the float range raises SingularityError.
     On arrays the same step leaves inf, NaN or a zero tau_total behind,
@@ -188,18 +188,19 @@ def _budget(p) -> tuple:
         n_bar = mechanics.thermal_occupation(p.T, p.omega_m)
     except (ZeroDivisionError, OverflowError):  # e.g. a lifetime underflows to 0
         raise SingularityError(_FLOAT_RANGE) from None
-    return (dw, kappa, n_bar_photons, s_omega, tau_t, tau_r, tau_l, tau_total, snr, gap, n_bar,
-            tau_total * p.omega_m > 1.0, gap > p.omega_m, mechanics.is_classical_bath(n_bar),
-            p.omega_m > kappa)
+    flags = QndFlags(tau_total * p.omega_m > 1.0, gap > p.omega_m,
+                     mechanics.is_classical_bath(n_bar), p.omega_m > kappa)
+    return QndBudget(dw, kappa, n_bar_photons, s_omega, tau_t, tau_r, tau_l, tau_total, snr, gap,
+                     n_bar, flags)
 
 
-def _left_float_range(values, x0):
+def _left_float_range(b: QndBudget, x0):
     """Whether a budget has left the float range, elementwise on grid columns.
 
-    It has when any of its values is not finite, bar tau_lin at x0 = 0
+    It has when any of its numbers is not finite, bar tau_lin at x0 = 0
     (infinite by design), or when tau_total is 0.
     """
-    dw, kappa, n_photons, s_omega, tau_t, tau_r, tau_lin, tau_total, snr, gap, n_bar = values[:11]
+    dw, kappa, n_photons, s_omega, tau_t, tau_r, tau_lin, tau_total, snr, gap, n_bar, _ = b
     # v - v is 0 for a finite v and NaN for any other, which makes the sum NaN
     spread = ((dw - dw) + (kappa - kappa) + (n_photons - n_photons) + (s_omega - s_omega)
               + (tau_t - tau_t) + (tau_r - tau_r) + (tau_total - tau_total) + (snr - snr)
@@ -207,46 +208,34 @@ def _left_float_range(values, x0):
     return (spread != 0.0) | (tau_total == 0.0) | (tau_lin - tau_lin != 0.0) & (x0 != 0.0)
 
 
-def budget_values(p: ExperimentParams) -> tuple:
-    """jump_budget's numbers and flags as one flat tuple, no objects built.
+def jump_budget(p: ExperimentParams) -> QndBudget:
+    """The full ground-state jump budget of one parameter set.
 
-    Ordered as VALUE_NAMES then FLAG_NAMES; raises as jump_budget does.
+    tau_total is the harmonic sum of the finite channel lifetimes, and
+    SNR = (shift per phonon)^2 tau_total / S_omega.  Raises ValidationError
+    for invalid parameters and SingularityError for a budget that leaves
+    the float range.
     """
     violations = validate(p)
     if violations:
         raise ValidationError("; ".join(violations))
-    values = _budget(p)
-    if _left_float_range(values, p.x0):
+    b = _budget(p)
+    if _left_float_range(b, p.x0):
         raise SingularityError(_FLOAT_RANGE)
-    return values
-
-
-def as_budget(values: tuple) -> QndBudget:
-    """QndBudget from a budget_values tuple."""
-    return QndBudget(*values[:11], QndFlags(*values[11:]))
-
-
-def jump_budget(p: ExperimentParams) -> QndBudget:
-    """Assemble the full ground-state jump budget.
-
-    tau_total is the harmonic sum of the finite channel lifetimes, and
-    SNR = (shift per phonon)^2 tau_total / S_omega.
-    """
-    return as_budget(budget_values(p))
+    return b
 
 
 @dataclass(frozen=True)
 class BudgetGrid:
     """jump_budget at every point of a grid, as flat row-major columns.
 
-    `values` maps VALUE_NAMES, and `flags` FLAG_NAMES, to arrays; they hold
-    NaN and False at the `failed` points.  `errors` is an object column of
-    the message jump_budget raises at each point, "" where it raises none;
-    `failed` is where it is not "".
+    `values` is a QndBudget whose fields, and whose flags' fields, are the
+    columns; they hold NaN and False at the `failed` points.  `errors` is
+    an object column of the message jump_budget raises at each point, ""
+    where it raises none; `failed` is where it is not "".
     """
 
-    values: dict
-    flags: dict
+    values: QndBudget
     errors: np.ndarray
     failed: np.ndarray
     feasible: np.ndarray
@@ -261,24 +250,28 @@ def budget_grid(p) -> BudgetGrid:
     """
     shape = np.broadcast_shapes(*(v.shape for v in vars(p).values()))
     errors = grid_violations(p, shape)
+
+    def flat(v):
+        return np.broadcast_to(v, shape).flatten()
+
     with np.errstate(all="ignore"):
-        out = [np.broadcast_to(v, shape).flatten() for v in _budget(p)]
-        out_of_range = _left_float_range(out, np.broadcast_to(p.x0, shape).ravel())
+        b = _budget(p)
+        b = QndBudget(*map(flat, b[:-1]), QndFlags(*map(flat, b.flags)))
+        out_of_range = _left_float_range(b, flat(p.x0))
     errors[out_of_range & (errors == "")] = _FLOAT_RANGE
     failed = errors != ""
-    for col in out[:len(VALUE_NAMES)]:
+    for col in b[:-1]:
         col[failed] = np.nan
-    flags = dict(zip(FLAG_NAMES, out[len(VALUE_NAMES):]))
     feasible = ~failed
-    for col in flags.values():
+    for col in b.flags:
         col[failed] = False
         feasible &= col
-    return BudgetGrid(dict(zip(VALUE_NAMES, out)), flags, errors, failed, feasible)
+    return BudgetGrid(b, errors, failed, feasible)
 
 
 def budget_fields(b: QndBudget) -> dict:
     """BUDGET_NAMES mapped to b's values, in order; tau_lin is None when x0 = 0."""
-    out = dict(zip(BUDGET_NAMES, vars(b).values()))
+    out = dict(zip(BUDGET_NAMES, b))
     if math.isinf(b.tau_lin):
         out["tau_lin_s"] = None
     return out
@@ -288,4 +281,4 @@ def budget_report(p: ExperimentParams) -> dict:
     """JSON-ready budget with input echo; field order is fixed."""
     b = jump_budget(p)
     return {"params": as_dict(p), **budget_fields(b),
-            "n_bar_thermal": b.n_bar_thermal, "flags": dict(vars(b.flags))}
+            "n_bar_thermal": b.n_bar_thermal, "flags": b.flags._asdict()}

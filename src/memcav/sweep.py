@@ -29,9 +29,6 @@ _GOLDEN_STEPS = 40   # golden-section steps per axis and refinement round
 # sweep_rows took ~0.3 s, and memcav sweep, which writes its ~0.35 GB CSV a
 # batch at a time, ~6-7 s; both stay under 0.25 GB (2-vCPU host).
 MAX_SWEEP_POINTS = 1_000_000
-# positions in a qnd.budget_values tuple
-_SNR = qnd.VALUE_NAMES.index("snr")
-_N_VALUES = len(qnd.VALUE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,10 @@ class SweepResult:
             params = replace(self.base, **{attr: float(v[j])
                                            for (attr, v), j in zip(self.samples.items(), at)})
             error = self.budget.errors[i] or None
-            budget = None if error else qnd.as_budget(
-                [self.budget.values[name][i].item() for name in qnd.VALUE_NAMES]
-                + [bool(self.budget.flags[name][i]) for name in qnd.FLAG_NAMES])
+            cols = self.budget.values
+            budget = None if error else qnd.QndBudget(
+                *(col[i].item() for col in cols[:-1]),
+                qnd.QndFlags(*(col[i].item() for col in cols.flags)))
             self._entries[i] = SweepEntry(params, budget, error)
         return self._entries[i]
 
@@ -109,7 +107,7 @@ class SweepResult:
         feasible = np.flatnonzero(self.budget.feasible)
         if not feasible.size:
             return None
-        snr = self.budget.values["snr"][feasible]
+        snr = self.budget.values.snr[feasible]
         # as a scan that keeps the first feasible point and then any strictly
         # higher SNR: a NaN SNR wins only as the first feasible point
         k = 0 if np.isnan(snr[0]) else np.argmax(np.where(np.isnan(snr), -math.inf, snr))
@@ -148,7 +146,6 @@ class OptimizeResult:
     params: ExperimentParams | None
     budget: qnd.QndBudget | None
     evaluations: int = 0
-    message: str = field(default="")
 
 
 def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
@@ -167,7 +164,7 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     best = result.best
     evals = math.prod(result.shape)
     if best is None:
-        return OptimizeResult(False, None, None, evals, "no feasible grid point")
+        return OptimizeResult(False, None, None, evals)
 
     searches = [(attr_name(axis.param_name), axis.values(), axis.scale) for axis in axes]
     current_p, current_b = best.params, best.budget
@@ -191,15 +188,15 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
                 nonlocal current_p, current_b
                 others[attr] = x = inv(u)
                 try:
-                    v = qnd.budget_values(SimpleNamespace(**others))
+                    budget = qnd.jump_budget(SimpleNamespace(**others))
                 except MemcavError:
                     return -math.inf
-                if not all(v[_N_VALUES:]):   # infeasible
+                if not all(budget.flags):
                     return -math.inf
-                if v[_SNR] > current_b.snr:
+                if budget.snr > current_b.snr:
                     current_p = replace(current_p, **{attr: x})
-                    current_b = qnd.as_budget(v)
-                return v[_SNR]
+                    current_b = budget
+                return budget.snr
 
             for u in (a, b):
                 objective(u)
@@ -236,9 +233,8 @@ def sweep_rows(result: SweepResult):
                      np.meshgrid(*result.samples.values(), indexing="ij", copy=False)))
     cols = [grids[attr].ravel() if attr in grids else np.broadcast_to(getattr(result.base, attr), n)
             for attr in map(attr_name, CONFIG_KEYS)]
-    for name in qnd.BUDGET_NAMES:
-        values = g.values[name]
-        # an infinite tau_lin (x0 = 0) is blank, as qnd.budget_fields makes it None
-        cols.append(np.where(np.isinf(values), np.nan, values) if name == "tau_lin_s" else values)
-    cols += [np.where(g.failed, np.nan, g.flags[name]) for name in qnd.FLAG_NAMES]
+    # an infinite tau_lin (x0 = 0) is blank, as qnd.budget_fields makes it None
+    b = g.values._replace(tau_lin=np.where(np.isinf(g.values.tau_lin), np.nan, g.values.tau_lin))
+    cols += b[:len(qnd.BUDGET_NAMES)]
+    cols += [np.where(g.failed, np.nan, flag) for flag in b.flags]
     return list(HEADER), Table(*cols, g.errors.tolist())

@@ -345,6 +345,15 @@ _FIT_CSV["ring_dup.csv"] = _csv(["t_s", "power", "t_s"], _T_RING,
     (["ringdown-fit", "-i", "ring_dup.csv"], 1),
     # a readout bin width without the readout it is read with
     (["jump-sim", "T = 0.3", "--seed", "1", "--duration", "0.001", "--bin-width", "1e-4"], 1),
+    # --rc next to the membrane flags, which replace it
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
+      "--wavelength", "5.32e-7", "--membrane-index", "2", "--membrane-thickness", "5e-8",
+      *_OPTICS], 1),
+    # --maximize without the --best file it refines
+    (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--maximize"], 1),
+    # a cool-fit band that is reversed or has a NaN end
+    (["cool-fit", "-i", "psd.csv", "--exclude", "1.4e5:1.3e5"], 1),
+    (["cool-fit", "-i", "psd.csv", "--exclude", "nan:1.4e5"], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
@@ -369,10 +378,13 @@ def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, 
 @pytest.mark.parametrize("argv, message", [
     (["transmission-map", "--membrane-thickness", "5e-8"],
      "--membrane-thickness requires --membrane-index"),
-    (["bandstructure", "--samples", "100001"], "--samples must be between 1 and 100000"),
+    (["bandstructure", "--samples", "100001"], "--samples must be between 2 and 100000"),
     (["bandstructure", "--bands", "21"], "--bands must be between 1 and 20"),
     (["transmission-map", "--det-samples", "1001"], "--det-samples must be between 1 and 1000"),
     (["transmission-map", "--x-samples", "0"], "--x-samples must be between 1 and 1000"),
+    (["bandstructure", "--samples", "1"], "--samples must be between 2 and 100000"),
+    (["transmission-map", "--membrane-index", "2", "--membrane-thickness", "5e-8"],
+     "--membrane-index excludes --rc"),
 ])
 def test_optics_flag_errors_named(tmp_path, capsys, argv, message):
     command, *flags = argv
@@ -505,6 +517,19 @@ def test_jump_sim_readout_at_max_bins_stays_small(tmp_path, row1_config):
     with readout.open() as lines:
         assert sum(not line.startswith("#") for line in lines) == 1 + cli.MAX_BINS
     assert int(proc.stdout) < 150 * 1024
+
+
+def test_transmission_map_at_its_caps_stays_under_0_3_gb(tmp_path):
+    out = tmp_path / "map.csv"
+    caps = str(cli.MAX_MAP_SAMPLES)
+    proc = run_python("-c", _PEAK_RSS_SCRIPT, "transmission-map", "--rc", "0.31",
+                      "--finesse", "200", "--length", "1.0", "--wavelength", "5.32e-7",
+                      "--det-min=-1e9", "--det-max=1e9", "--det-samples", caps,
+                      "--x-samples", caps, "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with out.open() as lines:
+        assert sum(not line.startswith("#") for line in lines) == 1 + cli.MAX_MAP_SAMPLES**2
+    assert int(proc.stdout) * 1024 < 0.3e9   # as the README promises at the caps
 
 
 def test_fit_command_in_fresh_process(tmp_path):

@@ -133,6 +133,15 @@ def test_fit_psd_masked_empty_band_is_identity():
     assert plain.fit.gamma_eff == masked.fit.gamma_eff
 
 
+@pytest.mark.parametrize("band", [(1.4e5, 1.3e5), (1.3e5, 1.3e5), (math.nan, 1.4e5),
+                                  (1.3e5, math.nan), (-math.inf, 1.4e5), (1.3e5, math.inf)])
+def test_fit_psd_rejects_bad_exclude_band(band):
+    # such a band masks no sample, so the fit would silently run on the whole trace
+    freq, psd = _synthetic_trace(20.0, 25.0, span_linewidths=20, n=2001)
+    with pytest.raises(ValidationError, match="exclude band"):
+        cooling.fit_psd(freq, psd, exclude_bands=(band,))
+
+
 def test_fit_psd_mask_removes_contamination():
     freq, psd = _synthetic_trace(20.0, 25.0, span_linewidths=20, n=2001)
     spur_lo, spur_hi = freq[100], freq[160]

@@ -96,7 +96,7 @@ def test_fit_mech_ringdown_noise():
     for seed in range(100):
         rng = np.random.default_rng(10_000 + seed)
         amp = np.exp(-t / tau) + rng.normal(0, 0.01, len(t))
-        fitted = mechanics.fit_mech_ringdown(t, amp, with_offset=True)
+        fitted = mechanics.fit_mech_ringdown(t, amp)
         assert abs(fitted / tau - 1) < 0.02
 
 

@@ -277,7 +277,7 @@ def _old_rows(base, axes):
             yield row + [""] * (len(qnd.BUDGET_NAMES) + len(qnd.FLAG_NAMES)) + [str(exc)]
             continue
         row += ["" if v is None else v for v in qnd.budget_fields(b).values()]
-        yield row + [int(v) for v in vars(b.flags).values()] + [""]
+        yield row + [int(v) for v in b.flags] + [""]
 
 
 def _assert_rows_match_jump_budget(base, axes):
