@@ -288,7 +288,9 @@ def _parse_axis(text: str) -> sweep.SweepAxis:
 
 def _cmd_sweep(args) -> int:
     _requires(args, "maximize", "best")
-    refine_iters = _count(args.refine_iters, MAX_REFINE_ITERS, "--refine-iters", lowest=0)
+    refine_iters = (3 if args.refine_iters is None else
+                    _count(args.refine_iters, MAX_REFINE_ITERS, "--refine-iters", lowest=0))
+    _requires(args, "refine_iters", "maximize")
     p = load_config(args.config)
     axes = [_parse_axis(a) for a in args.axis]
     result = sweep.grid_sweep(p, axes)
@@ -399,8 +401,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--best", help="write the best feasible point as JSON here")
     sp.add_argument("--maximize", action="store_true", default=None,
                     help="refine the best point with golden-section search")
-    sp.add_argument("--refine-iters", type=int, dest="refine_iters", default=3,
-                    help=f"refinement rounds (default 3, 0 to {MAX_REFINE_ITERS})")
+    sp.add_argument("--refine-iters", type=int, dest="refine_iters", default=None,
+                    help=f"--maximize refinement rounds (default 3, 0 to {MAX_REFINE_ITERS})")
     sp.set_defaults(func=_cmd_sweep)
 
     return parser

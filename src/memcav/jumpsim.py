@@ -19,6 +19,12 @@ simulator draws its waits and branch picks in blocks whose sizes grow from
 exactly the events of a shorter one.  That layout is named by RNG_STREAM
 ("pcg64-blocks-v1"), which the CLI records next to the generator name.
 
+Each block is walked in pieces whose sizes double from 8, in two phases.
+Only the level update is sequential, so a Python walk over the picks
+records each event's total rate and next level; numpy then turns the
+waits into times with one cumsum per piece, which adds in sequence and so
+gives the same bits as accumulating t += wait / total event by event.
+
 The continuous readout is modeled per time bin: the estimate is the
 per-phonon shift times (time-weighted mean occupation + 1/2), plus white
 Gaussian frequency noise of variance S_omega / bin_width.
@@ -30,7 +36,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -45,6 +50,8 @@ RNG_ALGORITHM = "PCG64"
 RNG_STREAM = "pcg64-blocks-v1"
 _FIRST_BLOCK = 64
 _BLOCK_CAP = 4096
+# Size of the first walk piece; sizes double, within the block layout above.
+_FIRST_PIECE = 8
 # Largest path simulate_trajectory builds; checked once per block of draws.
 MAX_EVENTS = 5_000_000
 
@@ -104,22 +111,30 @@ class JumpTrajectory:
 
 
 def _draw_blocks(rng: np.random.Generator, duration: float):
-    """Yield the (wait, pick) pairs of one trajectory, drawn block by block.
+    """Yield the (waits, picks) pieces of one trajectory, drawn block by block.
 
     Block k holds min(64 * 2**k, 4096) standard-exponential waits followed
     by as many uniform picks.  Block sizes depend on nothing else, so a run
-    consumes its stream in the same order for every duration.
+    consumes its stream in the same order for every duration.  Each block
+    is handed out as consecutive pieces, an array of waits and a list of
+    picks, whose sizes double from 8 (cut at the block's end), so a path of
+    a few events walks a few picks, not the whole first block.
     """
-    size, drawn = _FIRST_BLOCK, 0
+    size, drawn, piece = _FIRST_BLOCK, 0, _FIRST_PIECE
     while True:
         # every pair handed out so far became an event, so drawn counts events
         if drawn >= MAX_EVENTS:
             raise ValidationError(
                 f"trajectory exceeds {MAX_EVENTS} events before its duration "
                 f"of {duration} s; shorten the duration")
-        waits = rng.standard_exponential(size).tolist()
+        waits = rng.standard_exponential(size)
         picks = rng.random(size).tolist()
-        yield zip(waits, picks)
+        start = 0
+        while start < size:
+            stop = min(start + piece, size)
+            yield waits[start:stop], picks[start:stop]
+            start = stop
+            piece = min(2 * piece, _BLOCK_CAP)
         drawn += size
         size = min(2 * size, _BLOCK_CAP)
 
@@ -146,6 +161,11 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     Raises ValidationError when the path has not reached its duration
     after MAX_EVENTS events (checked per block of draws, so at most one
     block later).
+
+    Each piece of draws runs in two phases: a Python walk of the levels
+    that records the total rate before each event and stops where no rate
+    leaves the level, then the event times from one numpy cumsum, cut at
+    the duration.  The levels walked past the cut are dropped.
     """
     if not 0.0 < duration < math.inf:
         raise ValidationError(f"duration must be positive and finite (got {duration})")
@@ -162,34 +182,50 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     ground_up = heat + rate01   # a ground-state pick below this climbs one level
     t = 0.0
     n = 0
-    # 8 bytes an event each, and no float object outlives its event
+    # 8 bytes an event each; numpy views them only once both are complete
     times = array("d")
     levels = array("q")
-    for wait, pick in chain.from_iterable(_draw_blocks(np.random.default_rng(seed), duration)):
-        try:
-            total = totals[n]
-        except IndexError:   # a new highest level; a 0 -> 2 jump adds two
-            for m in range(len(totals), n + 1):
-                up = heat * (m + 1)
-                ups.append(up)
-                totals.append(up + cool * m)
-            total = totals[n]
-        if total <= 0.0:
+    push = levels.append
+    for waits, picks in _draw_blocks(np.random.default_rng(seed), duration):
+        # phase 1: the level walk, recording the total rate before each event
+        before = array("d")
+        record = before.append
+        for pick in picks:
+            try:
+                total = totals[n]
+            except IndexError:   # a new highest level; a 0 -> 2 jump adds two
+                for m in range(len(totals), n + 1):
+                    up = heat * (m + 1)
+                    ups.append(up)
+                    totals.append(up + cool * m)
+                total = totals[n]
+            if total <= 0.0:
+                break
+            record(total)
+            u = pick * total
+            if u < ups[n]:
+                n += 1
+            elif n:
+                n -= 1
+            elif u < ground_up:
+                n += 1
+            else:
+                n += 2
+            push(n)
+        # phase 2: the times, t + wait / total summed in event order
+        k = len(before)
+        if k:
+            steps = waits[:k] / np.frombuffer(before)
+            steps[0] += t
+            steps = steps.cumsum()
+            kept = int(steps.searchsorted(duration))  # events before the duration
+            times.frombytes(steps[:kept].tobytes())
+            if kept < k:
+                del levels[kept - k:]
+                break
+            t = steps[-1]
+        if k < len(picks):   # no rate out of level n: the path is absorbed
             break
-        t += wait / total
-        if t >= duration:
-            break
-        u = pick * total
-        if u < ups[n]:
-            n += 1
-        elif n:
-            n -= 1
-        elif u < ground_up:
-            n += 1
-        else:
-            n += 2
-        times.append(t)
-        levels.append(n)
     return JumpTrajectory(
         np.frombuffer(times, dtype=float), np.frombuffer(levels, dtype=np.int64),
         float(duration), int(seed), include_measurement_channels,
@@ -259,8 +295,10 @@ def jump_detection_stats(trace: ReadoutTrace, threshold: float) -> DetectionStat
         )
     truth = np.rint(trace.true_n_per_bin) >= 1
     flagged = trace.freq_estimates > threshold
-    n_jump = int(truth.sum())
-    n_ground = int((~truth).sum())
-    detection = float(np.mean(flagged[truth])) if n_jump else math.nan
-    false_alarm = float(np.mean(flagged[~truth])) if n_ground else math.nan
+    n_jump = int(np.count_nonzero(truth))
+    n_ground = truth.size - n_jump
+    hits = int(np.count_nonzero(flagged & truth))
+    alarms = int(np.count_nonzero(flagged)) - hits
+    detection = hits / n_jump if n_jump else math.nan
+    false_alarm = alarms / n_ground if n_ground else math.nan
     return DetectionStats(detection, false_alarm, n_jump, n_ground, float(threshold))

@@ -5,14 +5,19 @@ come from finite differences, occupation statistics from the generator
 matrix (linear algebra, no sampling), and spectra from adaptive quadrature.
 The jump-budget cross-checks reach the closed-form lifetimes by a second
 route (golden rule over the photon noise spectrum, good-cavity ratios).
+The jump simulator is checked against its earlier one-loop form, and the
+detection statistics against per-bin means.
 """
 
+import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import expm
 
-from memcav import mechanics, qnd
+from memcav import jumpsim, mechanics, qnd
 from memcav.cavity import _slab_matrix
 from memcav.errors import ValidationError
 from memcav.mechanics import thermal_occupation
@@ -184,3 +189,95 @@ def slab_amplitudes(n: float, d: float, lam: float) -> tuple[complex, complex]:
     k = np.asarray(2.0 * np.pi / lam, dtype=float)
     M = _slab_matrix(n, d, k)
     return complex(M[2] / M[0]), complex(1.0 / M[0])
+
+
+def _fused_draw_blocks(rng: np.random.Generator, duration: float):
+    """Yield the (wait, pick) pairs of one trajectory, drawn block by block.
+
+    Block k holds min(64 * 2**k, 4096) standard-exponential waits followed
+    by as many uniform picks: the stream layout jumpsim.RNG_STREAM names.
+    """
+    size, drawn = jumpsim._FIRST_BLOCK, 0
+    while True:
+        # every pair handed out so far became an event, so drawn counts events
+        if drawn >= jumpsim.MAX_EVENTS:
+            raise ValidationError(
+                f"trajectory exceeds {jumpsim.MAX_EVENTS} events before its duration "
+                f"of {duration} s; shorten the duration")
+        waits = rng.standard_exponential(size).tolist()
+        picks = rng.random(size).tolist()
+        yield zip(waits, picks)
+        drawn += size
+        size = min(2 * size, jumpsim._BLOCK_CAP)
+
+
+def fused_trajectory(p: ExperimentParams, duration: float, seed: int,
+                     include_measurement_channels: bool = False) -> jumpsim.JumpTrajectory:
+    """jumpsim.simulate_trajectory as one loop that also sums the times.
+
+    Each event takes t += wait / total in Python before its level update,
+    so the times are built one float at a time, the reference for the
+    simulator's numpy cumsum.
+    """
+    if not 0.0 < duration < math.inf:
+        raise ValidationError(f"duration must be positive and finite (got {duration})")
+    n_bar = thermal_occupation(p.T, p.omega_m)
+    unit = p.omega_m / p.Q
+    heat, cool = unit * n_bar, unit * (n_bar + 1.0)  # n -> n+1 per (n+1), n -> n-1 per n
+    rate01, rate02 = (jumpsim._channel_rates(p) if include_measurement_channels
+                      else (0.0, 0.0))
+    rate0 = rate01 + rate02
+
+    # each level's rates, computed when the path first reaches it: ups[m] =
+    # heat (m + 1) and totals[m] = ups[m] + cool m, or ups[0] + rate0 at m = 0
+    ups = [heat]
+    totals = [heat + rate0]
+    ground_up = heat + rate01   # a ground-state pick below this climbs one level
+    t = 0.0
+    n = 0
+    # 8 bytes an event each, and no float object outlives its event
+    times = array("d")
+    levels = array("q")
+    for wait, pick in chain.from_iterable(_fused_draw_blocks(np.random.default_rng(seed),
+                                                             duration)):
+        try:
+            total = totals[n]
+        except IndexError:   # a new highest level; a 0 -> 2 jump adds two
+            for m in range(len(totals), n + 1):
+                up = heat * (m + 1)
+                ups.append(up)
+                totals.append(up + cool * m)
+            total = totals[n]
+        if total <= 0.0:
+            break
+        t += wait / total
+        if t >= duration:
+            break
+        u = pick * total
+        if u < ups[n]:
+            n += 1
+        elif n:
+            n -= 1
+        elif u < ground_up:
+            n += 1
+        else:
+            n += 2
+        times.append(t)
+        levels.append(n)
+    return jumpsim.JumpTrajectory(
+        np.frombuffer(times, dtype=float), np.frombuffer(levels, dtype=np.int64),
+        float(duration), int(seed), include_measurement_channels,
+    )
+
+
+def detection_stats_by_mean(trace: jumpsim.ReadoutTrace,
+                            threshold: float) -> jumpsim.DetectionStats:
+    """jump_detection_stats as the mean of the flags over each class of bins."""
+    truth = np.rint(trace.true_n_per_bin) >= 1
+    flagged = trace.freq_estimates > threshold
+    n_jump = int(truth.sum())
+    n_ground = int((~truth).sum())
+    detection = float(np.mean(flagged[truth])) if n_jump else math.nan
+    false_alarm = float(np.mean(flagged[~truth])) if n_ground else math.nan
+    return jumpsim.DetectionStats(detection, false_alarm, n_jump, n_ground,
+                                  float(threshold))

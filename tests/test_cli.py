@@ -351,6 +351,8 @@ _FIT_CSV["ring_dup.csv"] = _csv(["t_s", "power", "t_s"], _T_RING,
       *_OPTICS], 1),
     # --maximize without the --best file it refines
     (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--maximize"], 1),
+    # refinement rounds without the --maximize they set
+    (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--refine-iters", "7"], 1),
     # a cool-fit band that is reversed or has a NaN end
     (["cool-fit", "-i", "psd.csv", "--exclude", "1.4e5:1.3e5"], 1),
     (["cool-fit", "-i", "psd.csv", "--exclude", "nan:1.4e5"], 1),

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc
 from scipy.stats import chisquare, kstest
 
@@ -11,7 +12,7 @@ from memcav.errors import SingularityError, ValidationError
 from memcav.params import with_value
 
 from oracles import (bin_average_char_fn, bin_average_char_fn_expm, birth_death_generator,
-                     bose_einstein_pmf)
+                     bose_einstein_pmf, detection_stats_by_mean, fused_trajectory)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,97 @@ def test_edge_paths_pinned(row1, small_bath, case, n_events, top, digest):
                                            include_measurement_channels=True)
     assert (len(traj.times), int(traj.levels.max())) == (n_events, top)
     assert _path_sha256(traj) == digest
+
+
+# event counts at which a cut meets the end of a walk piece (8, 24, 56) or of
+# a block (64, 192, and 4032 = 64 + ... + 2048, after which every block holds
+# 4096), and 16, inside the second piece
+_BOUNDARIES = (8, 16, 24, 56, 64, 192, 4032)
+
+
+@st.composite
+def _paths(draw):
+    """(scenario, channels, seed, kept): a path and where its cut falls.
+
+    `kept` is the number of events before the cut, which sets the duration
+    from the fused oracle's path, or None for the scenario's whole duration.
+    """
+    cut = draw(st.sampled_from(["first_piece", "boundary", "long"]))
+    if cut == "first_piece":
+        scenario = draw(st.sampled_from(["small_bath", "trial", "zero_temperature", "q_inf"]))
+        kept = draw(st.integers(0, 7))
+    else:   # only the small bath runs past the first blocks
+        scenario = "small_bath"
+        kept = (draw(st.sampled_from(_BOUNDARIES)) + draw(st.integers(-1, 1))
+                if cut == "boundary" else None)
+    channels = scenario == "trial" or draw(st.booleans())
+    return scenario, channels, draw(st.integers(0, 2**32 - 1)), kept
+
+
+def _scenario(name, row1, row2, small_bath):
+    """Parameters and the longest duration drawn for one named scenario."""
+    if name == "small_bath":   # ~1.6e5 events a second, climbing past level 10
+        return small_bath, 0.1
+    if name == "trial":        # row 2's eight-bin trial window of criterion 9(c)
+        return row2, 2.0 * qnd.jump_budget(row2).tau_total
+    if name == "zero_temperature":   # no thermal events: the channels alone climb
+        return with_value(small_bath, "T", 0.0), 0.1
+    # Q = inf: no thermal rates, so the first channel event is absorbing
+    return with_value(row1, "Q", math.inf), 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_paths())
+@example(("small_bath", False, 2024, 8))
+@example(("small_bath", True, 2024, 16))
+@example(("small_bath", False, 2024, 64))
+@example(("small_bath", True, 2024, 192))
+@example(("small_bath", False, 2024, 4032 + 2 * 4096))
+@example(("small_bath", False, 2024, None))
+@example(("zero_temperature", False, 1, None))
+@example(("q_inf", True, 4, None))
+@example(("trial", True, 61, None))
+def test_simulate_matches_fused_oracle(row1, row2, small_bath, case):
+    """The two-phase walk gives the fused loop's path bit for bit, wherever it is cut."""
+    scenario, channels, seed, kept = case
+    p, duration = _scenario(scenario, row1, row2, small_bath)
+    full = fused_trajectory(p, duration, seed, channels)
+    if kept is not None and kept < len(full.times):
+        # the cut falls exactly on the time of event kept + 1
+        duration = float(full.times[kept])
+    else:
+        kept = len(full.times)
+    got = jumpsim.simulate_trajectory(p, duration, seed, channels)
+    want = fused_trajectory(p, duration, seed, channels)
+    assert len(got.times) == kept
+    assert got.times.dtype == np.float64 and got.levels.dtype == np.int64
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.levels.tobytes() == want.levels.tobytes()
+
+
+@st.composite
+def _traces(draw):
+    """A readout trace with delta_omega = 1 (levels 0.5 and 1.5) and a threshold."""
+    n_bins = draw(st.integers(1, 40))
+    mix = draw(st.sampled_from(["all_ground", "all_jumped", "mixed"]))
+    lo, hi = {"all_ground": (0.0, 0.49), "all_jumped": (0.51, 6.0), "mixed": (0.0, 6.0)}[mix]
+    true_n = draw(st.lists(st.floats(lo, hi), min_size=n_bins, max_size=n_bins))
+    estimates = draw(st.lists(st.floats(-3.0, 8.0), min_size=n_bins, max_size=n_bins))
+    threshold = draw(st.floats(0.5, 1.5, exclude_min=True, exclude_max=True))
+    if draw(st.booleans()):   # some estimates sit exactly on the threshold
+        estimates = [threshold if i % 3 == 0 else x for i, x in enumerate(estimates)]
+    trace = jumpsim.ReadoutTrace(
+        1.0, np.arange(n_bins) + 0.5, np.array(estimates), np.array(true_n),
+        delta_omega=1.0, noise_sigma=1.0, bandwidth_ok=True, seed=0)
+    return trace, threshold
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_traces())
+def test_detection_stats_match_mean_oracle(case):
+    trace, threshold = case
+    got = jumpsim.jump_detection_stats(trace, threshold)
+    assert repr(got) == repr(detection_stats_by_mean(trace, threshold))
 
 
 def test_state_at_and_dwells(small_bath):
