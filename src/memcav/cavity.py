@@ -298,7 +298,8 @@ def locate_resonance(x: float, center: float, half_width: float, F: float, L: fl
     sqrt(eps)*|x| term of the scalar minimizer would otherwise dominate the
     linewidth.  Returns (omega_peak, transmission_at_peak).
     """
-    # deferred like the fits' import: see fitting.least_squares
+    # imported here, not at module level: scipy.optimize takes ~0.45 s to
+    # import, and no CLI command calls this function
     from scipy.optimize import minimize_scalar
 
     delta = np.linspace(-half_width, half_width, n_scan)

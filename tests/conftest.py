@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import memcav
-from memcav.params import ExperimentParams
+from memcav.params import K_B, ExperimentParams
 
 
 def run_python(*args):
@@ -68,3 +68,38 @@ def row2_config(tmp_path):
     path = tmp_path / "row2.cfg"
     path.write_text(ROW2_CONFIG)
     return path
+
+
+def _write_columns(path, names, *columns):
+    lines = [",".join(names)] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="session")
+def fit_inputs(tmp_path_factory):
+    """ringdown.csv, mech.csv and psd.csv in one directory, and the PSD spur band."""
+    d = tmp_path_factory.mktemp("fit_inputs")
+    rng = np.random.default_rng(20070218)
+
+    t = np.linspace(0.0, 6e-6, 200)
+    power = 1.7 * np.exp(-t / 1.2e-6) + 0.2 + rng.normal(0.0, 1e-3, t.size)
+    _write_columns(d / "ringdown.csv", ["t_s", "power"], t, power)
+
+    # amplitude envelope without offset, 0.1 % multiplicative noise
+    t = np.linspace(0.0, 10.0, 300)
+    amplitude = 0.8 * np.exp(-t / 2.6) * (1.0 + rng.normal(0.0, 1e-3, t.size))
+    _write_columns(d / "mech.csv", ["t_s", "amplitude"], t, amplitude)
+
+    # thermally driven oscillator (m = 4e-11 kg, Q_eff = 300, T_eff = 6.82 mK),
+    # 1 % noise and a five-sample spur on the upper flank
+    m, t_eff, omega0 = 4e-11, 6.82e-3, 8.42e5
+    gamma = omega0 / 300.0
+    omega = np.linspace(omega0 - 60 * gamma, omega0 + 60 * gamma, 1001)
+    psd = (4.0 * K_B * t_eff * gamma / m) / ((omega0**2 - omega**2) ** 2 + (gamma * omega) ** 2)
+    psd = psd * (1.0 + rng.normal(0.0, 0.01, omega.size)) + 1e-36
+    spur = 790
+    psd[spur - 2: spur + 3] *= 30.0
+    freq = omega / (2 * np.pi)
+    _write_columns(d / "psd.csv", ["freq_hz", "psd_m2_per_hz"], freq, psd)
+    step = freq[1] - freq[0]
+    return d, f"{float(freq[spur] - 4 * step)!r}:{float(freq[spur] + 4 * step)!r}"

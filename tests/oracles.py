@@ -6,16 +6,19 @@ matrix (linear algebra, no sampling), and spectra from adaptive quadrature.
 The jump-budget cross-checks reach the closed-form lifetimes by a second
 route (golden rule over the photon noise spectrum, good-cavity ratios).
 The jump simulator is checked against its earlier one-loop form, and the
-detection statistics against per-bin means.
+detection statistics against per-bin means.  The fits' solver is checked
+against scipy's MINPACK curve_fit, given the exact complex-step Jacobian.
 """
 
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from memcav import jumpsim, mechanics, qnd
 from memcav.cavity import _slab_matrix
@@ -30,6 +33,29 @@ def central_second_derivative(f, x0, h):
 
 def central_first_derivative(f, x0, h):
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
+
+
+def curve_fit_params(model, x, y, p0, maxfev, jac=None):
+    """model's parameters fitted to y from p0 by scipy's curve_fit (MINPACK).
+
+    Without `jac`, MINPACK differences the Jacobian forward, as the fits did
+    before they had their own solver.
+    """
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", OptimizeWarning)   # the covariance, not used
+        params, _ = curve_fit(model, x, y, p0=p0, maxfev=maxfev, jac=jac)
+    return params
+
+
+def complex_step_jacobian(model):
+    """jac(x, *params) of model, exact to rounding: Im f(p + ih) / h has no
+    difference to cancel, so a step of 1e-20 |p_j| is safe."""
+    def jac(x, *params):
+        params = np.asarray(params, dtype=float)
+        steps = 1e-20 * np.where(params == 0.0, 1.0, np.abs(params))
+        return np.column_stack([model(x, *(params + 1j * h * unit)).imag / h
+                                for h, unit in zip(steps, np.eye(params.size))])
+    return jac
 
 
 def birth_death_generator(p, n_max, include_measurement_channels=False,

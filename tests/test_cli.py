@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +467,10 @@ def test_module_entry_point_runs_cli(tmp_path):
     assert not out.exists()
 
 
+def _write_fit_input(path, header, x, y):
+    path.write_text(header + "\n" + "\n".join(f"{a!r},{b!r}" for a, b in zip(map(float, x), map(float, y))))
+
+
 _NO_SCIPY_SCRIPT = """
 import json, sys
 import memcav, memcav.cli
@@ -473,9 +480,17 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_non_fit_commands_do_not_import_scipy(tmp_path, row1_config):
-    """scipy.optimize costs ~0.45 s per process; only the fits may load it."""
+def test_readme_commands_do_not_import_scipy(tmp_path, row1_config):
+    """scipy.optimize costs ~0.45 s per process; no README command loads scipy."""
     cfg = str(row1_config)
+    t = np.linspace(0.0, 6e-6, 200)
+    _write_fit_input(tmp_path / "ring.csv", "t_s,power", t, 1.7 * np.exp(-t / 1.145e-6) + 0.2)
+    t = np.linspace(0.0, 10.0, 300)
+    _write_fit_input(tmp_path / "mech.csv", "t_s,amplitude", t, 0.8 * np.exp(-t / 2.67))
+    omega, gamma = 8.42e5, 8.42e5 / 300.0
+    freq = np.linspace(omega - 60 * gamma, omega + 60 * gamma, 1001) / (2 * np.pi)
+    psd = cooling.psd_model(2 * np.pi * freq, 4e-11, 6.82e-3, omega, gamma) + 1e-36
+    _write_fit_input(tmp_path / "psd.csv", "freq_hz,psd_m2_per_hz", freq, psd)
     commands = [
         ["qnd-budget", "--config", cfg, "-o", str(tmp_path / "b.json")],
         ["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7",
@@ -490,6 +505,12 @@ def test_non_fit_commands_do_not_import_scipy(tmp_path, row1_config):
          "--bin-width", "1e-4", "--threshold", "0.12", "-o", str(tmp_path / "s.json")],
         ["sweep", "--config", cfg, "--axis", "F:3e5:6e5:2:log", "--best",
          str(tmp_path / "best.json"), "--maximize", "-o", str(tmp_path / "sw.csv")],
+        ["ringdown-fit", "-i", str(tmp_path / "ring.csv"), "--length", "0.067",
+         "-o", str(tmp_path / "fit.json")],
+        ["mech-ringdown-fit", "-i", str(tmp_path / "mech.csv"), "--omega-m", "8.42e5",
+         "-o", str(tmp_path / "mechfit.json")],
+        ["cool-fit", "-i", str(tmp_path / "psd.csv"), "--mass", "4e-11", "--omega-m", "8.42e5",
+         "--t-bath", "294", "--q-intrinsic", "1.1e6", "-o", str(tmp_path / "coolfit.json")],
     ]
     proc = run_python("-c", _NO_SCIPY_SCRIPT, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
@@ -674,3 +695,78 @@ def test_cli_run_raises_only_memcav_errors(argv):
         assert code in (0, 1, 2)
         if code == 0:
             _assert_outputs_finite(argv[0], [p for p in Path(tmp).iterdir() if p != cfg])
+
+
+# ---------------------------------------------------------------------------
+# fuzzed fit inputs: the fits exit 0 with finite, strict JSON, or exit 1 or 2,
+# with no traceback and no RuntimeWarning
+# ---------------------------------------------------------------------------
+
+_FIT_COLUMNS = {"ringdown-fit": "t_s,power", "mech-ringdown-fit": "t_s,amplitude",
+                "cool-fit": "freq_hz,psd_m2_per_hz"}
+_FIT_FLAGS = {"ringdown-fit": ["--length", "0.067"], "mech-ringdown-fit": ["--omega-m", "8.42e5"],
+              "cool-fit": ["--mass", "4e-11", "--omega-m", "8.42e5", "--t-bath", "294",
+                           "--q-intrinsic", "1.1e6"]}
+_SCALES = [1.0, 1e-300, 1e-30, 1e30, 1e300, -1.0]
+
+
+@st.composite
+def _fit_cases(draw):
+    """(command, flags, x, y): a fit on a decay, a Lorentzian or arbitrary samples."""
+    command = draw(st.sampled_from(list(_FIT_COLUMNS)))
+    flags = _FIT_FLAGS[command] if draw(st.booleans()) else []
+    n = draw(st.integers(0, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.1, 10.0]))
+    shape = draw(st.sampled_from(["decay", "lorentzian", "samples"]))
+    if shape == "samples":
+        x = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)))
+        y = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)))
+        return command, flags, x, y
+    scale = draw(st.sampled_from(_SCALES))
+    width = 10.0 ** draw(st.floats(-8.0, 2.0))
+    x = np.linspace(0.0, draw(st.floats(0.1, 20.0)) * width, n)
+    with np.errstate(all="ignore"):
+        if shape == "decay":
+            y = np.exp(-x / width) + draw(st.floats(-1.0, 1.0))
+        else:   # a resonance at x0, of linewidth `width`
+            x0 = x.mean() if n else 0.0
+            y = 1.0 / ((x0**2 - x**2) ** 2 + (width * x) ** 2 + 1e-300)
+            y = y / y.max() if n else y
+        y = scale * (y + noise * rng.normal(size=n))
+    return command, flags, x, y
+
+
+_T = np.linspace(0.0, 1e-5, 60)
+_F = np.linspace(1.3e5, 1.4e5, 60)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_fit_cases())
+@example(("ringdown-fit", [], _T, np.ones_like(_T)))                       # flat
+@example(("cool-fit", [], _F, np.full_like(_F, 1e-30)))                     # flat: no peak
+@example(("cool-fit", [], _F, np.linspace(1e-30, 2e-30, _F.size)))          # no peak inside
+@example(("ringdown-fit", [], _T, np.where(np.arange(_T.size) == 7, 1.0, 0.0)))   # one spike
+@example(("cool-fit", [], _F, np.where(np.arange(_F.size) == 30, 1e-20, 1e-30)))  # one spike
+@example(("ringdown-fit", [], _T, 1e-300 * (np.exp(-_T / 2e-6) + 0.1)))     # 1e-300-scaled
+@example(("mech-ringdown-fit", [], _T, 1e-300 * np.exp(-_T / 2e-6)))        # 1e-300-scaled
+@example(("ringdown-fit", [], _T, np.exp(_T / 2e-6)))                        # growing
+@example(("mech-ringdown-fit", [], _T, np.exp(_T / 2e-6)))                   # growing
+def test_fit_commands_exit_cleanly(case):
+    command, flags, x, y = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        data, out = Path(tmp) / "in.csv", Path(tmp) / "fit.json"
+        _write_fit_input(data, _FIT_COLUMNS[command], x, y)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run([command, "-i", str(data), *flags, "-o", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+            numbers = [v for part in doc.values() if isinstance(part, dict) for v in part.values()]
+            numbers += [v for v in doc.values() if not isinstance(v, dict)]
+            assert all(math.isfinite(v) for v in numbers if isinstance(v, float)), doc
+        else:
+            assert not out.exists()
