@@ -68,21 +68,24 @@ def _optics(args, required) -> tuple:
     return tuple(flags.values())
 
 
+# The caps below bound the work, the memory and the output of each command.
+# tests/test_cli.py::test_command_at_its_caps_stays_bounded runs the optics
+# and jump commands at their caps and bounds their peak memory; the README's
+# "Resource caps" table lists what each cap costs.
+#
 # Largest sample counts of the optics commands, checked before anything is
-# allocated.  At the caps bandstructure writes 2.1e6 cells in ~3 s at
-# 0.08 GB peak, transmission-map 3e6 in ~3 s at 0.21 GB with either model
-# (2-vCPU host).
+# allocated: they bound the cells each command computes and writes.
 MAX_SAMPLES = 100_000     # bandstructure --samples
 MAX_BANDS = 20            # bandstructure --bands
 MAX_MAP_SAMPLES = 1000    # transmission-map --det-samples and --x-samples
-# Largest sweep --refine-iters: each round costs 44 budget evaluations per
-# axis.  Refinement stops after a round that moves nothing, so most runs end
-# after one or two rounds; 1000 rounds of a 3-axis --maximize would take
-# ~1 s (2-vCPU host).
+# Largest sweep --refine-iters, checked before the grid: it bounds the rounds
+# of --maximize, each 44 budget evaluations per axis.  Refinement stops after
+# a round that moves nothing, so most runs end after one or two rounds and
+# no test runs this many; test_bad_input_exits_without_traceback checks the
+# flag's range.
 MAX_REFINE_ITERS = 1000
 # Most readout bins (--duration / --bin-width) of jump-sim and jump-stats,
-# checked before simulating.  At the cap jump-sim writes its readout in ~3 s
-# at 0.07 GB peak (2-vCPU host).
+# checked before simulating: it bounds the readout's arrays and CSV rows.
 MAX_BINS = 1_000_000
 
 
@@ -218,19 +221,25 @@ def _cmd_qnd_budget(args) -> int:
     return 0
 
 
-def _simulate(args):
+def _simulate(args, threshold=None):
     """Simulate the configured trajectory and, given --bin-width, its readout.
 
     Returns (trajectory, readout, metadata, readout metadata); the readout
-    and its metadata are None without a bin width.  Nothing is written
-    here, so a failure leaves no partial output set behind.
+    and its metadata are None without a bin width.  The bin width and a
+    detection threshold are checked before anything is simulated, and
+    nothing is written here, so a failure leaves no partial output set
+    behind.
     """
     p = load_config(args.config)
     bin_width = args.bin_width
-    if (bin_width is not None and bin_width > 0.0 and math.isfinite(args.duration)
-            and args.duration / bin_width > MAX_BINS):
-        raise ValidationError(f"--duration / --bin-width gives more than {MAX_BINS} "
-                              f"readout bins (got {args.duration} / {bin_width})")
+    if bin_width is not None:
+        if (bin_width > 0.0 and math.isfinite(args.duration)
+                and args.duration / bin_width > MAX_BINS):
+            raise ValidationError(f"--duration / --bin-width gives more than {MAX_BINS} "
+                                  f"readout bins (got {args.duration} / {bin_width})")
+        jumpsim.readout_bins(args.duration, bin_width)
+    if threshold is not None:
+        jumpsim.check_threshold(threshold, qnd.detuning_per_phonon(p))
     traj = jumpsim.simulate_trajectory(p, args.duration, args.seed,
                                        include_measurement_channels=args.channels)
     meta = _base_metadata(args, p)
@@ -258,7 +267,7 @@ def _cmd_jump_sim(args) -> int:
 
 
 def _cmd_jump_stats(args) -> int:
-    _, trace, _, meta_r = _simulate(args)
+    _, trace, _, meta_r = _simulate(args, args.threshold)
     stats = jumpsim.jump_detection_stats(trace, args.threshold)
     payload = {
         "detection_probability": stats.detection_probability,

@@ -52,7 +52,10 @@ _FIRST_BLOCK = 64
 _BLOCK_CAP = 4096
 # Size of the first walk piece; sizes double, within the block layout above.
 _FIRST_PIECE = 8
-# Largest path simulate_trajectory builds; checked once per block of draws.
+# Largest path simulate_trajectory builds, checked once per block of draws:
+# it bounds a run's time and its event arrays, 16 bytes an event.
+# tests/test_cli.py::test_command_at_its_caps_stays_bounded runs jump-stats
+# into this cap and bounds its peak memory.
 MAX_EVENTS = 5_000_000
 
 
@@ -86,12 +89,7 @@ class JumpTrajectory:
 
     def mean_level_per_bin(self, bin_width: float) -> np.ndarray:
         """Time-weighted mean occupation over consecutive bins of bin_width."""
-        if not bin_width > 0:  # NaN included
-            raise ValidationError(f"bin_width must be positive (got {bin_width})")
-        n_bins = int(math.floor(self.duration / bin_width + 1e-9))
-        if n_bins < 1:
-            raise ValidationError("duration shorter than one bin")
-        edges = np.arange(n_bins + 1) * bin_width
+        edges = np.arange(readout_bins(self.duration, bin_width) + 1) * bin_width
         # stretch j starts at breaks[j] and holds states[j]; cum[j] is the
         # integral of the occupation up to breaks[j]
         breaks = np.concatenate(([0.0], self.times))
@@ -108,6 +106,26 @@ class JumpTrajectory:
         mean = np.diff(integral)
         mean /= bin_width
         return mean
+
+
+def _check_duration(duration: float) -> None:
+    if not 0.0 < duration < math.inf:
+        raise ValidationError(f"duration must be positive and finite (got {duration})")
+
+
+def readout_bins(duration: float, bin_width: float) -> int:
+    """Whole bins of bin_width in duration, which callers can check before simulating.
+
+    Raises ValidationError for a duration that is not positive and finite,
+    a bin width that is not positive, or a duration shorter than one bin.
+    """
+    _check_duration(duration)
+    if not bin_width > 0:  # NaN included
+        raise ValidationError(f"bin_width must be positive (got {bin_width})")
+    n_bins = int(math.floor(duration / bin_width + 1e-9))
+    if n_bins < 1:
+        raise ValidationError("duration shorter than one bin")
+    return n_bins
 
 
 def _draw_blocks(rng: np.random.Generator, duration: float):
@@ -167,8 +185,7 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     leaves the level, then the event times from one numpy cumsum, cut at
     the duration.  The levels walked past the cut are dropped.
     """
-    if not 0.0 < duration < math.inf:
-        raise ValidationError(f"duration must be positive and finite (got {duration})")
+    _check_duration(duration)
     n_bar = thermal_occupation(p.T, p.omega_m)
     unit = p.omega_m / p.Q
     heat, cool = unit * n_bar, unit * (n_bar + 1.0)  # n -> n+1 per (n+1), n -> n-1 per n
@@ -282,17 +299,26 @@ class DetectionStats:
     threshold: float
 
 
-def jump_detection_stats(trace: ReadoutTrace, threshold: float) -> DetectionStats:
-    """Per-bin threshold classification against the trajectory ground truth.
+def check_threshold(threshold: float, delta_omega: float) -> None:
+    """A detection threshold must sit between the n = 0 and n = 1 signal levels.
 
-    A bin counts as "jumped" when its rounded true occupation is >= 1.  The
-    threshold must sit between the n = 0 and n = 1 signal levels.
+    delta_omega is the per-phonon shift (qnd.detuning_per_phonon), so the
+    check can run before anything is simulated.  Raises ValidationError.
     """
-    lo, hi = trace.signal_level(0), trace.signal_level(1)
+    lo, hi = delta_omega * 0.5, delta_omega * 1.5   # ReadoutTrace.signal_level(0), (1)
     if not lo < threshold < hi:
         raise ValidationError(
             f"threshold {threshold} outside the n=0..1 signal range ({lo}, {hi})"
         )
+
+
+def jump_detection_stats(trace: ReadoutTrace, threshold: float) -> DetectionStats:
+    """Per-bin threshold classification against the trajectory ground truth.
+
+    A bin counts as "jumped" when its rounded true occupation is >= 1.  The
+    threshold must pass check_threshold.
+    """
+    check_threshold(threshold, trace.delta_omega)
     truth = np.rint(trace.true_n_per_bin) >= 1
     flagged = trace.freq_estimates > threshold
     n_jump = int(np.count_nonzero(truth))

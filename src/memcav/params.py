@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .textio import format_distinct
+from .textio import format_distinct, read_text
 
 
 @dataclass(frozen=True)
@@ -156,13 +156,15 @@ def load_config(path) -> ExperimentParams:
 
     The file is UTF-8 text, one assignment per line, ``#`` starts a comment.
     All ten keys are required, unknown keys are rejected, values are plain
-    or scientific-notation floats in SI base units.
+    or scientific-notation floats in SI base units.  Raises ConfigError,
+    naming the path, for a file that is missing, unreadable or not UTF-8,
+    or whose content breaks any of these rules.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path, ConfigError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

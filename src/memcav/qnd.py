@@ -56,8 +56,14 @@ def _detuning_per_phonon(p, one_minus_rc, x_m2):
 
 
 def detuning_per_phonon(p: ExperimentParams) -> float:
-    """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
-    return _detuning_per_phonon(p, _one_minus_rc(p), _x_m2(p))
+    """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c))).
+
+    Raises SingularityError where a step leaves the float range.
+    """
+    try:
+        return _detuning_per_phonon(p, _one_minus_rc(p), _x_m2(p))
+    except (ZeroDivisionError, OverflowError):  # x_m^2 or lam^2 leaves the float range
+        raise SingularityError("per-phonon detuning left the float range") from None
 
 
 class PdhNoise(NamedTuple):

@@ -25,9 +25,10 @@ from .textio import Table
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 40   # golden-section steps per axis and refinement round
-# Most points one grid_sweep evaluates.  At the cap, a 3-axis grid and its
-# sweep_rows took ~0.3 s, and memcav sweep, which writes its ~0.35 GB CSV a
-# batch at a time, ~6-7 s; both stay under 0.25 GB (2-vCPU host).
+# Most points one grid_sweep evaluates: it bounds the grid's columns and the
+# rows memcav sweep writes, a batch at a time.
+# tests/test_cli.py::test_command_at_its_caps_stays_bounded runs memcav sweep
+# at this cap and bounds its peak memory.
 MAX_SWEEP_POINTS = 1_000_000
 
 

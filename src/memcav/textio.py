@@ -92,26 +92,42 @@ def _texts(column):
 def write_csv(path, header, table: Table, metadata: dict | None = None) -> None:
     """Write a Table under its header and a metadata header, a batch of rows at a time.
 
-    Raises ValueError if the header and the table differ in column count.
+    Raises ValueError if the header and the table differ in column count,
+    and ValidationError, naming the path, if the file cannot be written.
     """
     if len(header) != len(table.columns):
         raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("\n".join([*metadata_lines(metadata or {}), ",".join(header)]) + "\n")
-        for lo in range(0, len(table), _BATCH):
-            cols = [_texts(col) for col in table[lo:lo + _BATCH].columns]
-            out.write("\n".join(map(",".join, zip(*cols))) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            out.write("\n".join([*metadata_lines(metadata or {}), ",".join(header)]) + "\n")
+            for lo in range(0, len(table), _BATCH):
+                cols = [_texts(col) for col in table[lo:lo + _BATCH].columns]
+                out.write("\n".join(map(",".join, zip(*cols))) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def read_text(path, error=ValidationError) -> str:
+    """The UTF-8 text of a file; raises `error`, naming the path, if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {path}: not UTF-8 text "
+                    f"({exc.reason} at byte {exc.start})") from None
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
     """Read a metadata-headed CSV back as float columns (non-floats -> nan).
 
-    Raises ValidationError if there is no header row, the header repeats a
-    column name, or a data row's cell count differs from the header's.
+    Raises ValidationError if the file cannot be read as UTF-8 text, there
+    is no header row, the header repeats a column name, or a data row's
+    cell count differs from the header's.
     """
     header = None
     data: list[list[float]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -150,10 +166,16 @@ def _nan_to_none(v):
 
 
 def write_json(path, payload: dict, metadata: dict | None = None) -> None:
-    """Write strict JSON: NaN becomes null, and an infinite value raises NumericsError."""
+    """Write strict JSON: NaN becomes null, and an infinite value raises NumericsError.
+
+    Raises ValidationError, naming the path, if the file cannot be written.
+    """
     doc = _nan_to_none({"metadata": metadata or {}, **payload})
     try:
         text = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
     except ValueError as exc:
         raise NumericsError(f"cannot write {path}: {exc}") from None
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None

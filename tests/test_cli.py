@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from memcav import cli, cooling
+from memcav import cli, cooling, jumpsim, sweep
 from memcav.cli import run
 from memcav.textio import read_csv
 
-from conftest import ROW1_CONFIG, run_python
+from conftest import FIT_PINS, README_PINS, ROW1_CONFIG, fit_argv, readme_argv, run_python
 
 
 def test_help_exits_zero(capsys):
@@ -167,6 +167,27 @@ def test_jump_sim_bad_readout_writes_nothing(tmp_path, row1_config, capsys, read
     assert not readout.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["jump-stats", "--bin-width", "1e-4", "--threshold", "0.5"],
+     "threshold 0.5 outside the n=0..1 signal range"),
+    (["jump-stats", "--bin-width=-1", "--threshold", "0.12"],
+     "bin_width must be positive (got -1.0)"),
+    (["jump-sim", "--readout", "r.csv", "--bin-width=-1"], "bin_width must be positive (got -1.0)"),
+    (["jump-sim", "--readout", "r.csv", "--bin-width", "1.0"], "duration shorter than one bin"),
+])
+def test_jump_flags_checked_before_simulating(tmp_path, row1_config, capsys, monkeypatch,
+                                              argv, message):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before the flags were checked")
+
+    monkeypatch.setattr(jumpsim, "simulate_trajectory", simulate)
+    command, *flags = argv
+    flags = [str(tmp_path / a) if a.endswith(".csv") else a for a in flags]
+    assert run([command, "--config", str(row1_config), "--seed", "1", "--duration", "0.5",
+                *flags, "-o", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_jump_stats_cli(tmp_path, row1_config):
     out = tmp_path / "stats.json"
     # zero-temperature config: pure noise, false alarms only
@@ -250,18 +271,22 @@ def _csv(names, *columns) -> str:
 _T_RING = np.linspace(0, 6e-6, 200)
 _T_MECH = np.linspace(0, 10, 300)
 _F_PSD = np.linspace(1.30e5, 1.38e5, 1001)
-_FIT_CSV = {
+# input files a row names, written into its directory on demand
+_FILES = {
     "ring.csv": _csv(["t_s", "power"], _T_RING, 1.7 * np.exp(-_T_RING / 1.145e-6) + 0.2),
     "mech.csv": _csv(["t_s", "amplitude"], _T_MECH, 0.8 * np.exp(-_T_MECH / 2.67)),
     "psd.csv": _csv(["freq_hz", "psd_m2_per_hz"], _F_PSD,
                     cooling.psd_model(2 * np.pi * _F_PSD, 4e-11, 6.82e-3, 8.42e5, 8.42e5 / 300)
                     + 1e-36),
 }
-_FIT_CSV["ring_x.csv"] = _FIT_CSV["ring.csv"].replace("\n0.0,1.9\n", "\n0.0,x\n")
-_FIT_CSV["mech_nan.csv"] = _FIT_CSV["mech.csv"].replace("\n0.0,0.8\n", "\n0.0,nan\n")
+_FILES["ring_x.csv"] = _FILES["ring.csv"].replace("\n0.0,1.9\n", "\n0.0,x\n")
+_FILES["mech_nan.csv"] = _FILES["mech.csv"].replace("\n0.0,0.8\n", "\n0.0,nan\n")
 # a repeated column name, whose last column read alone once gave tau_s = 2e-06
-_FIT_CSV["ring_dup.csv"] = _csv(["t_s", "power", "t_s"], _T_RING,
-                                1.7 * np.exp(-_T_RING / 1.145e-6) + 0.2, 2 * _T_RING)
+_FILES["ring_dup.csv"] = _csv(["t_s", "power", "t_s"], _T_RING,
+                              1.7 * np.exp(-_T_RING / 1.145e-6) + 0.2, 2 * _T_RING)
+# not UTF-8: a 0xff byte, in a data cell and in a config comment
+_FILES["ring_latin1.csv"] = b"t_s,power\n0.0,\xff\n"
+_FILES["row1_latin1.cfg"] = b"# \xff\n" + ROW1_CONFIG.encode()
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -280,10 +305,11 @@ _FIT_CSV["ring_dup.csv"] = _csv(["t_s", "power", "t_s"], _T_RING,
     # membrane spec below the vacuum index
     (["transmission-map", "--finesse", "200", "--length", "1.0", "--wavelength", "5.32e-7",
       "--membrane-index", "0.5", "--membrane-thickness", "5e-8", *_OPTICS], 1),
-    # valid configs whose measurement-channel rates leave the float range
+    # valid configs whose measurement-channel rates leave the float range (the
+    # threshold, checked first, sits between this config's n = 0 and 1 levels)
     (["jump-sim", "omega_m = 1e-200", "--seed", "1", "--duration", "0.001", "--channels"], 2),
     (["jump-stats", "omega_m = 1e-200", "--seed", "1", "--duration", "0.001",
-      "--bin-width", "1e-4", "--threshold", "0.1", "--channels"], 2),
+      "--bin-width", "1e-4", "--threshold", "6e204", "--channels"], 2),
     # a duration or bin width the simulator cannot use
     (["jump-sim", "T = 0.3", "--seed", "1", "--duration", "inf"], 1),
     (["jump-stats", "T = 0.3", "--seed", "1", "--duration", "0.001",
@@ -359,13 +385,34 @@ _FIT_CSV["ring_dup.csv"] = _csv(["t_s", "power", "t_s"], _T_RING,
     # a cool-fit band that is reversed or has a NaN end
     (["cool-fit", "-i", "psd.csv", "--exclude", "1.4e5:1.3e5"], 1),
     (["cool-fit", "-i", "psd.csv", "--exclude", "nan:1.4e5"], 1),
+    # an input that is missing, a directory or not UTF-8 ("{tmp}" is the test's directory)
+    (["ringdown-fit", "-i", "{tmp}/missing.csv"], 1),
+    (["ringdown-fit", "-i", "{tmp}"], 1),
+    (["ringdown-fit", "-i", "ring_latin1.csv"], 1),
+    (["qnd-budget", "--config", "row1_latin1.cfg"], 1),
+    # an output in a missing directory or naming a directory
+    (["qnd-budget", "T = 0.3", "-o", "{tmp}/missing/out.json"], 1),
+    (["qnd-budget", "T = 0.3", "-o", "{tmp}"], 1),
+    (["bandstructure", "T = 0.3", "-o", "{tmp}/missing/out.csv"], 1),
+    (["bandstructure", "T = 0.3", "-o", "{tmp}"], 1),
+    # the trajectory, written first, stays behind in t.csv
+    (["jump-sim", "T = 0.3", "--seed", "1", "--duration", "0.001", "--bin-width", "1e-4",
+      "--readout", "{tmp}/missing/r.csv", "-o", "{tmp}/t.csv"], 1),
+    # a valid config whose per-phonon shift leaves the float range (x_m^2 = inf)
+    (["jump-stats", "m = 1e-300", "omega_m = 1e-200", "--seed", "1", "--duration", "0.001",
+      "--bin-width", "1e-4", "--threshold", "0.1"], 2),
+    (["jump-sim", "m = 1e-300", "omega_m = 1e-200", "--seed", "1", "--duration", "0.001",
+      "--bin-width", "1e-4", "--readout", "{tmp}/r.csv"], 2),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
-    for i, arg in enumerate(rest):  # fit inputs, written on demand
-        if arg in _FIT_CSV:
+    for i, arg in enumerate(rest):  # input files, written on demand
+        if arg in _FILES:
             rest[i] = str(tmp_path / arg)
-            (tmp_path / arg).write_text(_FIT_CSV[arg])
+            content = _FILES[arg]
+            (tmp_path / arg).write_bytes(content if isinstance(content, bytes)
+                                         else content.encode())
+        rest[i] = rest[i].replace("{tmp}", str(tmp_path))
     overrides = [arg for arg in rest if " = " in arg]  # "key = value" lines for row 1
     if overrides:
         keys = {line.partition(" = ")[0] for line in overrides}
@@ -375,7 +422,9 @@ def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, 
         cfg.write_text("\n".join(lines + overrides) + "\n")
         rest = ["--config", str(cfg)] + [arg for arg in rest if arg not in overrides]
     out = tmp_path / "out"
-    assert run([command, *rest, "-o", str(out)]) == code
+    if "-o" not in rest:
+        rest += ["-o", str(out)]
+    assert run([command, *rest]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
@@ -480,38 +529,14 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_readme_commands_do_not_import_scipy(tmp_path, row1_config):
-    """scipy.optimize costs ~0.45 s per process; no README command loads scipy."""
-    cfg = str(row1_config)
-    t = np.linspace(0.0, 6e-6, 200)
-    _write_fit_input(tmp_path / "ring.csv", "t_s,power", t, 1.7 * np.exp(-t / 1.145e-6) + 0.2)
-    t = np.linspace(0.0, 10.0, 300)
-    _write_fit_input(tmp_path / "mech.csv", "t_s,amplitude", t, 0.8 * np.exp(-t / 2.67))
-    omega, gamma = 8.42e5, 8.42e5 / 300.0
-    freq = np.linspace(omega - 60 * gamma, omega + 60 * gamma, 1001) / (2 * np.pi)
-    psd = cooling.psd_model(2 * np.pi * freq, 4e-11, 6.82e-3, omega, gamma) + 1e-36
-    _write_fit_input(tmp_path / "psd.csv", "freq_hz,psd_m2_per_hz", freq, psd)
-    commands = [
-        ["qnd-budget", "--config", cfg, "-o", str(tmp_path / "b.json")],
-        ["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7",
-         "--samples", "11", "-o", str(tmp_path / "bands.csv")],
-        ["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1.0",
-         "--wavelength", "5.32e-7", "--det-min=-1e9", "--det-max=1e9",
-         "--det-samples", "11", "--x-samples", "3", "-o", str(tmp_path / "map.csv")],
-        ["jump-sim", "--config", cfg, "--seed", "42", "--duration", "0.002", "--channels",
-         "--readout", str(tmp_path / "r.csv"), "--bin-width", "7e-5",
-         "-o", str(tmp_path / "t.csv")],
-        ["jump-stats", "--config", cfg, "--seed", "42", "--duration", "0.002",
-         "--bin-width", "1e-4", "--threshold", "0.12", "-o", str(tmp_path / "s.json")],
-        ["sweep", "--config", cfg, "--axis", "F:3e5:6e5:2:log", "--best",
-         str(tmp_path / "best.json"), "--maximize", "-o", str(tmp_path / "sw.csv")],
-        ["ringdown-fit", "-i", str(tmp_path / "ring.csv"), "--length", "0.067",
-         "-o", str(tmp_path / "fit.json")],
-        ["mech-ringdown-fit", "-i", str(tmp_path / "mech.csv"), "--omega-m", "8.42e5",
-         "-o", str(tmp_path / "mechfit.json")],
-        ["cool-fit", "-i", str(tmp_path / "psd.csv"), "--mass", "4e-11", "--omega-m", "8.42e5",
-         "--t-bath", "294", "--q-intrinsic", "1.1e6", "-o", str(tmp_path / "coolfit.json")],
-    ]
+def test_readme_commands_do_not_import_scipy(tmp_path, fit_inputs):
+    """No pinned command, the README's nine among them, loads scipy in a fresh process.
+
+    scipy.optimize alone costs ~0.45 s a process.
+    """
+    commands = [readme_argv(argv, tmp_path) for _, argv, _ in README_PINS]
+    commands += [[*fit_argv(argv, fit_inputs), "-o", str(tmp_path / "fit.json")]
+                 for argv, _ in FIT_PINS]
     proc = run_python("-c", _NO_SCIPY_SCRIPT, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
@@ -523,36 +548,65 @@ def test_readme_commands_do_not_import_scipy(tmp_path, row1_config):
 # kB on Linux).  Linux carries the peak of the process that starts a child
 # over into the child's ru_maxrss, so a fresh, small interpreter starts it,
 # not the test process.
-_PEAK_RSS_SCRIPT = """
+_MEASURED_RUN = """
 import subprocess, sys
 child = ("import resource, sys; from memcav.cli import run; code = run(sys.argv[1:]); "
          "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
 sys.exit(subprocess.run([sys.executable, "-c", child, *sys.argv[1:]]).returncode)
 """
 
+_BANDS = ["bandstructure", "--rc", "0.31", "--length", "0.067", "--wavelength", "5.32e-7"]
+_MAP_AT_CAPS = ["transmission-map", "--finesse", "200", "--length", "1.0",
+                "--wavelength", "5.32e-7", "--det-min=-1e9", "--det-max=1e9",
+                "--det-samples", str(cli.MAX_MAP_SAMPLES),
+                "--x-samples", str(cli.MAX_MAP_SAMPLES)]
+_SCENARIO = ["--config", "scenario.cfg"]
 
-def test_jump_sim_readout_at_max_bins_stays_small(tmp_path, row1_config):
-    readout = tmp_path / "r.csv"
-    proc = run_python("-c", _PEAK_RSS_SCRIPT, "jump-sim", "--config", str(row1_config),
-                      "--seed", "1", "--duration", "0.01", "--bin-width", "1e-8",
-                      "--readout", str(readout), "-o", str(tmp_path / "t.csv"))
-    assert proc.returncode == 0, proc.stderr
-    with readout.open() as lines:
-        assert sum(not line.startswith("#") for line in lines) == 1 + cli.MAX_BINS
-    assert int(proc.stdout) < 150 * 1024
+# One row per documented cap: the command at that cap, its exit code, the
+# data rows of the outputs it is checked by (a failed run writes none), and
+# the bound on its peak RSS [bytes].  The README's "Resource caps" table
+# gives what each row costs.
+_AT_CAPS = [
+    ("bandstructure", [*_BANDS, "--samples", str(cli.MAX_SAMPLES),
+                       "--bands", str(cli.MAX_BANDS), "-o", "bands.csv"],
+     0, {"bands.csv": cli.MAX_SAMPLES}, 0.15e9),
+    ("transmission-map sheet", [*_MAP_AT_CAPS, "--rc", "0.31", "-o", "map.csv"],
+     0, {"map.csv": cli.MAX_MAP_SAMPLES**2}, 0.3e9),
+    ("transmission-map slab", [*_MAP_AT_CAPS, "--membrane-index", "2.0",
+                               "--membrane-thickness", "5e-8", "-o", "map.csv"],
+     0, {"map.csv": cli.MAX_MAP_SAMPLES**2}, 0.3e9),
+    ("jump-sim", ["jump-sim", *_SCENARIO, "--seed", "1", "--duration", "0.01",
+                  "--bin-width", "1e-8", "--readout", "readout.csv", "-o", "trajectory.csv"],
+     0, {"readout.csv": cli.MAX_BINS}, 0.15e9),
+    # a 1.0 s path of the README scenario needs more than jumpsim.MAX_EVENTS events
+    ("jump-stats", ["jump-stats", *_SCENARIO, "--seed", "42", "--duration", "1.0",
+                    "--bin-width", "1e-4", "--threshold", "0.12", "-o", "stats.json"],
+     1, {}, 0.2e9),
+    ("sweep", ["sweep", *_SCENARIO, "--axis", "F:1e4:1e6:100:log",
+               "--axis", "P_in:1e-8:1e-3:100:log", "--axis", "x0:0:1e-7:100", "-o", "sweep.csv"],
+     0, {"sweep.csv": sweep.MAX_SWEEP_POINTS}, 0.25e9),
+]
 
 
-def test_transmission_map_at_its_caps_stays_under_0_3_gb(tmp_path):
-    out = tmp_path / "map.csv"
-    caps = str(cli.MAX_MAP_SAMPLES)
-    proc = run_python("-c", _PEAK_RSS_SCRIPT, "transmission-map", "--rc", "0.31",
-                      "--finesse", "200", "--length", "1.0", "--wavelength", "5.32e-7",
-                      "--det-min=-1e9", "--det-max=1e9", "--det-samples", caps,
-                      "--x-samples", caps, "-o", str(out))
-    assert proc.returncode == 0, proc.stderr
-    with out.open() as lines:
-        assert sum(not line.startswith("#") for line in lines) == 1 + cli.MAX_MAP_SAMPLES**2
-    assert int(proc.stdout) * 1024 < 0.3e9   # as the README promises at the caps
+def _data_rows(path) -> int:
+    with path.open() as lines:
+        return sum(not line.startswith("#") for line in lines) - 1   # less the header
+
+
+@pytest.mark.parametrize("argv, code, rows, peak_bound", [row[1:] for row in _AT_CAPS],
+                         ids=[row[0] for row in _AT_CAPS])
+def test_command_at_its_caps_stays_bounded(tmp_path, argv, code, rows, peak_bound):
+    """Memory is bounded by the row's peak RSS bound, time by run_python's timeout."""
+    proc = run_python("-c", _MEASURED_RUN, *readme_argv(argv, tmp_path))
+    outputs = [path for path in tmp_path.iterdir() if path.name != "scenario.cfg"]
+    counted = {path.name: _data_rows(path) for path in outputs if path.name in rows}
+    for path in outputs:   # the sweep's CSV alone is ~0.35 GB, which kept tmp dirs would hold
+        path.unlink()
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert counted == rows
+    assert bool(outputs) == (code == 0)   # a failed run writes nothing
+    assert int(proc.stdout) * 1024 < peak_bound
 
 
 def test_fit_command_in_fresh_process(tmp_path):

@@ -12,8 +12,6 @@ from memcav.cli import run
 from memcav.errors import MemcavError, SingularityError, ValidationError
 from memcav.params import ExperimentParams, as_dict, attr_name, with_value
 
-from conftest import run_python
-
 
 def test_axis_validation():
     sweep.SweepAxis("P_in", 1e-6, 1e-4, 5, "log")
@@ -234,35 +232,6 @@ def test_sweep_point_cap_raises(row1, tmp_path, row1_config, monkeypatch):
     assert run(["sweep", "--config", str(row1_config), "--axis", "F:1e5:1e6:101",
                 "-o", str(out)]) == 1
     assert not out.exists()
-
-
-# grid_sweep and sweep_rows on a 100^3 grid in a grandchild that prints the
-# row count and its peak RSS (ru_maxrss, in kB on Linux).  Linux carries the
-# peak of the process that starts a child over into the child's ru_maxrss,
-# so a fresh, small interpreter starts it, not the test process.
-_MAX_POINTS_SCRIPT = """
-import subprocess, sys
-child = '''
-import resource
-from memcav import sweep
-from memcav.params import ExperimentParams
-base = ExperimentParams(L=0.067, lam=5.32e-7, F=3e5, P_in=1e-5, T=0.3, m=5e-14,
-                        omega_m=6.2831853071795865e5, Q=1.2e7, r_c=0.999, x0=5e-13)
-axes = [sweep.SweepAxis("F", 1e4, 1e6, 100, "log"), sweep.SweepAxis("P_in", 1e-8, 1e-3, 100, "log"),
-        sweep.SweepAxis("x0", 0.0, 1e-7, 100)]
-_, table = sweep.sweep_rows(sweep.grid_sweep(base, axes))
-print(len(table), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-'''
-sys.exit(subprocess.run([sys.executable, "-c", child]).returncode)
-"""
-
-
-def test_sweep_rows_at_max_points_stay_under_a_quarter_gb():
-    proc = run_python("-c", _MAX_POINTS_SCRIPT)
-    assert proc.returncode == 0, proc.stderr
-    rows, peak_kb = map(int, proc.stdout.split())
-    assert rows == sweep.MAX_SWEEP_POINTS
-    assert peak_kb * 1024 < 0.25e9   # as the MAX_SWEEP_POINTS comment promises
 
 
 def _old_rows(base, axes):
