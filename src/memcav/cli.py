@@ -1,22 +1,25 @@
 """Command-line frontend.
 
-Every subcommand reads plain files, writes CSV/JSON with an embedded
-metadata echo (tool version, resolved parameters, seeds), and never writes
-anything time-dependent, so identical invocations produce byte-identical
-outputs.  Exit codes: 0 success, 1 validation/config error, 2 numerical or
-fit error.
+Each subcommand reads plain files and returns its CSV/JSON outputs, with a
+metadata echo (tool version, resolved parameters, seeds), as (writer, path,
+*body) tuples.  run() alone writes them; on a failure it removes each file
+the run created (a path that existed before stays).  Nothing is
+time-dependent, so identical invocations give byte-identical outputs.
+Exit codes: 0 success, 1 validation/config error, 2 numerical or fit error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import __version__, cavity, cooling, fitting, jumpsim, mechanics, qnd, sweep
-from .errors import NumericsError, ValidationError
+from .errors import MemcavError, NumericsError, ValidationError
 from .params import MembraneSpec, as_dict, load_config
 from .textio import Table, read_csv, write_csv, write_json
 
@@ -40,8 +43,7 @@ def _seed(text: str) -> int:
 def _base_metadata(args, p=None) -> dict:
     meta = {"tool": "memcav", "version": __version__, "command": args.command}
     if p is not None:
-        for key, val in as_dict(p).items():
-            meta[f"param_{key}"] = val
+        meta.update({f"param_{key}": val for key, val in as_dict(p).items()})
     return meta
 
 
@@ -70,7 +72,7 @@ def _optics(args, required) -> tuple:
 
 # The caps below bound the work, the memory and the output of each command.
 # tests/test_cli.py::test_command_at_its_caps_stays_bounded runs the optics
-# and jump commands at their caps and bounds their peak memory; the README's
+# commands at their caps and bounds their peak memory; the README's
 # "Resource caps" table lists what each cap costs.
 #
 # Largest sample counts of the optics commands, checked before anything is
@@ -84,9 +86,6 @@ MAX_MAP_SAMPLES = 1000    # transmission-map --det-samples and --x-samples
 # no test runs this many; test_bad_input_exits_without_traceback checks the
 # flag's range.
 MAX_REFINE_ITERS = 1000
-# Most readout bins (--duration / --bin-width) of jump-sim and jump-stats,
-# checked before simulating: it bounds the readout's arrays and CSV rows.
-MAX_BINS = 1_000_000
 
 
 def _count(count: int, cap: int, flag: str, lowest: int = 1) -> int:
@@ -125,7 +124,7 @@ def _x_span(args, lam: float) -> tuple[float, float]:
     return _span(args.xmin, xmax, "--xmin/--xmax")
 
 
-def _cmd_bandstructure(args) -> int:
+def _cmd_bandstructure(args) -> list:
     samples = _count(args.samples, MAX_SAMPLES, "--samples", lowest=2)
     bands = _count(args.bands, MAX_BANDS, "--bands")
     r_c, _, L, lam = _optics(args, ("r_c", "L", "lam"))
@@ -133,11 +132,10 @@ def _cmd_bandstructure(args) -> int:
     header, rows = cavity.band_structure_rows(bs)
     meta = _base_metadata(args)
     meta.update({"r_c": r_c, "L": L, "lambda": lam, "omega_fsr_rad_s": bs.omega_fsr})
-    write_csv(args.output, header, rows, meta)
-    return 0
+    return [(write_csv, args.output, header, rows, meta)]
 
 
-def _cmd_transmission_map(args) -> int:
+def _cmd_transmission_map(args) -> list:
     det_samples = _count(args.det_samples, MAX_MAP_SAMPLES, "--det-samples")
     x_samples = _count(args.x_samples, MAX_MAP_SAMPLES, "--x-samples")
     _requires(args, "membrane_index", "membrane_thickness")
@@ -161,8 +159,7 @@ def _cmd_transmission_map(args) -> int:
     else:
         meta["membrane_index"] = membrane.n_index
         meta["membrane_thickness_m"] = membrane.d
-    write_csv(args.output, header, rows, meta)
-    return 0
+    return [(write_csv, args.output, header, rows, meta)]
 
 
 def _columns(path, x_name: str, y_name: str) -> tuple:
@@ -174,28 +171,26 @@ def _columns(path, x_name: str, y_name: str) -> tuple:
     return fitting.check_samples(cols[x_name], cols[y_name], (x_name, y_name), 0)
 
 
-def _cmd_ringdown_fit(args) -> int:
+def _cmd_ringdown_fit(args) -> list:
     _positive(args, "length")
     fit = fitting.fit_exponential_decay(*_columns(args.input, "t_s", "power"))
     payload = {"tau_s": fit.tau, "amplitude": fit.amplitude, "offset": fit.offset,
                "residual_rms": fit.residual_rms}
     if args.length is not None:
         payload["finesse"] = cavity.finesse_ringdown(fit.tau, "tau_to_finesse", args.length)
-    write_json(args.output, payload, _base_metadata(args))
-    return 0
+    return [(write_json, args.output, payload, _base_metadata(args))]
 
 
-def _cmd_mech_ringdown_fit(args) -> int:
+def _cmd_mech_ringdown_fit(args) -> list:
     _positive(args, "omega_m")
     tau = mechanics.fit_mech_ringdown(*_columns(args.input, "t_s", "amplitude"))
     payload = {"tau_s": tau}
     if args.omega_m is not None:
         payload["Q"] = mechanics.q_from_ringdown(tau, args.omega_m)
-    write_json(args.output, payload, _base_metadata(args))
-    return 0
+    return [(write_json, args.output, payload, _base_metadata(args))]
 
 
-def _cmd_cool_fit(args) -> int:
+def _cmd_cool_fit(args) -> list:
     _requires(args, "omega_m", "mass")
     _requires(args, "q_intrinsic", "t_bath")
     _requires(args, "t_bath", "q_intrinsic")
@@ -211,14 +206,12 @@ def _cmd_cool_fit(args) -> int:
     trace = cooling.fit_psd(freq, psd, m=args.mass, omega_m=args.omega_m,
                             t_bath=args.t_bath, q_intrinsic=args.q_intrinsic,
                             exclude_bands=exclude)
-    write_json(args.output, vars(trace.fit), _base_metadata(args))
-    return 0
+    return [(write_json, args.output, vars(trace.fit), _base_metadata(args))]
 
 
-def _cmd_qnd_budget(args) -> int:
+def _cmd_qnd_budget(args) -> list:
     p = load_config(args.config)
-    write_json(args.output, qnd.budget_report(p), _base_metadata(args, p))
-    return 0
+    return [(write_json, args.output, qnd.budget_report(p), _base_metadata(args, p))]
 
 
 def _simulate(args, threshold=None):
@@ -226,18 +219,11 @@ def _simulate(args, threshold=None):
 
     Returns (trajectory, readout, metadata, readout metadata); the readout
     and its metadata are None without a bin width.  The bin width and a
-    detection threshold are checked before anything is simulated, and
-    nothing is written here, so a failure leaves no partial output set
-    behind.
+    detection threshold are checked before anything is simulated.
     """
     p = load_config(args.config)
-    bin_width = args.bin_width
-    if bin_width is not None:
-        if (bin_width > 0.0 and math.isfinite(args.duration)
-                and args.duration / bin_width > MAX_BINS):
-            raise ValidationError(f"--duration / --bin-width gives more than {MAX_BINS} "
-                                  f"readout bins (got {args.duration} / {bin_width})")
-        jumpsim.readout_bins(args.duration, bin_width)
+    if args.bin_width is not None:
+        jumpsim.readout_bins(args.duration, args.bin_width)
     if threshold is not None:
         jumpsim.check_threshold(threshold, qnd.detuning_per_phonon(p))
     traj = jumpsim.simulate_trajectory(p, args.duration, args.seed,
@@ -246,27 +232,28 @@ def _simulate(args, threshold=None):
     meta.update({"seed": args.seed, "duration_s": args.duration,
                  "rng": traj.rng_algorithm, "rng_stream": jumpsim.RNG_STREAM,
                  "measurement_channels": args.channels})
-    if bin_width is None:
+    if args.bin_width is None:
         return traj, None, meta, None
-    trace = jumpsim.binned_readout(traj, p, bin_width, args.readout_seed)
+    trace = jumpsim.binned_readout(traj, p, args.bin_width, args.readout_seed)
     meta_r = {**meta, "bin_width_s": trace.bin_width, "readout_seed": args.readout_seed}
     return traj, trace, meta, meta_r
 
 
-def _cmd_jump_sim(args) -> int:
+def _cmd_jump_sim(args) -> list:
     _requires(args, "readout", "bin_width")
     _requires(args, "bin_width", "readout")
     traj, trace, meta, meta_r = _simulate(args)
-    write_csv(args.output, ["t_s", "n"], Table(traj.times, traj.levels), meta)
+    outputs = [(write_csv, args.output, ["t_s", "n"], Table(traj.times, traj.levels), meta)]
     if trace is not None:
         meta_r.update({"delta_omega_rad_s": trace.delta_omega,
                        "noise_sigma_rad_s": trace.noise_sigma})
-        write_csv(args.readout, ["t_s", "freq_estimate_rad_s", "true_n"],
-                  Table(trace.bin_centers, trace.freq_estimates, trace.true_n_per_bin), meta_r)
-    return 0
+        outputs.append((write_csv, args.readout, ["t_s", "freq_estimate_rad_s", "true_n"],
+                        Table(trace.bin_centers, trace.freq_estimates, trace.true_n_per_bin),
+                        meta_r))
+    return outputs
 
 
-def _cmd_jump_stats(args) -> int:
+def _cmd_jump_stats(args) -> list:
     _, trace, _, meta_r = _simulate(args, args.threshold)
     stats = jumpsim.jump_detection_stats(trace, args.threshold)
     payload = {
@@ -278,8 +265,7 @@ def _cmd_jump_stats(args) -> int:
         "delta_omega_rad_s": trace.delta_omega,
         "noise_sigma_rad_s": trace.noise_sigma,
     }
-    write_json(args.output, payload, meta_r)
-    return 0
+    return [(write_json, args.output, payload, meta_r)]
 
 
 def _parse_axis(text: str) -> sweep.SweepAxis:
@@ -295,7 +281,7 @@ def _parse_axis(text: str) -> sweep.SweepAxis:
         raise ValidationError(f"bad --axis '{text}': {exc}") from None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> list:
     _requires(args, "maximize", "best")
     refine_iters = (3 if args.refine_iters is None else
                     _count(args.refine_iters, MAX_REFINE_ITERS, "--refine-iters", lowest=0))
@@ -307,7 +293,7 @@ def _cmd_sweep(args) -> int:
     for i, axis in enumerate(axes):
         meta[f"axis_{i}"] = (f"{axis.param_name}:{axis.minimum}:{axis.maximum}"
                              f":{axis.count}:{axis.scale}")
-    write_csv(args.output, *sweep.sweep_rows(result), meta)
+    outputs = []
     if args.best is not None:
         # an OptimizeResult, or the best SweepEntry (None if no grid point is feasible)
         best = (sweep.maximize_snr(p, axes, refine_iters=refine_iters, grid=result)
@@ -316,8 +302,8 @@ def _cmd_sweep(args) -> int:
         if best is not None and best.feasible:
             payload = {"feasible": True, "best_params": as_dict(best.params),
                        "snr": best.budget.snr, "tau_total_s": best.budget.tau_total}
-        write_json(args.best, payload, meta)
-    return 0
+        outputs.append((write_json, args.best, payload, meta))
+    return [(write_csv, args.output, *sweep.sweep_rows(result), meta), *outputs]
 
 
 def build_parser() -> _Parser:
@@ -418,22 +404,23 @@ def build_parser() -> _Parser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    created = []   # outputs that did not exist before this run, removed if it fails
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        for writer, path, *body in args.func(args):
+            if not os.path.lexists(path):
+                created.append(path)
+            writer(path, *body)
+        return 0
     except SystemExit as exc:  # --help / --version
         return 0 if (exc.code or 0) == 0 else 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericsError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
+    except MemcavError as exc:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        numerical = isinstance(exc, NumericsError)
+        print(f"{'numerical error' if numerical else 'error'}: {exc}", file=sys.stderr)
+        return 2 if numerical else 1
 
 
 def main() -> None:

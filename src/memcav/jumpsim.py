@@ -57,6 +57,9 @@ _FIRST_PIECE = 8
 # tests/test_cli.py::test_command_at_its_caps_stays_bounded runs jump-stats
 # into this cap and bounds its peak memory.
 MAX_EVENTS = 5_000_000
+# Most bins of a readout, checked by readout_bins before simulating: it bounds
+# the readout's arrays and CSV rows.  The same test runs jump-sim at this cap.
+MAX_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,15 @@ def readout_bins(duration: float, bin_width: float) -> int:
     """Whole bins of bin_width in duration, which callers can check before simulating.
 
     Raises ValidationError for a duration that is not positive and finite,
-    a bin width that is not positive, or a duration shorter than one bin.
+    a bin width that is not positive, or a duration shorter than one bin
+    or longer than MAX_BINS bins.
     """
     _check_duration(duration)
     if not bin_width > 0:  # NaN included
         raise ValidationError(f"bin_width must be positive (got {bin_width})")
+    if duration / bin_width > MAX_BINS:   # inf included
+        raise ValidationError(f"duration / bin_width gives more than {MAX_BINS} "
+                              f"readout bins (got {duration} / {bin_width})")
     n_bins = int(math.floor(duration / bin_width + 1e-9))
     if n_bins < 1:
         raise ValidationError("duration shorter than one bin")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .elementwise import sqrt
-from .errors import ValidationError
+from .errors import SingularityError, ValidationError
 from .fitting import fit_exponential_decay, require_positive
 from .params import HBAR, K_B
 
@@ -33,14 +33,16 @@ def zero_point_amplitude(m: float, omega_m: float) -> float:
 def thermal_occupation(T: float, omega_m: float) -> float:
     """Bath mean phonon number k_B T / (hbar omega_m), classical limit.
 
-    Valid for n_bar >> 1; callers should check is_classical_bath() before
-    leaning on the high-temperature form.
+    Valid for n_bar >> 1, which is_classical_bath() checks.  On floats,
+    raises SingularityError where hbar omega_m underflows to 0.
     """
     if not isinstance(T, np.ndarray):
         if T < 0:
             raise ValidationError(f"T must be >= 0 (got {T})")
         if omega_m <= 0:
             raise ValidationError(f"omega_m must be positive (got {omega_m})")
+        if HBAR * omega_m == 0.0:
+            raise SingularityError(f"hbar omega_m underflowed to 0 (omega_m = {omega_m})")
     return K_B * T / (HBAR * omega_m)
 
 

@@ -83,8 +83,12 @@ def pdh_noise_psd(p: ExperimentParams) -> PdhNoise:
 
     S_omega = pi^3 hbar c^3 / (16 F^2 L^2 lambda P_in), which equals
     kappa / (16 N_bar) with N_bar kappa = P_in lambda / (pi hbar c).
+    Raises SingularityError where a step leaves the float range.
     """
-    return _pdh_noise_psd(p, _kappa(p))
+    try:
+        return _pdh_noise_psd(p, _kappa(p))
+    except (ZeroDivisionError, OverflowError):  # e.g. L^2 overflows
+        raise SingularityError("readout noise floor left the float range") from None
 
 
 def thermal_lifetime(p: ExperimentParams) -> float:
@@ -192,7 +196,7 @@ def _budget(p) -> QndBudget:
         snr = dw**2 * tau_total / s_omega
         gap = cavity.near_unity_gap(p.r_c, p.L)
         n_bar = mechanics.thermal_occupation(p.T, p.omega_m)
-    except (ZeroDivisionError, OverflowError):  # e.g. a lifetime underflows to 0
+    except (ZeroDivisionError, OverflowError, SingularityError):  # e.g. an underflow to 0
         raise SingularityError(_FLOAT_RANGE) from None
     flags = QndFlags(tau_total * p.omega_m > 1.0, gap > p.omega_m,
                      mechanics.is_classical_bath(n_bar), p.omega_m > kappa)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from memcav import cli, cooling, jumpsim, sweep
 from memcav.cli import run
+from memcav.errors import ValidationError
 from memcav.textio import read_csv
 
 from conftest import FIT_PINS, README_PINS, ROW1_CONFIG, fit_argv, readme_argv, run_python
@@ -174,6 +175,8 @@ def test_jump_sim_bad_readout_writes_nothing(tmp_path, row1_config, capsys, read
      "bin_width must be positive (got -1.0)"),
     (["jump-sim", "--readout", "r.csv", "--bin-width=-1"], "bin_width must be positive (got -1.0)"),
     (["jump-sim", "--readout", "r.csv", "--bin-width", "1.0"], "duration shorter than one bin"),
+    (["jump-sim", "--readout", "r.csv", "--bin-width", str(0.5 / (jumpsim.MAX_BINS + 1))],
+     f"more than {jumpsim.MAX_BINS} readout bins"),
 ])
 def test_jump_flags_checked_before_simulating(tmp_path, row1_config, capsys, monkeypatch,
                                               argv, message):
@@ -395,7 +398,7 @@ _FILES["row1_latin1.cfg"] = b"# \xff\n" + ROW1_CONFIG.encode()
     (["qnd-budget", "T = 0.3", "-o", "{tmp}"], 1),
     (["bandstructure", "T = 0.3", "-o", "{tmp}/missing/out.csv"], 1),
     (["bandstructure", "T = 0.3", "-o", "{tmp}"], 1),
-    # the trajectory, written first, stays behind in t.csv
+    # a second output that cannot be written: the first, written, is removed
     (["jump-sim", "T = 0.3", "--seed", "1", "--duration", "0.001", "--bin-width", "1e-4",
       "--readout", "{tmp}/missing/r.csv", "-o", "{tmp}/t.csv"], 1),
     # a valid config whose per-phonon shift leaves the float range (x_m^2 = inf)
@@ -403,11 +406,22 @@ _FILES["row1_latin1.cfg"] = b"# \xff\n" + ROW1_CONFIG.encode()
       "--bin-width", "1e-4", "--threshold", "0.1"], 2),
     (["jump-sim", "m = 1e-300", "omega_m = 1e-200", "--seed", "1", "--duration", "0.001",
       "--bin-width", "1e-4", "--readout", "{tmp}/r.csv"], 2),
+    # valid configs whose thermal occupation (hbar omega_m underflows) or readout
+    # noise floor (L^2 overflows) leaves the float range
+    (["jump-sim", "omega_m = 1e-300", "--seed", "1", "--duration", "0.001",
+      "--bin-width", "1e-4", "--readout", "{tmp}/r.csv"], 2),
+    (["jump-sim", "L = 1e300", "--seed", "1", "--duration", "0.001",
+      "--bin-width", "1e-4", "--readout", "{tmp}/r.csv"], 2),
+    # the sweep's table, written first, is removed when --best cannot be written
+    (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--best", "{tmp}/missing/b.json",
+      "-o", "{tmp}/s.csv"], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
+    inputs = {row1_config.name}
     for i, arg in enumerate(rest):  # input files, written on demand
         if arg in _FILES:
+            inputs.add(arg)
             rest[i] = str(tmp_path / arg)
             content = _FILES[arg]
             (tmp_path / arg).write_bytes(content if isinstance(content, bytes)
@@ -420,12 +434,43 @@ def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, 
                  if line.partition(" = ")[0] not in keys]
         cfg = tmp_path / "extreme.cfg"
         cfg.write_text("\n".join(lines + overrides) + "\n")
+        inputs.add(cfg.name)
         rest = ["--config", str(cfg)] + [arg for arg in rest if arg not in overrides]
-    out = tmp_path / "out"
     if "-o" not in rest:
-        rest += ["-o", str(out)]
+        rest += ["-o", str(tmp_path / "out")]
     assert run([command, *rest]) == code
     assert "Traceback" not in capsys.readouterr().err
+    # no output is left, not even one written before the failure
+    assert {path.name for path in tmp_path.iterdir()} == inputs
+
+
+@pytest.mark.parametrize("existing", ["file", "symlink"])
+def test_failed_run_keeps_paths_that_existed_before(tmp_path, row1_config, capsys, existing):
+    """A failed run removes only the files it created; an -o path such as /dev/null stays."""
+    out = tmp_path / "s.csv"
+    if existing == "symlink":
+        (tmp_path / "target.csv").write_text("old\n")
+        out.symlink_to(tmp_path / "target.csv")
+    else:
+        out.write_text("old\n")
+    before = {path.name for path in tmp_path.iterdir()}
+    assert run(["sweep", "--config", str(row1_config), "--axis", "F:3e5:6e5:2:log",
+                "--best", str(tmp_path / "missing" / "b.json"), "-o", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} == before
+    assert out.is_symlink() == (existing == "symlink")
+
+
+def test_failed_write_removes_its_partial_file(tmp_path, row1_config, capsys, monkeypatch):
+    def write_csv(path, *body):  # fails after creating its file, as a full disk would
+        Path(path).write_text("t_s,n\n")
+        raise ValidationError(f"cannot write {path}: No space left on device")
+
+    monkeypatch.setattr(cli, "write_csv", write_csv)
+    out = tmp_path / "t.csv"
+    assert run(["jump-sim", "--config", str(row1_config), "--seed", "1",
+                "--duration", "0.001", "-o", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -521,9 +566,11 @@ def _write_fit_input(path, header, x, y):
 
 
 _NO_SCIPY_SCRIPT = """
-import json, sys
+import importlib, json, pkgutil, sys
 import memcav, memcav.cli
 codes = [memcav.cli.run(argv) for argv in json.loads(sys.argv[1])]
+for module in pkgutil.iter_modules(memcav.__path__, "memcav."):
+    importlib.import_module(module.name)
 print(json.dumps({"codes": codes,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
@@ -532,7 +579,9 @@ print(json.dumps({"codes": codes,
 def test_readme_commands_do_not_import_scipy(tmp_path, fit_inputs):
     """No pinned command, the README's nine among them, loads scipy in a fresh process.
 
-    scipy.optimize alone costs ~0.45 s a process.
+    Nor does importing every memcav module afterwards, so a module-level
+    scipy import anywhere fails here.  scipy.optimize alone costs ~0.45 s
+    a process.
     """
     commands = [readme_argv(argv, tmp_path) for _, argv, _ in README_PINS]
     commands += [[*fit_argv(argv, fit_inputs), "-o", str(tmp_path / "fit.json")]
@@ -577,7 +626,7 @@ _AT_CAPS = [
      0, {"map.csv": cli.MAX_MAP_SAMPLES**2}, 0.3e9),
     ("jump-sim", ["jump-sim", *_SCENARIO, "--seed", "1", "--duration", "0.01",
                   "--bin-width", "1e-8", "--readout", "readout.csv", "-o", "trajectory.csv"],
-     0, {"readout.csv": cli.MAX_BINS}, 0.15e9),
+     0, {"readout.csv": jumpsim.MAX_BINS}, 0.15e9),
     # a 1.0 s path of the README scenario needs more than jumpsim.MAX_EVENTS events
     ("jump-stats", ["jump-stats", *_SCENARIO, "--seed", "42", "--duration", "1.0",
                     "--bin-width", "1e-4", "--threshold", "0.12", "-o", "stats.json"],

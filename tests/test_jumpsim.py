@@ -85,6 +85,14 @@ def test_event_cap_raises(small_bath, monkeypatch):
     assert len(jumpsim.simulate_trajectory(small_bath, 0.002, seed=2024).times) == 453
 
 
+def test_readout_bin_cap():
+    assert jumpsim.readout_bins(0.01, 1e-8) == jumpsim.MAX_BINS
+    # 1e-320 gives an infinite bin count, which int() cannot take
+    for bin_width in (0.01 / (jumpsim.MAX_BINS + 1), 1e-320):
+        with pytest.raises(ValidationError, match="more than 1000000 readout bins"):
+            jumpsim.readout_bins(0.01, bin_width)
+
+
 @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
 def test_bad_duration_rejected(small_bath, duration):
     with pytest.raises(ValidationError, match="duration"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memcav import mechanics
-from memcav.errors import FitError
+from memcav.errors import FitError, SingularityError
 from memcav.params import HBAR
 
 
@@ -35,6 +35,11 @@ def test_thermal_occupation_values():
     assert math.isclose(mechanics.thermal_occupation(0.3, 6.2832e5), 6.25e4, rel_tol=2e-3)
     n = mechanics.thermal_occupation(1e-3, OMEGA_134K)
     assert math.isclose(n, 155.5, rel_tol=1e-2)
+
+
+def test_thermal_occupation_underflow_raises():
+    with pytest.raises(SingularityError, match="underflowed"):
+        mechanics.thermal_occupation(0.3, 1e-300)
 
 
 def test_thermal_occupation_linear_in_t():

@@ -192,6 +192,7 @@ def test_jump_budget_zero_offset_channel_omitted(row1):
 @pytest.mark.parametrize("changes", [
     {"omega_m": 1e-200},              # a lifetime underflows to 0
     {"omega_m": 1e200},               # a power overflows
+    {"omega_m": 1e-300},              # hbar omega_m underflows in the thermal occupation
     {"x0": 0.0, "P_in": 1e300},       # the photon number is infinite
 ])
 def test_jump_budget_outside_float_range_raises(row1, changes):
