@@ -17,5 +17,16 @@ from .params import (  # noqa: F401
     save_config,
     validate,
 )
-from .qnd import QndBudget, jump_budget  # noqa: F401
-from .jumpsim import JumpTrajectory, ReadoutTrace, binned_readout, simulate_trajectory  # noqa: F401
+
+# name -> module of the names resolved on first use (PEP 562): `import memcav` loads params alone
+_LAZY = {"QndBudget": "qnd", "jump_budget": "qnd", "JumpTrajectory": "jumpsim",
+         "ReadoutTrace": "jumpsim", "binned_readout": "jumpsim", "simulate_trajectory": "jumpsim"}
+__all__ = ["CONST", "ExperimentParams", "MembraneSpec", "PhysicalConstants", "load_config",
+           "save_config", "validate", *_LAZY]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)

@@ -6,6 +6,8 @@ metadata echo (tool version, resolved parameters, seeds), as (writer, path,
 the run created (a path that existed before stays).  Nothing is
 time-dependent, so identical invocations give byte-identical outputs.
 Exit codes: 0 success, 1 validation/config error, 2 numerical or fit error.
+Each command imports the modules it runs inside its function, so that a
+fresh process loads no other.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, cavity, cooling, fitting, jumpsim, mechanics, qnd, sweep
+from . import __version__
 from .errors import MemcavError, NumericsError, ValidationError
-from .params import MembraneSpec, as_dict, load_config
+from .params import MAX_SWEEP_POINTS, MembraneSpec, as_dict, load_config
 from .textio import Table, read_csv, write_csv, write_json
 
 
@@ -114,6 +116,7 @@ def _requires(args, dest: str, partner: str) -> None:
 
 def _positive(args, *dests: str) -> None:
     """The given scalar flags must be positive and finite; fits check before reading input."""
+    from . import fitting
     fitting.require_positive(**{_flag(dest): getattr(args, dest) for dest in dests
                                 if getattr(args, dest) is not None})
 
@@ -125,6 +128,7 @@ def _x_span(args, lam: float) -> tuple[float, float]:
 
 
 def _cmd_bandstructure(args) -> list:
+    from . import cavity
     samples = _count(args.samples, MAX_SAMPLES, "--samples", lowest=2)
     bands = _count(args.bands, MAX_BANDS, "--bands")
     r_c, _, L, lam = _optics(args, ("r_c", "L", "lam"))
@@ -136,6 +140,7 @@ def _cmd_bandstructure(args) -> list:
 
 
 def _cmd_transmission_map(args) -> list:
+    from . import cavity
     det_samples = _count(args.det_samples, MAX_MAP_SAMPLES, "--det-samples")
     x_samples = _count(args.x_samples, MAX_MAP_SAMPLES, "--x-samples")
     _requires(args, "membrane_index", "membrane_thickness")
@@ -164,6 +169,7 @@ def _cmd_transmission_map(args) -> list:
 
 def _columns(path, x_name: str, y_name: str) -> tuple:
     """Two columns of a CSV, whose samples must be finite; errors name the columns."""
+    from . import fitting
     cols = read_csv(path)
     if x_name not in cols or y_name not in cols:
         raise ValidationError(f"{path}: needs columns {x_name}, {y_name}")
@@ -172,6 +178,7 @@ def _columns(path, x_name: str, y_name: str) -> tuple:
 
 
 def _cmd_ringdown_fit(args) -> list:
+    from . import cavity, fitting
     _positive(args, "length")
     fit = fitting.fit_exponential_decay(*_columns(args.input, "t_s", "power"))
     payload = {"tau_s": fit.tau, "amplitude": fit.amplitude, "offset": fit.offset,
@@ -182,6 +189,7 @@ def _cmd_ringdown_fit(args) -> list:
 
 
 def _cmd_mech_ringdown_fit(args) -> list:
+    from . import mechanics
     _positive(args, "omega_m")
     tau = mechanics.fit_mech_ringdown(*_columns(args.input, "t_s", "amplitude"))
     payload = {"tau_s": tau}
@@ -191,6 +199,7 @@ def _cmd_mech_ringdown_fit(args) -> list:
 
 
 def _cmd_cool_fit(args) -> list:
+    from . import cooling
     _requires(args, "omega_m", "mass")
     _requires(args, "q_intrinsic", "t_bath")
     _requires(args, "t_bath", "q_intrinsic")
@@ -210,6 +219,7 @@ def _cmd_cool_fit(args) -> list:
 
 
 def _cmd_qnd_budget(args) -> list:
+    from . import qnd
     p = load_config(args.config)
     return [(write_json, args.output, qnd.budget_report(p), _base_metadata(args, p))]
 
@@ -221,6 +231,7 @@ def _simulate(args, threshold=None):
     and its metadata are None without a bin width.  The bin width and a
     detection threshold are checked before anything is simulated.
     """
+    from . import jumpsim, qnd
     p = load_config(args.config)
     if args.bin_width is not None:
         jumpsim.readout_bins(args.duration, args.bin_width)
@@ -254,6 +265,7 @@ def _cmd_jump_sim(args) -> list:
 
 
 def _cmd_jump_stats(args) -> list:
+    from . import jumpsim
     _, trace, _, meta_r = _simulate(args, args.threshold)
     stats = jumpsim.jump_detection_stats(trace, args.threshold)
     payload = {
@@ -269,6 +281,7 @@ def _cmd_jump_stats(args) -> list:
 
 
 def _parse_axis(text: str) -> sweep.SweepAxis:
+    from . import sweep
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise ValidationError(
@@ -282,6 +295,7 @@ def _parse_axis(text: str) -> sweep.SweepAxis:
 
 
 def _cmd_sweep(args) -> list:
+    from . import sweep
     _requires(args, "maximize", "best")
     refine_iters = (3 if args.refine_iters is None else
                     _count(args.refine_iters, MAX_REFINE_ITERS, "--refine-iters", lowest=0))
@@ -392,7 +406,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sweep", parents=[config], help="grid sweep of the jump budget")
     sp.add_argument("--axis", action="append", required=True,
                     metavar="NAME:MIN:MAX:COUNT[:SCALE]",
-                    help=f"1-3 axes, at most {sweep.MAX_SWEEP_POINTS} points in all")
+                    help=f"1-3 axes, at most {MAX_SWEEP_POINTS} points in all")
     sp.add_argument("--best", help="write the best feasible point as JSON here")
     sp.add_argument("--maximize", action="store_true", default=None,
                     help="refine the best point with golden-section search")

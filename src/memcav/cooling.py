@@ -104,7 +104,9 @@ def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
     f = freq_hz[keep]
     s = psd[keep]
 
-    floor0 = float(np.median(np.sort(s)[: max(len(s) // 4, 2)]))
+    low = np.sort(s)[: max(len(s) // 4, 2)]   # its median by index: np.median imports numpy.ma
+    k = len(low)
+    floor0 = float(low[k // 2] if k % 2 else (low[k // 2 - 1] + low[k // 2]) / 2)
     ipk = int(np.argmax(s))
     omega0 = 2.0 * np.pi * f[ipk]
     peak = s[ipk] - floor0

@@ -183,6 +183,7 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
 
     The membrane starts in its ground state (cooled, cooling laser off).
     T = 0 is accepted as the zero-temperature limit (no thermal events).
+    Raises SingularityError when a thermal or channel rate is not finite.
     Raises ValidationError when the path has not reached its duration
     after MAX_EVENTS events (checked per block of draws, so at most one
     block later).
@@ -196,6 +197,8 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     n_bar = thermal_occupation(p.T, p.omega_m)
     unit = p.omega_m / p.Q
     heat, cool = unit * n_bar, unit * (n_bar + 1.0)  # n -> n+1 per (n+1), n -> n-1 per n
+    if not math.isfinite(heat + cool):   # else every wait is 0 and the path never advances
+        raise SingularityError("thermal rates left the float range")
     rate01, rate02 = _channel_rates(p) if include_measurement_channels else (0.0, 0.0)
     rate0 = rate01 + rate02
 

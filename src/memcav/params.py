@@ -71,6 +71,11 @@ CONFIG_KEYS = ("L", "lambda", "F", "P_in", "T", "m", "omega_m", "Q", "r_c", "x0"
 _KEY_TO_ATTR = {k: ("lam" if k == "lambda" else k) for k in CONFIG_KEYS}
 _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 
+# Most points one sweep.grid_sweep evaluates, which bounds the rows memcav sweep
+# writes; here so that cli's --help need not import sweep.  test_cli.py's
+# test_command_at_its_caps_stays_bounded runs memcav sweep at this cap.
+MAX_SWEEP_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class MembraneSpec:

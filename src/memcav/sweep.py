@@ -20,16 +20,11 @@ import numpy as np
 from . import qnd
 from .elementwise import LibmArray
 from .errors import MemcavError, ValidationError
-from .params import CONFIG_KEYS, ExperimentParams, attr_name
+from .params import CONFIG_KEYS, MAX_SWEEP_POINTS, ExperimentParams, attr_name
 from .textio import Table
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 40   # golden-section steps per axis and refinement round
-# Most points one grid_sweep evaluates: it bounds the grid's columns and the
-# rows memcav sweep writes, a batch at a time.
-# tests/test_cli.py::test_command_at_its_caps_stays_bounded runs memcav sweep
-# at this cap and bounds its peak memory.
-MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)

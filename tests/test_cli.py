@@ -415,6 +415,10 @@ _FILES["row1_latin1.cfg"] = b"# \xff\n" + ROW1_CONFIG.encode()
     # the sweep's table, written first, is removed when --best cannot be written
     (["sweep", "T = 0.3", "--axis", "F:3e5:6e5:2:log", "--best", "{tmp}/missing/b.json",
       "-o", "{tmp}/s.csv"], 1),
+    # a valid config whose thermal rates leave the float range (omega_m / Q = inf)
+    (["jump-sim", "Q = 1e-300", "--seed", "1", "--duration", "0.001"], 2),
+    (["jump-stats", "Q = 1e-300", "--seed", "1", "--duration", "0.001",
+      "--bin-width", "1e-4", "--threshold", "0.1"], 2),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv
@@ -591,6 +595,94 @@ def test_readme_commands_do_not_import_scipy(tmp_path, fit_inputs):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * len(commands), proc.stderr
     assert result["scipy"] == []
+
+
+_LOADED_SCRIPT = """
+import json, sys
+from memcav.cli import run
+code = run(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+_CAVITY = {"cavity", "elementwise", "fitting"}
+_QND = {"qnd", "mechanics", *_CAVITY}
+
+# the memcav modules each README command loads besides memcav, cli, errors,
+# params and textio, which every command shares
+_COMMAND_MODULES = [
+    ("qnd-budget", _QND),
+    ("bandstructure", _CAVITY),
+    ("transmission-map", _CAVITY),
+    ("ringdown-fit", _CAVITY),   # cavity for --length's finesse
+    ("mech-ringdown-fit", {"mechanics", "elementwise", "fitting"}),
+    ("cool-fit", {"cooling", "fitting"}),
+    ("jump-sim", {"jumpsim", *_QND}),
+    ("jump-stats", {"jumpsim", *_QND}),
+    ("sweep", {"sweep", *_QND}),
+]
+
+
+@pytest.mark.parametrize("command, loads", _COMMAND_MODULES, ids=[c for c, _ in _COMMAND_MODULES])
+def test_command_imports_only_what_it_runs(tmp_path, fit_inputs, command, loads):
+    """A fresh process of each README command loads its own modules, no scipy and no numpy.ma."""
+    # the first README pin of the command, else its last fit pin (all flags)
+    pins = [argv for _, argv, _ in README_PINS if argv[0] == command][:1]
+    argv = (readme_argv(pins[0], tmp_path) if pins else
+            [*fit_argv([a for a, _ in FIT_PINS if a[0] == command][-1], fit_inputs),
+             "-o", str(tmp_path / "fit.json")])
+    proc = run_python("-c", _LOADED_SCRIPT, *argv)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0, proc.stderr
+    modules = result["modules"]
+    assert {m for m in modules if m.split(".")[0] == "memcav"} == {
+        "memcav", *(f"memcav.{m}" for m in {"cli", "errors", "params", "textio", *loads})}
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert "numpy.ma" not in modules
+
+
+_REEXPORTS_SCRIPT = """
+import json, sys
+import memcav
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "memcav")
+star, named = {}, {}
+exec("from memcav import *", star)
+for name in memcav.__all__:
+    exec(f"from memcav import {name}", named)
+for line in json.loads(sys.argv[1]):
+    exec(line, {})
+print(json.dumps({"loaded": loaded, "all": memcav.__all__,
+                  "star": {name: star[name].__module__ for name in memcav.__all__},
+                  "named": {name: named[name] is star[name] for name in memcav.__all__}}))
+"""
+
+_PUBLIC_NAMES = {
+    "memcav.params": ["CONST", "ExperimentParams", "MembraneSpec", "PhysicalConstants",
+                      "load_config", "save_config", "validate"],
+    "memcav.qnd": ["QndBudget", "jump_budget"],
+    "memcav.jumpsim": ["JumpTrajectory", "ReadoutTrace", "binned_readout", "simulate_trajectory"],
+}
+
+
+def _sketch_imports() -> list[str]:
+    """The import lines of README's "Library sketch" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("\n## ", 1)[0]
+    return [line for line in sketch.splitlines() if line.startswith(("from memcav", "import memcav"))]
+
+
+def test_package_reexports_resolve_on_first_use():
+    """`import memcav` loads params alone; its 13 names resolve by name and by `*`."""
+    sketch = _sketch_imports()
+    assert any("simulate_trajectory" in line for line in sketch)
+    proc = run_python("-c", _REEXPORTS_SCRIPT, json.dumps(sketch))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == ["memcav", "memcav.errors", "memcav.params", "memcav.textio"]
+    assert sorted(result["all"]) == sorted(n for names in _PUBLIC_NAMES.values() for n in names)
+    assert result["star"] == {name: module for module, names in _PUBLIC_NAMES.items()
+                              for name in names}
+    assert all(result["named"].values())
 
 
 # Runs `memcav` in a grandchild that prints its own peak RSS (ru_maxrss, in

@@ -112,6 +112,14 @@ def test_channel_rates_out_of_float_range(row1, overrides):
         jumpsim.simulate_trajectory(p, 1e-3, seed=1, include_measurement_channels=True)
 
 
+@pytest.mark.parametrize("channels", [False, True])
+def test_thermal_rates_out_of_float_range(row1, channels):
+    """omega_m / Q = inf is raised before the walk, not after MAX_EVENTS waits of 0 s."""
+    with pytest.raises(SingularityError, match="thermal rates"):
+        jumpsim.simulate_trajectory(with_value(row1, "Q", 1e-300), 1e-3, seed=1,
+                                    include_measurement_channels=channels)
+
+
 def test_trajectory_event_structure(small_bath):
     traj = jumpsim.simulate_trajectory(small_bath, 0.05, seed=3)
     assert np.all(np.diff(traj.times) > 0)
