@@ -26,8 +26,7 @@ import numpy as np
 
 from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
-from .fitting import require_positive
-from .params import C_LIGHT, MembraneSpec
+from .params import C_LIGHT, MembraneSpec, require_positive
 from .textio import Table
 
 # Membrane-induced optical loss: measured upper limit only, kept as metadata.

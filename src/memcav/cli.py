@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MemcavError, NumericsError, ValidationError
-from .params import MAX_SWEEP_POINTS, MembraneSpec, as_dict, load_config
+from .params import MAX_SWEEP_POINTS, MembraneSpec, as_dict, load_config, require_positive
 from .textio import Table, read_csv, write_csv, write_json
 
 
@@ -116,9 +116,8 @@ def _requires(args, dest: str, partner: str) -> None:
 
 def _positive(args, *dests: str) -> None:
     """The given scalar flags must be positive and finite; fits check before reading input."""
-    from . import fitting
-    fitting.require_positive(**{_flag(dest): getattr(args, dest) for dest in dests
-                                if getattr(args, dest) is not None})
+    require_positive(**{_flag(dest): getattr(args, dest) for dest in dests
+                        if getattr(args, dest) is not None})
 
 
 def _x_span(args, lam: float) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """The fit core.  The ringdown fits (fit_exponential_decay) and
 cooling.fit_psd check their samples with `check_samples`, fit with
-`least_squares` and check the scalars they derive with `require_positive`,
-so all take the same inputs.
+`least_squares` and check the scalars they derive with
+`params.require_positive`, so all take the same inputs.
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ValidationError
-
-
-def require_positive(error: type = ValidationError, /, **values: float) -> None:
-    """Raise `error` unless every value is positive and finite (NaN is not)."""
-    bad = {name: value for name, value in values.items() if not 0.0 < value < math.inf}
-    if bad:
-        raise error(f"{', '.join(bad)} must be positive and finite "
-                    f"(got {', '.join(map(str, bad.values()))})")
+from .params import require_positive
 
 
 def check_samples(x, y, names: tuple[str, str],

@@ -170,7 +170,7 @@ def _channel_rates(p: ExperimentParams) -> tuple[float, float]:
     try:
         rate01 = 1.0 / qnd.linear_lifetime(p)
         rate02 = 1.0 / qnd.rwa_lifetime(p)
-    except (ZeroDivisionError, OverflowError):  # a lifetime underflows, a power overflows
+    except (ZeroDivisionError, SingularityError):  # a lifetime underflows to 0 or leaves the range
         raise SingularityError(out_of_range) from None
     if not math.isfinite(rate01 + rate02):
         raise SingularityError(out_of_range)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
-from .fitting import fit_exponential_decay, require_positive
-from .params import HBAR, K_B
+from .fitting import fit_exponential_decay
+from .params import HBAR, K_B, require_positive
 
 # Below this bath occupation the classical-bath assumption n_bar >> 1 breaks.
 CLASSICAL_NBAR_MIN = 10.0

@@ -91,28 +91,38 @@ class MembraneSpec:
             raise ValidationError(f"d must be finite and > 0 (got {self.d})")
 
 
-def _rules(p) -> tuple:
-    """(config key, value, [(holds, message), ...]) per key, in report order.
+# The parameters' intervals, in report order: (attributes, lower end, whether it
+# is admitted, upper end, which never is; None for lambda/8, see _upper).
+_RULES = (
+    (("F",), 1.0, True, math.inf),
+    (("L", "P_in", "Q", "T", "lam", "m", "omega_m"), 0.0, False, math.inf),
+    (("r_c",), 0.0, True, 1.0),
+    (("x0",), 0.0, True, None),
+)
 
-    The fields of p are floats, or arrays that broadcast together (a sweep
-    grid), in which case every `holds` is a bool array over the grid.
-    """
-    # x0 must stay well inside one quarter-period of the detuning curve;
-    # the bound applies only once lambda itself is positive ("a <= b" is
-    # "a implies b" for bools and bool arrays alike).
-    x0_in_period = (p.lam > 0.0) <= (p.x0 < p.lam / 8.0)
-    return (
-        ("F", p.F, ((p.F >= 1.0, "must be >= 1"),)),
-        ("L", p.L, ((p.L > 0.0, "must be > 0"),)),
-        ("P_in", p.P_in, ((p.P_in > 0.0, "must be > 0"),)),
-        ("Q", p.Q, ((p.Q > 0.0, "must be > 0"),)),
-        ("T", p.T, ((p.T > 0.0, "must be > 0"),)),
-        ("lambda", p.lam, ((p.lam > 0.0, "must be > 0"),)),
-        ("m", p.m, ((p.m > 0.0, "must be > 0"),)),
-        ("omega_m", p.omega_m, ((p.omega_m > 0.0, "must be > 0"),)),
-        ("r_c", p.r_c, ((p.r_c >= 0.0, "must be >= 0"), (p.r_c < 1.0, "must be < 1"))),
-        ("x0", p.x0, ((p.x0 >= 0.0, "must be >= 0"), (x0_in_period, "must be < lambda/8"))),
-    )
+
+def _upper(p, high):
+    """A rule's upper end; None is lambda/8 (x0's quarter-period) where lambda > 0, else inf."""
+    if high is not None:
+        return high
+    if isinstance(p.lam, np.ndarray):
+        return np.where(p.lam > 0.0, p.lam / 8.0, math.inf)
+    return p.lam / 8.0 if p.lam > 0.0 else math.inf
+
+
+def _failures(p):
+    """(config key, value, holds, message) per rule, on floats or a grid's arrays, in
+    report order; past "must be finite", `finite <= ...` (implication) spares the rest."""
+    for attrs, low, closed, high in _RULES:
+        for attr in attrs:
+            key, value = _ATTR_TO_KEY[attr], getattr(p, attr)
+            finite = np.isfinite(value)
+            yield key, value, finite, "must be finite"
+            above = value >= low if closed else value > low
+            yield key, value, finite <= above, f"must be {'>=' if closed else '>'} {low:g}"
+            if high != math.inf:
+                yield key, value, finite <= (value < _upper(p, high)), \
+                    "must be < " + ("lambda/8" if high is None else f"{high:g}")
 
 
 def validate(p: ExperimentParams) -> list[str]:
@@ -122,15 +132,15 @@ def validate(p: ExperimentParams) -> list[str]:
     message, ordered deterministically by config-key name.  A non-finite
     value gives a single "must be finite" message for its key.
     """
-    out = []
-    for key, value, checks in _rules(p):
-        if not math.isfinite(value):
-            out.append(f"{key} must be finite (got {value})")
-            continue
-        for ok, msg in checks:
-            if not ok:
-                out.append(f"{key} {msg} (got {value})")
-    return out
+    for attrs, low, closed, high in _RULES:
+        high = _upper(p, high)
+        for attr in attrs:
+            value = getattr(p, attr)
+            # inf fails "< high" and NaN fails both ends, so a value that passes is finite
+            if not (low <= value < high if closed else low < value < high):
+                return [f"{key} {msg} (got {got})" for key, got, holds, msg in _failures(p)
+                        if not holds]
+    return []
 
 
 def grid_violations(p, shape: tuple) -> np.ndarray:
@@ -142,18 +152,23 @@ def grid_violations(p, shape: tuple) -> np.ndarray:
     per distinct value.
     """
     found = np.full(math.prod(shape), "", dtype=object)
-    for key, value, checks in _rules(p):
-        finite = np.isfinite(value)
-        for bad, msg in [(~finite, "must be finite"),
-                         *((finite & ~ok, msg) for ok, msg in checks)]:
-            if bad.any():
-                where = np.flatnonzero(np.broadcast_to(bad, shape))
-                got = np.broadcast_to(value, shape).ravel()[where]
-                texts = np.array(format_distinct(got, lambda v: f"{key} {msg} (got {v})"),
-                                 dtype=object)
-                prev = found[where]
-                found[where] = np.where(prev == "", texts, prev + "; " + texts)
+    for key, value, holds, msg in _failures(p):
+        if not holds.all():
+            where = np.flatnonzero(np.broadcast_to(~holds, shape))
+            got = np.broadcast_to(value, shape).ravel()[where]
+            texts = np.array(format_distinct(got, lambda v: f"{key} {msg} (got {v})"),
+                             dtype=object)
+            prev = found[where]
+            found[where] = np.where(prev == "", texts, prev + "; " + texts)
     return found
+
+
+def require_positive(error: type = ValidationError, /, **values: float) -> None:
+    """Raise `error` unless every value is positive and finite (NaN is not)."""
+    bad = {name: value for name, value in values.items() if not 0.0 < value < math.inf}
+    if bad:
+        raise error(f"{', '.join(bad)} must be positive and finite "
+                    f"(got {', '.join(map(str, bad.values()))})")
 
 
 def load_config(path) -> ExperimentParams:
@@ -184,9 +199,8 @@ def load_config(path) -> ExperimentParams:
         try:
             values[key] = float(text.strip())
         except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: value for '{key}' is not a number: {text.strip()!r}"
-            ) from None
+            raise ConfigError(f"{path}:{lineno}: value for '{key}' is not a number: "
+                              f"{text.strip()!r}") from None
     missing = [k for k in CONFIG_KEYS if k not in values]
     if missing:
         raise ConfigError(f"{path}: missing key(s): {', '.join(missing)}")

@@ -13,12 +13,16 @@ meaningful only for r_c close to 1, which is the operating regime here.
 A membrane parked exactly at the extremum (x0 = 0) has no linear coupling:
 that channel is then reported as an infinite lifetime and simply omitted
 from the total decay rate.
+
+Each formula runs on floats or on arrays that broadcast (a sweep grid); on floats
+it raises SingularityError where a power overflows or a divisor underflows to 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -44,24 +48,17 @@ def _one_minus_rc(p: ExperimentParams) -> float:
 
 
 def _x_m2(p) -> float:
-    """Squared zero-point amplitude hbar / (2 m omega_m) [m^2], as x_m**2."""
+    """Squared zero-point amplitude hbar / (2 m omega_m) [m^2], as x_m**2; p.x_m2 on a grid."""
+    if isinstance(p.m, np.ndarray) and hasattr(p, "x_m2"):
+        return p.x_m2
     return mechanics.zero_point_amplitude(p.m, p.omega_m)**2
 
 
-# The budget's formulas take the quantities they share (1 - r_c, kappa and
-# x_m^2), so that _budget derives each once; the public forms derive them.
-
-def _detuning_per_phonon(p, one_minus_rc, x_m2):
-    return 16.0 * math.pi**2 * C_LIGHT * x_m2 / (p.L * p.lam**2 * sqrt(2.0 * one_minus_rc))
-
-
 def detuning_per_phonon(p: ExperimentParams) -> float:
-    """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c))).
-
-    Raises SingularityError where a step leaves the float range.
-    """
+    """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
     try:
-        return _detuning_per_phonon(p, _one_minus_rc(p), _x_m2(p))
+        return (16.0 * math.pi**2 * C_LIGHT * _x_m2(p)
+                / (p.L * p.lam**2 * sqrt(2.0 * _one_minus_rc(p))))
     except (ZeroDivisionError, OverflowError):  # x_m^2 or lam^2 leaves the float range
         raise SingularityError("per-phonon detuning left the float range") from None
 
@@ -72,36 +69,27 @@ class PdhNoise(NamedTuple):
     n_bar_photons: float    # mean circulating photon number
 
 
-def _pdh_noise_psd(p, kappa) -> PdhNoise:
-    n_bar = p.P_in * p.lam / (math.pi * HBAR * C_LIGHT * kappa)
-    s_omega = math.pi**3 * HBAR * C_LIGHT**3 / (16.0 * p.F**2 * p.L**2 * p.lam * p.P_in)
-    return PdhNoise(s_omega, kappa, n_bar)
-
-
 def pdh_noise_psd(p: ExperimentParams) -> PdhNoise:
     """Shot-noise-limited frequency readout floor of the locked probe.
 
     S_omega = pi^3 hbar c^3 / (16 F^2 L^2 lambda P_in), which equals
     kappa / (16 N_bar) with N_bar kappa = P_in lambda / (pi hbar c).
-    Raises SingularityError where a step leaves the float range.
     """
     try:
-        return _pdh_noise_psd(p, _kappa(p))
+        kappa = _kappa(p)
+        n_bar = p.P_in * p.lam / (math.pi * HBAR * C_LIGHT * kappa)
+        s_omega = math.pi**3 * HBAR * C_LIGHT**3 / (16.0 * p.F**2 * p.L**2 * p.lam * p.P_in)
     except (ZeroDivisionError, OverflowError):  # e.g. L^2 overflows
         raise SingularityError("readout noise floor left the float range") from None
+    return PdhNoise(s_omega, kappa, n_bar)
 
 
 def thermal_lifetime(p: ExperimentParams) -> float:
     """Ground-state lifetime against the thermal bath, Q hbar / (k_B T) [s]."""
-    return p.Q * HBAR / (K_B * p.T)
-
-
-def _rwa_lifetime(p, one_minus_rc, kappa, x_m2):
-    return (
-        p.lam**3 * p.L**2 * one_minus_rc * p.m * p.omega_m
-        * (p.omega_m**2 + kappa**2 / 16.0)
-        / (8.0 * math.pi**3 * x_m2 * C_LIGHT * p.P_in)
-    )
+    try:
+        return p.Q * HBAR / (K_B * p.T)
+    except ZeroDivisionError:  # k_B T underflows to 0
+        raise SingularityError("thermal lifetime left the float range") from None
 
 
 def rwa_lifetime(p: ExperimentParams) -> float:
@@ -112,20 +100,12 @@ def rwa_lifetime(p: ExperimentParams) -> float:
               / (8 pi^3 x_m^2 c P_in),
     equal to the golden-rule route 1 / ((shift/phonon)^2 S_NN(-2 omega_m) / 2).
     """
-    x_m2 = _x_m2(p)   # m and omega_m are checked before 1 - r_c
-    return _rwa_lifetime(p, _one_minus_rc(p), _kappa(p), x_m2)
-
-
-def _linear_lifetime(p, one_minus_rc, kappa):
-    grid = isinstance(p.x0, np.ndarray)
-    if not grid and p.x0 == 0.0:
-        return math.inf
-    tau = (
-        p.m * p.omega_m * p.L**2 * p.lam**3 * one_minus_rc
-        * (4.0 * p.omega_m**2 + kappa**2)
-        / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2)
-    )
-    return np.where(p.x0 == 0.0, math.inf, tau) if grid else tau
+    try:
+        return (p.lam**3 * p.L**2 * _one_minus_rc(p) * p.m * p.omega_m
+                * (p.omega_m**2 + _kappa(p)**2 / 16.0)
+                / (8.0 * math.pi**3 * _x_m2(p) * C_LIGHT * p.P_in))
+    except (ZeroDivisionError, OverflowError):  # a power overflows, a divisor underflows
+        raise SingularityError("counter-rotating lifetime left the float range") from None
 
 
 def linear_lifetime(p: ExperimentParams) -> float:
@@ -136,7 +116,16 @@ def linear_lifetime(p: ExperimentParams) -> float:
 
     Returns math.inf for x0 = 0 (no linear coupling channel).
     """
-    return _linear_lifetime(p, _one_minus_rc(p), _kappa(p))
+    grid = isinstance(p.x0, np.ndarray)
+    if not grid and p.x0 == 0.0:
+        return math.inf
+    try:
+        tau = (p.m * p.omega_m * p.L**2 * p.lam**3 * _one_minus_rc(p)
+               * (4.0 * p.omega_m**2 + _kappa(p)**2)
+               / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2))
+    except (ZeroDivisionError, OverflowError):  # a power overflows, a divisor underflows
+        raise SingularityError("linear-coupling lifetime left the float range") from None
+    return np.where(p.x0 == 0.0, math.inf, tau) if grid else tau
 
 
 class QndFlags(NamedTuple):
@@ -178,19 +167,15 @@ _FLOAT_RANGE = "jump budget left the float range"
 def _budget(p) -> QndBudget:
     """The budget of p, without validating p, on floats or on arrays that broadcast.
 
-    On floats, a step that leaves the float range raises SingularityError.
-    On arrays the same step leaves inf, NaN or a zero tau_total behind,
-    which _left_float_range marks.
+    On floats, a step that leaves the float range raises SingularityError; on
+    arrays it leaves inf, NaN or a zero tau_total, which _left_float_range marks.
     """
     try:
-        one_minus_rc = _one_minus_rc(p)
-        kappa = _kappa(p)
-        x_m2 = _x_m2(p)
-        dw = _detuning_per_phonon(p, one_minus_rc, x_m2)
-        s_omega, _, n_bar_photons = _pdh_noise_psd(p, kappa)
+        dw = detuning_per_phonon(p)
+        s_omega, kappa, n_bar_photons = pdh_noise_psd(p)
         tau_t = thermal_lifetime(p)
-        tau_r = _rwa_lifetime(p, one_minus_rc, kappa, x_m2)
-        tau_l = _linear_lifetime(p, one_minus_rc, kappa)
+        tau_r = rwa_lifetime(p)
+        tau_l = linear_lifetime(p)
         # an absent channel's infinite lifetime adds a rate of 0
         tau_total = 1.0 / (1.0 / tau_t + 1.0 / tau_r + 1.0 / tau_l)
         snr = dw**2 * tau_total / s_omega
@@ -264,8 +249,8 @@ def budget_grid(p) -> BudgetGrid:
     def flat(v):
         return np.broadcast_to(v, shape).flatten()
 
-    with np.errstate(all="ignore"):
-        b = _budget(p)
+    with np.errstate(all="ignore"):  # x_m^2 is derived once: a LibmArray's ** loops in Python
+        b = _budget(SimpleNamespace(**vars(p), x_m2=_x_m2(p)))
         b = QndBudget(*map(flat, b[:-1]), QndFlags(*map(flat, b.flags)))
         out_of_range = _left_float_range(b, flat(p.x0))
     errors[out_of_range & (errors == "")] = _FLOAT_RANGE

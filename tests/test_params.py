@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from memcav.errors import ConfigError, ValidationError
 from memcav.params import (
@@ -145,8 +145,31 @@ def test_attr_name_accepts_attribute_or_config_key():
         attr_name("Lambda")
 
 
+_ROW1 = dict(L=0.067, lam=5.32e-7, F=3e5, P_in=1e-5, T=0.3, m=5e-14,
+             omega_m=6.2831853071795865e5, Q=1.2e7, r_c=0.999, x0=5e-13)
+
+# Each field's values at and next to the ends of its interval, and the
+# non-finite ones; the properties below try each alone on row 1.
+_EDGES = {name: [math.inf, -math.inf, math.nan] for name in _ROW1}
+_EDGES["F"] += [1.0, math.nextafter(1.0, 0.0)]
+_EDGES["r_c"] += [-0.0, math.nextafter(1.0, 0.0), 1.0]
+_EDGES["x0"] += [_ROW1["lam"] / 8, math.nextafter(_ROW1["lam"] / 8, 0.0)]
+for _name in ("L", "lam", "P_in", "Q", "T", "m", "omega_m"):
+    _EDGES[_name].append(-0.0)
+
+
+def _examples(cases):
+    """One hypothesis @example per case."""
+    def apply(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return apply
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.tuples(*[st.floats()] * 10))
+@_examples([tuple({**_ROW1, name: v}.values()) for name, values in _EDGES.items() for v in values])
 def test_validate_never_raises(values):
     violations = validate(ExperimentParams(*values))
     assert all(isinstance(v, str) for v in violations)
@@ -182,10 +205,6 @@ def test_save_load_roundtrip_exact(p):
     assert [v.hex() for v in vars(loaded).values()] == [v.hex() for v in vars(p).values()]
 
 
-_ROW1 = dict(L=0.067, lam=5.32e-7, F=3e5, P_in=1e-5, T=0.3, m=5e-14,
-             omega_m=6.2831853071795865e5, Q=1.2e7, r_c=0.999, x0=5e-13)
-
-
 def _grid_values(typical):
     """A field's values: the scenario's, ones that fail a rule, and the non-finite."""
     return st.sampled_from([typical, typical, 2 * typical, 0.0, -0.0, -1.0, 1.0, 1e-7,
@@ -205,8 +224,16 @@ def _grids(draw):
     return fields, np.broadcast_shapes(*(v.shape for v in fields.values()))
 
 
+def _edge_axis(name, values):
+    """A grid like _grids' of row 1 with one axis, along which `name` takes `values`."""
+    fields = {other: np.full((1,), v) for other, v in _ROW1.items()}
+    fields[name] = np.array(values)
+    return fields, (len(values),)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_grids())
+@_examples([_edge_axis(name, values) for name, values in _EDGES.items()])
 def test_grid_violations_equal_validate_at_every_point(grid):
     fields, shape = grid
     expected = ["; ".join(validate(ExperimentParams(**{name: np.broadcast_to(v, shape)[at].item()

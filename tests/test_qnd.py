@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from memcav import mechanics, qnd
+from memcav import cooling, mechanics, qnd
 from memcav.errors import MemcavError, SingularityError, ValidationError
-from memcav.params import C_LIGHT, HBAR, ExperimentParams, with_value
+from memcav.params import C_LIGHT, HBAR, ExperimentParams, validate, with_value
 from oracles import (consistency_ratios, linear_rate_golden_rule, photon_psd,
                      rwa_rate_golden_rule, snr_general_n, thermal_lifetime_n)
 
@@ -247,6 +247,38 @@ def test_jump_budget_finite_or_memcav_error(p):
         assert numbers.pop("tau_lin") == math.inf
     assert all(map(math.isfinite, numbers.values())), numbers
     assert b.tau_total > 0.0
+
+
+_FORMULAS = (qnd.detuning_per_phonon, qnd.pdh_noise_psd, qnd.thermal_lifetime,
+             qnd.rwa_lifetime, qnd.linear_lifetime, cooling.shot_thermal_ratio)
+
+
+def _row1_with(name, value):
+    return ExperimentParams(**{**_ROW1, name: value})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_params().filter(lambda p: validate(p) == []))
+# valid parameters on which a step of a formula leaves the float range
+@example(_row1_with("L", 1e300))
+@example(_row1_with("lam", 1e300))
+@example(_row1_with("omega_m", 1e300))
+@example(_row1_with("P_in", 1e-320))
+@example(_row1_with("m", 1e300))
+@example(_row1_with("x0", 1e-170))
+@example(_row1_with("T", 1e-320))
+@example(_row1_with("m", 1e-320))
+@example(_row1_with("omega_m", 1e-300))
+@example(_row1_with("F", 1e300))
+def test_formulas_give_floats_or_memcav_error(p):
+    assert validate(p) == []
+    for formula in _FORMULAS:
+        try:
+            out = formula(p)
+        except MemcavError:
+            continue
+        assert all(isinstance(v, float) for v in (out if isinstance(out, tuple) else (out,))), \
+            (formula.__name__, out)
 
 
 def test_snr_nearly_linear_in_power_when_thermal_dominated(row1):
