@@ -292,25 +292,21 @@ def locate_resonance(x: float, center: float, half_width: float, F: float, L: fl
                      n_scan: int = 4001) -> tuple[float, float]:
     """Peak of cavity_transmission in [center - half_width, center + half_width].
 
-    Dense scan followed by bounded refinement.  The refinement runs in
-    detuning-from-center coordinates: at optical frequencies ~1e15 rad/s the
-    sqrt(eps)*|x| term of the scalar minimizer would otherwise dominate the
-    linewidth.  Returns (omega_peak, transmission_at_peak).
+    A dense scan, then sweep.golden_section between the scan's neighbours
+    of its best point, in detuning-from-center coordinates.  Its 40 steps
+    shrink that bracket by 0.618**40 ~ 4.4e-9: to ~4e-3 rad/s for the
+    default scan of a 1e9 rad/s half width, below the ~0.5 rad/s ulp of an
+    optical frequency.  Returns (omega_peak, transmission_at_peak).
     """
-    # imported here, not at module level: scipy.optimize takes ~0.45 s to
-    # import, and no CLI command calls this function
-    from scipy.optimize import minimize_scalar
+    from .sweep import golden_section   # here, so the cavity commands load no sweep or qnd
 
     delta = np.linspace(-half_width, half_width, n_scan)
     ts = cavity_transmission(center + delta, x, F, L, r_c=r_c, membrane=membrane)
     i = int(np.argmax(ts))
-    lo, hi = delta[max(i - 1, 0)], delta[min(i + 1, n_scan - 1)]
-    res = minimize_scalar(
-        lambda d: -cavity_transmission(center + float(d), x, F, L, r_c=r_c, membrane=membrane),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-4, "maxiter": 500},
-    )
-    return center + float(res.x), float(-res.fun)
+    peak, t_peak = golden_section(
+        lambda d: cavity_transmission(center + float(d), x, F, L, r_c=r_c, membrane=membrane),
+        delta[max(i - 1, 0)], delta[min(i + 1, n_scan - 1)])
+    return center + float(peak), t_peak
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EstimationError, FitError, SingularityError, ValidationError
 from .fitting import check_samples, least_squares
-from .params import ExperimentParams, HBAR, K_B, C_LIGHT, require_positive
+from .params import ExperimentParams, HBAR, K_B, C_LIGHT, in_float_range, require_positive
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,12 @@ def shot_thermal_ratio(p: ExperimentParams) -> float:
     """Radiation-pressure shot noise over thermal force noise,
 
     R = 16 hbar P_in Q F^2 / (lambda c pi k_B T m omega_m).
-    Raises SingularityError where F^2 overflows or the divisor underflows to 0.
+    Raises SingularityError where F^2 overflows, the divisor underflows to 0
+    or R is not positive and finite.
     """
+    what = "shot/thermal noise ratio"
     try:
-        return (16.0 * HBAR * p.P_in * p.Q * p.F**2) / (
-            p.lam * C_LIGHT * np.pi * K_B * p.T * p.m * p.omega_m
-        )
+        return in_float_range((16.0 * HBAR * p.P_in * p.Q * p.F**2) / (
+            p.lam * C_LIGHT * np.pi * K_B * p.T * p.m * p.omega_m), what)
     except (ZeroDivisionError, OverflowError):  # F^2 overflows, the divisor underflows to 0
-        raise SingularityError("shot/thermal noise ratio left the float range") from None
+        raise SingularityError(f"{what} left the float range") from None

@@ -12,6 +12,7 @@ LibmArrays, whose ``**`` goes through Python floats.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -34,10 +35,10 @@ class LibmArray(np.ndarray):
     def __pow__(self, k):
         flat = self.ravel().tolist()
         try:
-            out = [v**k for v in flat]
+            out = np.fromiter(map(pow, flat, repeat(k)), float, len(flat))
         except OverflowError:
-            out = [_pow_or_inf(v, k) for v in flat]
-        return np.array(out).reshape(self.shape).view(LibmArray)
+            out = np.fromiter(map(_pow_or_inf, flat, repeat(k)), float, len(flat))
+        return out.reshape(self.shape).view(LibmArray)
 
 
 def _pow_or_inf(v: float, k) -> float:

@@ -42,7 +42,7 @@ import numpy as np
 from . import qnd
 from .errors import SingularityError, ValidationError
 from .mechanics import thermal_occupation
-from .params import ExperimentParams
+from .params import ExperimentParams, require_positive
 
 RNG_ALGORITHM = "PCG64"
 # How simulate_trajectory lays its draws out on the stream (see _draw_blocks);
@@ -111,11 +111,6 @@ class JumpTrajectory:
         return mean
 
 
-def _check_duration(duration: float) -> None:
-    if not 0.0 < duration < math.inf:
-        raise ValidationError(f"duration must be positive and finite (got {duration})")
-
-
 def readout_bins(duration: float, bin_width: float) -> int:
     """Whole bins of bin_width in duration, which callers can check before simulating.
 
@@ -123,7 +118,7 @@ def readout_bins(duration: float, bin_width: float) -> int:
     a bin width that is not positive, or a duration shorter than one bin
     or longer than MAX_BINS bins.
     """
-    _check_duration(duration)
+    require_positive(duration=duration)
     if not bin_width > 0:  # NaN included
         raise ValidationError(f"bin_width must be positive (got {bin_width})")
     if duration / bin_width > MAX_BINS:   # inf included
@@ -193,7 +188,7 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     leaves the level, then the event times from one numpy cumsum, cut at
     the duration.  The levels walked past the cut are dropped.
     """
-    _check_duration(duration)
+    require_positive(duration=duration)
     n_bar = thermal_occupation(p.T, p.omega_m)
     unit = p.omega_m / p.Q
     heat, cool = unit * n_bar, unit * (n_bar + 1.0)  # n -> n+1 per (n+1), n -> n-1 per n

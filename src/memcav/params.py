@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, SingularityError, ValidationError
 from .textio import format_distinct, read_text
 
 
@@ -169,6 +169,18 @@ def require_positive(error: type = ValidationError, /, **values: float) -> None:
     if bad:
         raise error(f"{', '.join(bad)} must be positive and finite "
                     f"(got {', '.join(map(str, bad.values()))})")
+
+
+def in_float_range(value, what: str):
+    """value, or SingularityError("<what> left the float range") for a float
+    that is not positive and finite.
+
+    A grid's arrays pass as they are: the jump budget's float-range rule
+    marks their points.
+    """
+    if isinstance(value, float) and not 0.0 < value < math.inf:
+        raise SingularityError(f"{what} left the float range")
+    return value
 
 
 def load_config(path) -> ExperimentParams:

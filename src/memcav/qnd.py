@@ -15,7 +15,9 @@ that channel is then reported as an infinite lifetime and simply omitted
 from the total decay rate.
 
 Each formula runs on floats or on arrays that broadcast (a sweep grid); on floats
-it raises SingularityError where a power overflows or a divisor underflows to 0.
+it raises SingularityError where a step or its result leaves the float range:
+a power overflows, a divisor underflows to 0, or the result is not positive
+and finite.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from . import cavity, mechanics
 from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
-from .params import C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, grid_violations, validate
+from .params import (C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, grid_violations,
+                     in_float_range, validate)
 
 
 def _kappa(p: ExperimentParams) -> float:
@@ -56,11 +59,12 @@ def _x_m2(p) -> float:
 
 def detuning_per_phonon(p: ExperimentParams) -> float:
     """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
+    what = "per-phonon detuning"
     try:
-        return (16.0 * math.pi**2 * C_LIGHT * _x_m2(p)
-                / (p.L * p.lam**2 * sqrt(2.0 * _one_minus_rc(p))))
+        return in_float_range(16.0 * math.pi**2 * C_LIGHT * _x_m2(p)
+                              / (p.L * p.lam**2 * sqrt(2.0 * _one_minus_rc(p))), what)
     except (ZeroDivisionError, OverflowError):  # x_m^2 or lam^2 leaves the float range
-        raise SingularityError("per-phonon detuning left the float range") from None
+        raise SingularityError(f"{what} left the float range") from None
 
 
 class PdhNoise(NamedTuple):
@@ -75,21 +79,24 @@ def pdh_noise_psd(p: ExperimentParams) -> PdhNoise:
     S_omega = pi^3 hbar c^3 / (16 F^2 L^2 lambda P_in), which equals
     kappa / (16 N_bar) with N_bar kappa = P_in lambda / (pi hbar c).
     """
+    what = "readout noise floor"
     try:
         kappa = _kappa(p)
         n_bar = p.P_in * p.lam / (math.pi * HBAR * C_LIGHT * kappa)
         s_omega = math.pi**3 * HBAR * C_LIGHT**3 / (16.0 * p.F**2 * p.L**2 * p.lam * p.P_in)
     except (ZeroDivisionError, OverflowError):  # e.g. L^2 overflows
-        raise SingularityError("readout noise floor left the float range") from None
-    return PdhNoise(s_omega, kappa, n_bar)
+        raise SingularityError(f"{what} left the float range") from None
+    return PdhNoise(in_float_range(s_omega, what), in_float_range(kappa, what),
+                    in_float_range(n_bar, what))
 
 
 def thermal_lifetime(p: ExperimentParams) -> float:
     """Ground-state lifetime against the thermal bath, Q hbar / (k_B T) [s]."""
+    what = "thermal lifetime"
     try:
-        return p.Q * HBAR / (K_B * p.T)
+        return in_float_range(p.Q * HBAR / (K_B * p.T), what)
     except ZeroDivisionError:  # k_B T underflows to 0
-        raise SingularityError("thermal lifetime left the float range") from None
+        raise SingularityError(f"{what} left the float range") from None
 
 
 def rwa_lifetime(p: ExperimentParams) -> float:
@@ -100,12 +107,13 @@ def rwa_lifetime(p: ExperimentParams) -> float:
               / (8 pi^3 x_m^2 c P_in),
     equal to the golden-rule route 1 / ((shift/phonon)^2 S_NN(-2 omega_m) / 2).
     """
+    what = "counter-rotating lifetime"
     try:
-        return (p.lam**3 * p.L**2 * _one_minus_rc(p) * p.m * p.omega_m
-                * (p.omega_m**2 + _kappa(p)**2 / 16.0)
-                / (8.0 * math.pi**3 * _x_m2(p) * C_LIGHT * p.P_in))
+        return in_float_range(p.lam**3 * p.L**2 * _one_minus_rc(p) * p.m * p.omega_m
+                              * (p.omega_m**2 + _kappa(p)**2 / 16.0)
+                              / (8.0 * math.pi**3 * _x_m2(p) * C_LIGHT * p.P_in), what)
     except (ZeroDivisionError, OverflowError):  # a power overflows, a divisor underflows
-        raise SingularityError("counter-rotating lifetime left the float range") from None
+        raise SingularityError(f"{what} left the float range") from None
 
 
 def linear_lifetime(p: ExperimentParams) -> float:
@@ -119,12 +127,13 @@ def linear_lifetime(p: ExperimentParams) -> float:
     grid = isinstance(p.x0, np.ndarray)
     if not grid and p.x0 == 0.0:
         return math.inf
+    what = "linear-coupling lifetime"
     try:
-        tau = (p.m * p.omega_m * p.L**2 * p.lam**3 * _one_minus_rc(p)
-               * (4.0 * p.omega_m**2 + _kappa(p)**2)
-               / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2))
+        tau = in_float_range(p.m * p.omega_m * p.L**2 * p.lam**3 * _one_minus_rc(p)
+                             * (4.0 * p.omega_m**2 + _kappa(p)**2)
+                             / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2), what)
     except (ZeroDivisionError, OverflowError):  # a power overflows, a divisor underflows
-        raise SingularityError("linear-coupling lifetime left the float range") from None
+        raise SingularityError(f"{what} left the float range") from None
     return np.where(p.x0 == 0.0, math.inf, tau) if grid else tau
 
 
@@ -193,14 +202,17 @@ def _left_float_range(b: QndBudget, x0):
     """Whether a budget has left the float range, elementwise on grid columns.
 
     It has when any of its numbers is not finite, bar tau_lin at x0 = 0
-    (infinite by design), or when tau_total is 0.
+    (infinite by design), or when tau_total or the photon number is 0.  The
+    photon number is the one result whose 0, where pdh_noise_psd raises on a
+    float, can leave every other number finite.
     """
     dw, kappa, n_photons, s_omega, tau_t, tau_r, tau_lin, tau_total, snr, gap, n_bar, _ = b
     # v - v is 0 for a finite v and NaN for any other, which makes the sum NaN
     spread = ((dw - dw) + (kappa - kappa) + (n_photons - n_photons) + (s_omega - s_omega)
               + (tau_t - tau_t) + (tau_r - tau_r) + (tau_total - tau_total) + (snr - snr)
               + (gap - gap) + (n_bar - n_bar))
-    return (spread != 0.0) | (tau_total == 0.0) | (tau_lin - tau_lin != 0.0) & (x0 != 0.0)
+    return ((spread != 0.0) | (tau_total == 0.0) | (n_photons == 0.0)
+            | (tau_lin - tau_lin != 0.0) & (x0 != 0.0))
 
 
 def jump_budget(p: ExperimentParams) -> QndBudget:

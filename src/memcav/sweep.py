@@ -136,6 +136,37 @@ def grid_sweep(base: ExperimentParams, axes) -> SweepResult:
     return SweepResult(axes, shape, base, samples, qnd.budget_grid(grid))
 
 
+def golden_section(f, a: float, b: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of f on [a, b] (Kiefer, 1953).
+
+    f is evaluated at a, b, two interior points and then once in each of
+    _GOLDEN_STEPS steps, which shrink the bracket by _GOLDEN each.  Returns
+    the best point evaluated and f there; the first one evaluated wins a tie.
+    """
+    best = [a, f(a)]
+
+    def evaluate(u: float) -> float:
+        fu = f(u)
+        if fu > best[1]:
+            best[:] = u, fu
+        return fu
+
+    evaluate(b)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = evaluate(c), evaluate(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = evaluate(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = evaluate(d)
+    return best[0], best[1]
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     feasible: bool
@@ -173,41 +204,25 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
             hi = values[min(idx + 1, len(values) - 1)]
             if lo == hi:
                 continue
-            transform = (math.log, math.exp) if scale == "log" else (lambda v: v, lambda v: v)
-            fwd, inv = transform
-            a, b = fwd(lo), fwd(hi)
-            # every point differs from the current best only along this axis,
-            # so taking a better one at once changes no later point
+            fwd, inv = (math.log, math.exp) if scale == "log" else (lambda v: v, lambda v: v)
             others = dict(vars(current_p))
+            budgets = {}
 
             def objective(u: float) -> float:
-                nonlocal current_p, current_b
-                others[attr] = x = inv(u)
+                others[attr] = inv(u)
                 try:
                     budget = qnd.jump_budget(SimpleNamespace(**others))
                 except MemcavError:
                     return -math.inf
                 if not all(budget.flags):
                     return -math.inf
-                if budget.snr > current_b.snr:
-                    current_p = replace(current_p, **{attr: x})
-                    current_b = budget
+                if budget.snr > current_b.snr:   # only these can replace the current point
+                    budgets[u] = budget
                 return budget.snr
 
-            for u in (a, b):
-                objective(u)
-            c = b - _GOLDEN * (b - a)
-            d = a + _GOLDEN * (b - a)
-            fc, fd = objective(c), objective(d)
-            for _ in range(_GOLDEN_STEPS):
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - _GOLDEN * (b - a)
-                    fc = objective(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + _GOLDEN * (b - a)
-                    fd = objective(d)
+            u, snr = golden_section(objective, fwd(lo), fwd(hi))
+            if snr > current_b.snr:
+                current_p, current_b = replace(current_p, **{attr: inv(u)}), budgets[u]
             evals += 4 + _GOLDEN_STEPS
         if current_p is start:   # every later round would repeat this one
             break

@@ -1,7 +1,10 @@
+import ast
 import contextlib
 import io
 import json
 import math
+import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -575,7 +578,9 @@ import memcav, memcav.cli
 codes = [memcav.cli.run(argv) for argv in json.loads(sys.argv[1])]
 for module in pkgutil.iter_modules(memcav.__path__, "memcav."):
     importlib.import_module(module.name)
-print(json.dumps({"codes": codes,
+# the transfer-matrix resonance search, which no command runs
+peak, _ = memcav.cavity.locate_resonance(0.0, 3.5407e15, 1e9, 200.0, 1.0, r_c=0.31, n_scan=101)
+print(json.dumps({"codes": codes, "peak": peak,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
@@ -584,8 +589,8 @@ def test_readme_commands_do_not_import_scipy(tmp_path, fit_inputs):
     """No pinned command, the README's nine among them, loads scipy in a fresh process.
 
     Nor does importing every memcav module afterwards, so a module-level
-    scipy import anywhere fails here.  scipy.optimize alone costs ~0.45 s
-    a process.
+    scipy import anywhere fails here, nor does cavity.locate_resonance.
+    scipy.optimize alone costs ~0.45 s a process.
     """
     commands = [readme_argv(argv, tmp_path) for _, argv, _ in README_PINS]
     commands += [[*fit_argv(argv, fit_inputs), "-o", str(tmp_path / "fit.json")]
@@ -595,6 +600,29 @@ def test_readme_commands_do_not_import_scipy(tmp_path, fit_inputs):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * len(commands), proc.stderr
     assert result["scipy"] == []
+    assert math.isfinite(result["peak"])
+
+
+def test_package_imports_numpy_and_the_standard_library_alone():
+    """Every import in src/memcav, at module level or in a function, is of the
+    standard library, numpy or memcav; pyproject.toml requires numpy alone."""
+    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
+    root = Path(__file__).resolve().parents[1]
+    allowed = {*sys.stdlib_module_names, "numpy", "memcav"}
+    foreign = []
+    for path in sorted((root / "src" / "memcav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:   # level > 0 is memcav
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
 _LOADED_SCRIPT = """

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from memcav import __version__, qnd, sweep
 from memcav.cli import run
@@ -315,6 +315,9 @@ def _sweeps(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_sweeps())
+# the photon number underflows to 0 while every other number of the budget stays finite
+@example((ExperimentParams(**{**_ROW1, "L": 1e50, "F": 1e50, "lam": 1e-100, "P_in": 1e-250,
+                                "x0": 0.0}), [sweep.SweepAxis("Q", 1e7, 2e7, 2)]))
 def test_grid_rows_equal_jump_budget_bit_for_bit(case):
     _assert_rows_match_jump_budget(*case)
 
