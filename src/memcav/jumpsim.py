@@ -21,9 +21,9 @@ exactly the events of a shorter one.  That layout is named by RNG_STREAM
 
 Each block is walked in pieces whose sizes double from 8, in two phases.
 Only the level update is sequential, so a Python walk over the picks
-records each event's total rate and next level; numpy then turns the
-waits into times with one cumsum per piece, which adds in sequence and so
-gives the same bits as accumulating t += wait / total event by event.
+records the levels alone; numpy then looks up each event's total rate by
+the level before it and turns the waits into times with one cumsum per
+piece, which adds in sequence: the same bits as t += wait / total per event.
 
 The continuous readout is modeled per time bin: the estimate is the
 per-phonon shift times (time-weighted mean occupation + 1/2), plus white
@@ -183,10 +183,10 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     after MAX_EVENTS events (checked per block of draws, so at most one
     block later).
 
-    Each piece of draws runs in two phases: a Python walk of the levels
-    that records the total rate before each event and stops where no rate
-    leaves the level, then the event times from one numpy cumsum, cut at
-    the duration.  The levels walked past the cut are dropped.
+    Each piece of draws runs in two phases: a Python walk that records the
+    levels and stops where no rate leaves the level, then numpy, which looks
+    up each event's total rate by the level before it and cuts one cumsum of
+    the event times at the duration.  Levels walked past the cut are dropped.
     """
     require_positive(duration=duration)
     n_bar = thermal_occupation(p.T, p.omega_m)
@@ -201,17 +201,18 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     # heat (m + 1) and totals[m] = ups[m] + cool m, or ups[0] + rate0 at m = 0
     ups = [heat]
     totals = [heat + rate0]
+    rates = array("d", totals)   # the totals again, as doubles numpy can look up
     ground_up = heat + rate01   # a ground-state pick below this climbs one level
     t = 0.0
     n = 0
-    # 8 bytes an event each; numpy views them only once both are complete
+    # 8 bytes an event each, viewed by numpy one statement at a time (an array
+    # cannot grow while viewed); levels opens with the initial level
     times = array("d")
-    levels = array("q")
+    levels = array("q", [n])
     push = levels.append
     for waits, picks in _draw_blocks(np.random.default_rng(seed), duration):
-        # phase 1: the level walk, recording the total rate before each event
-        before = array("d")
-        record = before.append
+        # phase 1: the level walk, recording the level after each event
+        start = len(levels)
         for pick in picks:
             try:
                 total = totals[n]
@@ -220,10 +221,10 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
                     up = heat * (m + 1)
                     ups.append(up)
                     totals.append(up + cool * m)
+                    rates.append(totals[m])
                 total = totals[n]
             if total <= 0.0:
                 break
-            record(total)
             u = pick * total
             if u < ups[n]:
                 n += 1
@@ -234,10 +235,11 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
             else:
                 n += 2
             push(n)
-        # phase 2: the times, t + wait / total summed in event order
-        k = len(before)
+        # phase 2: the times, t + wait / total summed in event order, each
+        # total looked up by the level before its event: one slice of levels
+        k = len(levels) - start
         if k:
-            steps = waits[:k] / np.frombuffer(before)
+            steps = waits[:k] / np.frombuffer(rates).take(levels[start - 1:-1])
             steps[0] += t
             steps = steps.cumsum()
             kept = int(steps.searchsorted(duration))  # events before the duration
@@ -249,7 +251,7 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
         if k < len(picks):   # no rate out of level n: the path is absorbed
             break
     return JumpTrajectory(
-        np.frombuffer(times, dtype=float), np.frombuffer(levels, dtype=np.int64),
+        np.frombuffer(times, dtype=float), np.frombuffer(levels, dtype=np.int64, offset=8),
         float(duration), int(seed), include_measurement_channels,
     )
 
@@ -288,7 +290,9 @@ def binned_readout(traj: JumpTrajectory, p: ExperimentParams, bin_width: float,
     estimates = mean_n + 0.5
     estimates *= dw
     estimates += rng.normal(0.0, sigma, len(mean_n))
-    centers = (np.arange(len(mean_n)) + 0.5) * bin_width
+    centers = np.arange(len(mean_n), dtype=float)
+    centers += 0.5
+    centers *= bin_width
     return ReadoutTrace(
         float(bin_width), centers, estimates, mean_n, dw, sigma,
         bandwidth_ok=bin_width * p.omega_m > 1.0, seed=int(seed),

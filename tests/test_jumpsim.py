@@ -87,6 +87,8 @@ def test_event_cap_raises(small_bath, monkeypatch):
 
 def test_readout_bin_cap():
     assert jumpsim.readout_bins(0.01, 1e-8) == jumpsim.MAX_BINS
+    # 0.3 / 0.1 is 2.9999999999999996: three whole bins, not two
+    assert jumpsim.readout_bins(0.3, 0.1) == 3
     # 1e-320 gives an infinite bin count, which int() cannot take
     for bin_width in (0.01 / (jumpsim.MAX_BINS + 1), 1e-320):
         with pytest.raises(ValidationError, match="more than 1000000 readout bins"):
@@ -103,6 +105,7 @@ def test_bad_duration_rejected(small_bath, duration):
     {"omega_m": 1e-200},              # the RWA lifetime underflows to 0
     {"m": 1e200, "omega_m": 1e100},   # the zero-point amplitude squared underflows to 0
     {"omega_m": 2.5e-155},            # the RWA lifetime is subnormal: its rate is inf
+    {"x0": 6e-8, "P_in": 1e295},      # the linear lifetime is subnormal, the RWA one normal
 ])
 def test_channel_rates_out_of_float_range(row1, overrides):
     p = row1
@@ -420,6 +423,9 @@ def test_detection_threshold_validation(small_bath):
         jumpsim.jump_detection_stats(trace, trace.signal_level(0) * 0.5)
     with pytest.raises(ValidationError):
         jumpsim.jump_detection_stats(trace, trace.signal_level(1) * 1.5)
+    for level in (0, 1):   # the range is open at both signal levels
+        with pytest.raises(ValidationError):
+            jumpsim.jump_detection_stats(trace, trace.signal_level(level))
 
 
 def test_char_fn_oracle_matches_expm(row2):
