@@ -24,6 +24,10 @@ Only the level update is sequential, so a Python walk over the picks
 records the levels alone; numpy then looks up each event's total rate by
 the level before it and turns the waits into times with one cumsum per
 piece, which adds in sequence: the same bits as t += wait / total per event.
+The walk compares each pick with its level's exact climb threshold, the
+least double c with c * total >= climb rate, which decides every pick as
+pick * total < climb rate does.  Whether a level absorbs the path follows
+from the rates alone, so it is decided before the walk, not per event.
 
 The continuous readout is modeled per time bin: the estimate is the
 per-phonon shift times (time-weighted mean occupation + 1/2), plus white
@@ -33,6 +37,8 @@ Gaussian frequency noise of variance S_omega / bin_width.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,6 +66,8 @@ MAX_EVENTS = 5_000_000
 # Most bins of a readout, checked by readout_bins before simulating: it bounds
 # the readout's arrays and CSV rows.  The same test runs jump-sim at this cap.
 MAX_BINS = 1_000_000
+# a non-negative double and its bit pattern, which orders such doubles as integers
+_DOUBLE, _BITS = struct.Struct("d"), struct.Struct("q")
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,8 @@ class JumpTrajectory:
 
     def mean_level_per_bin(self, bin_width: float) -> np.ndarray:
         """Time-weighted mean occupation over consecutive bins of bin_width."""
-        edges = np.arange(readout_bins(self.duration, bin_width) + 1) * bin_width
+        edges = np.arange(readout_bins(self.duration, bin_width) + 1, dtype=float)
+        edges *= bin_width
         # stretch j starts at breaks[j] and holds states[j]; cum[j] is the
         # integral of the occupation up to breaks[j]
         breaks = np.concatenate(([0.0], self.times))
@@ -172,6 +181,34 @@ def _channel_rates(p: ExperimentParams) -> tuple[float, float]:
     return rate01, rate02
 
 
+def _climb_threshold(rate: float, total: float) -> float:
+    """Least double c with c * total >= rate, for 0 <= rate <= total.
+
+    c * total never decreases as c grows, so for every double pick,
+    pick < c exactly when pick * total < rate: the walk's climb test
+    without the multiply.  Returns 0.0 when total is 0.  An infinite
+    total, where a high level's rates overflow, gives 0.0 or NaN, and no
+    pick climbs, as no pick * total < rate holds there either.
+    """
+    if 0.0 < rate < sys.float_info.min:
+        # products near a subnormal rate round to a fixed grid, so rate / total
+        # may lie very many doubles from c: bisect the bit patterns of [0, 1]
+        lo, hi = 0, _BITS.unpack(_DOUBLE.pack(1.0))[0]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _DOUBLE.unpack(_BITS.pack(mid))[0] * total >= rate:
+                hi = mid
+            else:
+                lo = mid
+        return _DOUBLE.unpack(_BITS.pack(hi))[0]
+    c = rate / total if total else 0.0   # within a few doubles of c otherwise
+    while c * total < rate:
+        c = math.nextafter(c, math.inf)
+    while c > 0.0 and math.nextafter(c, 0.0) * total >= rate:
+        c = math.nextafter(c, 0.0)
+    return c
+
+
 def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
                         include_measurement_channels: bool = False) -> JumpTrajectory:
     """Exact event-driven sampling of the phonon number over [0, duration].
@@ -184,9 +221,12 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     block later).
 
     Each piece of draws runs in two phases: a Python walk that records the
-    levels and stops where no rate leaves the level, then numpy, which looks
-    up each event's total rate by the level before it and cuts one cumsum of
-    the event times at the duration.  Levels walked past the cut are dropped.
+    levels, comparing each pick with the level's exact climb threshold, then
+    numpy, which looks up each event's total rate by the level before it and
+    cuts one cumsum of the event times at the duration.  Levels walked past
+    the cut are dropped.  Absorption is decided from the rates before the
+    walk: the ground state holds when its total rate is 0, and a higher level
+    only when cool is 0, so the walk then takes at most one pick.
     """
     require_positive(duration=duration)
     n_bar = thermal_occupation(p.T, p.omega_m)
@@ -195,49 +235,55 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     if not math.isfinite(heat + cool):   # else every wait is 0 and the path never advances
         raise SingularityError("thermal rates left the float range")
     rate01, rate02 = _channel_rates(p) if include_measurement_channels else (0.0, 0.0)
-    rate0 = rate01 + rate02
+    total0 = heat + (rate01 + rate02)
 
-    # each level's rates, computed when the path first reaches it: ups[m] =
-    # heat (m + 1) and totals[m] = ups[m] + cool m, or ups[0] + rate0 at m = 0
-    ups = [heat]
-    totals = [heat + rate0]
-    rates = array("d", totals)   # the totals again, as doubles numpy can look up
-    ground_up = heat + rate01   # a ground-state pick below this climbs one level
+    # absorption follows from the rates: the ground state holds only when its
+    # total is 0, and a level >= 1 only when cool is 0 (so heat is 0 too), after
+    # at most one event; the walk then gets only the picks the path takes
+    draws = _draw_blocks(np.random.default_rng(seed), duration)
+    most = 0 if total0 == 0.0 else 1 if cool == 0.0 else None
+    if most is not None:
+        waits, picks = next(draws)
+        draws = [(waits[:most], picks[:most])]
+
+    # each level's total rate and climb threshold, computed when the path first
+    # reaches it: the total heat (m + 1) + cool m, of which heat (m + 1) climbs;
+    # at m = 0 the total takes the channels in, and a pick climbs one level below
+    # heat + rate01 and two above it
+    rates = array("d", [total0])   # doubles numpy can look up
+    climb = [_climb_threshold(heat + rate01, total0)]
     t = 0.0
     n = 0
     # 8 bytes an event each, viewed by numpy one statement at a time (an array
     # cannot grow while viewed); levels opens with the initial level
     times = array("d")
     levels = array("q", [n])
-    push = levels.append
-    for waits, picks in _draw_blocks(np.random.default_rng(seed), duration):
+    for waits, picks in draws:
         # phase 1: the level walk, recording the level after each event
-        start = len(levels)
+        walked = []
+        push = walked.append
         for pick in picks:
             try:
-                total = totals[n]
+                c = climb[n]
             except IndexError:   # a new highest level; a 0 -> 2 jump adds two
-                for m in range(len(totals), n + 1):
+                for m in range(len(climb), n + 1):
                     up = heat * (m + 1)
-                    ups.append(up)
-                    totals.append(up + cool * m)
-                    rates.append(totals[m])
-                total = totals[n]
-            if total <= 0.0:
-                break
-            u = pick * total
-            if u < ups[n]:
+                    total = up + cool * m
+                    rates.append(total)
+                    climb.append(_climb_threshold(up, total))
+                c = climb[n]
+            if pick < c:
                 n += 1
             elif n:
                 n -= 1
-            elif u < ground_up:
-                n += 1
             else:
                 n += 2
             push(n)
+        start = len(levels)
+        levels.fromlist(walked)
         # phase 2: the times, t + wait / total summed in event order, each
         # total looked up by the level before its event: one slice of levels
-        k = len(levels) - start
+        k = len(walked)
         if k:
             steps = waits[:k] / np.frombuffer(rates).take(levels[start - 1:-1])
             steps[0] += t
@@ -248,8 +294,6 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
                 del levels[kept - k:]
                 break
             t = steps[-1]
-        if k < len(picks):   # no rate out of level n: the path is absorbed
-            break
     return JumpTrajectory(
         np.frombuffer(times, dtype=float), np.frombuffer(levels, dtype=np.int64, offset=8),
         float(duration), int(seed), include_measurement_channels,

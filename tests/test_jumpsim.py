@@ -123,6 +123,34 @@ def test_thermal_rates_out_of_float_range(row1, channels):
                                     include_measurement_channels=channels)
 
 
+@st.composite
+def _rate_pairs(draw):
+    """(rate, total) with 0 <= rate <= total, both finite."""
+    total = draw(st.floats(0.0, 1e300))
+    return draw(st.floats(0.0, total)), total
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rate_pairs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+@example((0.0, 3.0), [])                # rate 0: no pick climbs
+@example((2.5, 2.5), [0.0, 0.999])      # rate == total: every pick climbs
+@example((0.0, 0.0), [0.5])             # an absorbed level
+@example((5e-324, 3.0), [5e-324])       # subnormal rate: rate / total rounds to 0
+@example((1e-310, 3.7), [])             # subnormal rate, subnormal threshold
+@example((3e-321, 1e-320), [0.3])       # subnormal total: ~1e13 doubles round alike
+@example((0.7, 4.0), [0.175])           # power-of-two total: the quotient is exact
+@example((1.0, 49.0), [1.0 / 49.0])     # rate / total * total rounds below rate
+@example((0.09559526919644289, 3.0825498292055524), [])   # the quotient is above the least c
+@example((1.0, math.inf), [0.0, 0.5])  # an overflowed total: no pick climbs
+@example((math.inf, math.inf), [0.5])   # both overflowed: c is NaN
+def test_climb_threshold_matches_multiply(pair, picks):
+    """pick < c decides exactly as pick * total < rate, the climb test it replaces."""
+    rate, total = pair
+    c = jumpsim._climb_threshold(rate, total)
+    for pick in [c, math.nextafter(c, 0.0), math.nextafter(c, 1.0), *picks]:
+        assert (pick < c) == (pick * total < rate), (pick, c)
+
+
 def test_trajectory_event_structure(small_bath):
     traj = jumpsim.simulate_trajectory(small_bath, 0.05, seed=3)
     assert np.all(np.diff(traj.times) > 0)
@@ -172,6 +200,19 @@ def test_edge_paths_pinned(row1, small_bath, case, n_events, top, digest):
     assert _path_sha256(traj) == digest
 
 
+def test_long_stationary_path_pinned(small_bath):
+    """A path shaped like the stationary bench unit: 0.5 s, channels off, 10^5 bins."""
+    traj = jumpsim.simulate_trajectory(small_bath, 0.5, seed=22)
+    assert (len(traj.times), int(traj.levels.max())) == (76444, 27)
+    assert _path_sha256(traj) == (
+        "ca34d5af79836445b897c43f78a4acae27557a33540f5353636160b5723acd7c")
+    trace = jumpsim.binned_readout(traj, small_bath, 0.5 / 100_000, seed=23)
+    assert len(trace.freq_estimates) == 100_000
+    readout = trace.true_n_per_bin.tobytes() + trace.freq_estimates.tobytes()
+    assert hashlib.sha256(readout).hexdigest() == (
+        "1775c8fcbff8d9f57f7929bfe72ab5b1285f74906956b1aac5eb207044b331be")
+
+
 # event counts at which a cut meets the end of a walk piece (8, 24, 56) or of
 # a block (64, 192, and 4032 = 64 + ... + 2048, after which every block holds
 # 4096), and 16, inside the second piece
@@ -187,13 +228,14 @@ def _paths(draw):
     """
     cut = draw(st.sampled_from(["first_piece", "boundary", "long"]))
     if cut == "first_piece":
-        scenario = draw(st.sampled_from(["small_bath", "trial", "zero_temperature", "q_inf"]))
+        scenario = draw(st.sampled_from(["small_bath", "trial", "zero_temperature", "q_inf",
+                                         "two_phonon"]))
         kept = draw(st.integers(0, 7))
-    else:   # only the small bath runs past the first blocks
-        scenario = "small_bath"
+    else:   # only these two run past the first blocks
+        scenario = draw(st.sampled_from(["small_bath", "two_phonon"]))
         kept = (draw(st.sampled_from(_BOUNDARIES)) + draw(st.integers(-1, 1))
                 if cut == "boundary" else None)
-    channels = scenario == "trial" or draw(st.booleans())
+    channels = scenario in ("trial", "two_phonon") or draw(st.booleans())
     return scenario, channels, draw(st.integers(0, 2**32 - 1)), kept
 
 
@@ -205,6 +247,9 @@ def _scenario(name, row1, row2, small_bath):
         return row2, 2.0 * qnd.jump_budget(row2).tau_total
     if name == "zero_temperature":   # no thermal events: the channels alone climb
         return with_value(small_bath, "T", 0.0), 0.1
+    if name == "two_phonon":   # T tiny, x0 = 0: ~4.5k events, the ground state exits by 0 -> 2
+        p = with_value(with_value(row1, "T", 1e-12), "x0", 0.0)
+        return p, 8000.0 * qnd.rwa_lifetime(p)
     # Q = inf: no thermal rates, so the first channel event is absorbing
     return with_value(row1, "Q", math.inf), 1.0
 
@@ -220,6 +265,9 @@ def _scenario(name, row1, row2, small_bath):
 @example(("zero_temperature", False, 1, None))
 @example(("q_inf", True, 4, None))
 @example(("trial", True, 61, None))
+@example(("two_phonon", True, 5, 4))
+@example(("two_phonon", True, 5, 4032))
+@example(("two_phonon", True, 5, None))
 def test_simulate_matches_fused_oracle(row1, row2, small_bath, case):
     """The two-phase walk gives the fused loop's path bit for bit, wherever it is cut."""
     scenario, channels, seed, kept = case
@@ -280,6 +328,19 @@ def test_mean_level_per_bin_time_weighting(row1):
     assert np.allclose(mean, [0.5, 0.5])
     mean4 = traj.mean_level_per_bin(0.25)
     assert np.allclose(mean4, [0.0, 1.0, 1.0, 0.0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 200_000), st.floats(1e-9, 1e3) | st.sampled_from([5e-6, 7e-5, 0.1]))
+def test_bin_edges_match_product(n, bin_width):
+    """mean_level_per_bin's edges are np.arange(n + 1) * bin_width bit for bit.
+
+    Level 1 from t = 5e-324 on integrates to each edge itself, so the bin
+    means are the edges' differences over bin_width.
+    """
+    traj = jumpsim.JumpTrajectory(np.array([5e-324]), np.array([1]), n * bin_width, 0, False)
+    edges = np.arange(n + 1) * bin_width
+    assert traj.mean_level_per_bin(bin_width).tobytes() == (np.diff(edges) / bin_width).tobytes()
 
 
 # ---------------------------------------------------------------------------
