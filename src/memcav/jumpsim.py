@@ -20,14 +20,17 @@ exactly the events of a shorter one.  That layout is named by RNG_STREAM
 ("pcg64-blocks-v1"), which the CLI records next to the generator name.
 
 Each block is walked in pieces whose sizes double from 8, in two phases.
-Only the level update is sequential, so a Python walk over the picks
-records the levels alone; numpy then looks up each event's total rate by
-the level before it and turns the waits into times with one cumsum per
-piece, which adds in sequence: the same bits as t += wait / total per event.
-The walk compares each pick with its level's exact climb threshold, the
-least double c with c * total >= climb rate, which decides every pick as
-pick * total < climb rate does.  Whether a level absorbs the path follows
-from the rates alone, so it is decided before the walk, not per event.
+Only the level update is sequential, so phase 1 is one list comprehension
+over the picks that records the levels alone, reading per-level tables:
+each level's exact climb threshold, the least double c with c * total >=
+climb rate, which decides every pick as pick * total < climb rate does,
+and the level a fall leads to (2 from the ground state, for the 0 -> 2
+jump).  The tables start with 8 levels and double when a path walks past
+them.  Phase 2 is numpy: it looks up each event's total rate by the level
+before it and turns the waits into times with one cumsum per piece, which
+adds in sequence: the same bits as t += wait / total per event.  Whether a
+level absorbs the path follows from the rates alone, so it is decided
+before the walk, not per event.
 
 The continuous readout is modeled per time bin: the estimate is the
 per-phonon shift times (time-weighted mean occupation + 1/2), plus white
@@ -36,6 +39,7 @@ Gaussian frequency noise of variance S_omega / bin_width.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 import sys
@@ -58,14 +62,28 @@ _FIRST_BLOCK = 64
 _BLOCK_CAP = 4096
 # Size of the first walk piece; sizes double, within the block layout above.
 _FIRST_PIECE = 8
+# Levels in the walk's first per-level tables, which grow to 2 L + 2 levels
+# when a path walks past them: ~89 % of row-2 trials never do, and a smaller
+# start costs those trials more restarts than the thresholds it saves.
+_FIRST_LEVELS = 8
 # Largest path simulate_trajectory builds, checked once per block of draws:
 # it bounds a run's time and its event arrays, 16 bytes an event.
 # tests/test_cli.py::test_command_at_its_caps_stays_bounded runs jump-stats
 # into this cap and bounds its peak memory.
 MAX_EVENTS = 5_000_000
+# Total rate from which no wait or event time of a path can overflow: a time
+# sums at most MAX_EVENTS + _BLOCK_CAP waits, each below 45 (numpy's standard
+# exponential draws stop at ~44.4), over a total at least this large.
+_QUIET_BELOW = 1e-290
 # Most bins of a readout, checked by readout_bins before simulating: it bounds
 # the readout's arrays and CSV rows.  The same test runs jump-sim at this cap.
 MAX_BINS = 1_000_000
+# Fewest readout bins for which mean_level_per_bin counts the events per bin
+# rather than binary-searching every edge.  Counting costs O(events + bins)
+# plus ~8 us of numpy calls, searching O(bins log events); measured, counting
+# wins from ~1.5-2.5k bins on paths of up to 10^4 events and from about a
+# quarter as many bins as events on longer paths, so it needs both.
+_COUNT_FROM_BINS = 2000
 # a non-negative double and its bit pattern, which orders such doubles as integers
 _DOUBLE, _BITS = struct.Struct("d"), struct.Struct("q")
 
@@ -99,8 +117,17 @@ class JumpTrajectory:
         return np.diff(self.times, prepend=0.0)[self.states[:-1] == level]
 
     def mean_level_per_bin(self, bin_width: float) -> np.ndarray:
-        """Time-weighted mean occupation over consecutive bins of bin_width."""
-        edges = np.arange(readout_bins(self.duration, bin_width) + 1, dtype=float)
+        """Time-weighted mean occupation over consecutive bins of bin_width.
+
+        The events at or before each bin edge come from
+        np.searchsorted(times, edges, side="right") for a short readout,
+        and from _events_through's count per bin, equal element for element,
+        once there are at least _COUNT_FROM_BINS bins and a quarter as many
+        bins as events: a binary search per edge then costs more than a pass
+        over the events.
+        """
+        n_bins = readout_bins(self.duration, bin_width)
+        edges = np.arange(n_bins + 1, dtype=float)
         edges *= bin_width
         # stretch j starts at breaks[j] and holds states[j]; cum[j] is the
         # integral of the occupation up to breaks[j]
@@ -111,13 +138,46 @@ class JumpTrajectory:
         cum[1:] *= self.states[:-1]
         np.cumsum(cum, out=cum)
         # running integral at every edge, evaluated once and in place
-        k = np.searchsorted(self.times, edges, side="right")
-        integral = edges - breaks[k]
+        if n_bins < max(_COUNT_FROM_BINS, len(self.times) // 4):
+            k = np.searchsorted(self.times, edges, side="right")
+        else:
+            k = _events_through(self.times, edges, bin_width)
+        integral = edges   # the edges are not needed past here
+        integral -= breaks[k]
         integral *= self.states[k]
         integral += cum[k]
         mean = np.diff(integral)
         mean /= bin_width
         return mean
+
+
+def _events_through(times: np.ndarray, edges: np.ndarray, bin_width: float) -> np.ndarray:
+    """np.searchsorted(times, edges, side="right"), counted bin by bin.
+
+    edges are the readout's sorted edges i * bin_width.  Each event's first
+    edge at or after it, f (len(edges) past the last one), starts from
+    ceil(t / bin_width) and moves one edge at a time while the edge before
+    it is >= t or edge f is < t, the exact tests that define f.  The counts
+    of the f at or before each edge are then searchsorted's, element for
+    element, in O(events + bins) rather than O(bins log events).
+    """
+    n_edges = len(edges)
+    first = times / bin_width
+    np.ceil(first, out=first)
+    np.minimum(first, n_edges, out=first)
+    first = first.astype(np.intp)
+    grid = np.concatenate(([-math.inf], edges, [math.inf]))
+    below, above = grid[:-1], grid[1:]   # edges f - 1 and f, or -inf and inf past the ends
+    while True:
+        rise = above.take(first) < times
+        fall = below.take(first) >= times
+        if not (rise.any() or fall.any()):
+            break
+        first += rise
+        first -= fall
+    counts = np.bincount(first, minlength=n_edges + 1)
+    np.cumsum(counts, out=counts)
+    return counts[:-1]
 
 
 def readout_bins(duration: float, bin_width: float) -> int:
@@ -220,13 +280,18 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     after MAX_EVENTS events (checked per block of draws, so at most one
     block later).
 
-    Each piece of draws runs in two phases: a Python walk that records the
-    levels, comparing each pick with the level's exact climb threshold, then
-    numpy, which looks up each event's total rate by the level before it and
-    cuts one cumsum of the event times at the duration.  Levels walked past
-    the cut are dropped.  Absorption is decided from the rates before the
-    walk: the ground state holds when its total rate is 0, and a higher level
-    only when cool is 0, so the walk then takes at most one pick.
+    Each piece of draws runs in two phases.  Phase 1 is one list
+    comprehension that records the levels: a pick below its level's exact
+    climb threshold climbs one level, any other takes the level's fall
+    (m - 1, or 2 from the ground state).  The thresholds, falls and total
+    rates sit in per-level tables of 8 levels at first; a path that walks
+    past them raises IndexError, and the tables grow to 2 L + 2 levels
+    while the piece is walked again from its start level.  Phase 2 is
+    numpy, which looks up each event's total rate by the level before it
+    and cuts one cumsum of the event times at the duration.  Levels walked
+    past the cut are dropped.  Absorption is decided from the rates before
+    the walk: the ground state holds when its total rate is 0, and a higher
+    level only when cool is 0, so the walk then takes at most one pick.
     """
     require_positive(duration=duration)
     n_bar = thermal_occupation(p.T, p.omega_m)
@@ -246,54 +311,58 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
         waits, picks = next(draws)
         draws = [(waits[:most], picks[:most])]
 
-    # each level's total rate and climb threshold, computed when the path first
-    # reaches it: the total heat (m + 1) + cool m, of which heat (m + 1) climbs;
-    # at m = 0 the total takes the channels in, and a pick climbs one level below
-    # heat + rate01 and two above it
+    # per-level tables: the total rate, the climb threshold and the level after
+    # a fall.  A level's total is heat (m + 1) + cool m, of which heat (m + 1)
+    # climbs; at m = 0 the total takes the channels in, a pick climbs one level
+    # below heat + rate01, and its "fall" is the 0 -> 2 jump
     rates = array("d", [total0])   # doubles numpy can look up
     climb = [_climb_threshold(heat + rate01, total0)]
+    down = [2]
+    size = _FIRST_LEVELS
     t = 0.0
     n = 0
     # 8 bytes an event each, viewed by numpy one statement at a time (an array
     # cannot grow while viewed); levels opens with the initial level
     times = array("d")
     levels = array("q", [n])
-    for waits, picks in draws:
-        # phase 1: the level walk, recording the level after each event
-        walked = []
-        push = walked.append
-        for pick in picks:
-            try:
-                c = climb[n]
-            except IndexError:   # a new highest level; a 0 -> 2 jump adds two
-                for m in range(len(climb), n + 1):
-                    up = heat * (m + 1)
-                    total = up + cool * m
+    # a wait over a tiny total overflows to inf, which only means that no further
+    # event comes before the duration; np.errstate costs ~1-3 us of a ~35 us
+    # row-2 trial, so it is entered only when some total is below _QUIET_BELOW
+    # (every level's total is at least total0 or cool)
+    with (np.errstate(over="ignore") if min(total0, cool) < _QUIET_BELOW
+          else contextlib.nullcontext()):
+        for waits, picks in draws:
+            # phase 1: the level walk, recording the level after each event; a
+            # path that walks past the tables grows them and walks the piece again
+            first = n
+            while True:
+                for m in range(len(climb), size):
+                    rate = heat * (m + 1)
+                    total = rate + cool * m
                     rates.append(total)
-                    climb.append(_climb_threshold(up, total))
-                c = climb[n]
-            if pick < c:
-                n += 1
-            elif n:
-                n -= 1
-            else:
-                n += 2
-            push(n)
-        start = len(levels)
-        levels.fromlist(walked)
-        # phase 2: the times, t + wait / total summed in event order, each
-        # total looked up by the level before its event: one slice of levels
-        k = len(walked)
-        if k:
-            steps = waits[:k] / np.frombuffer(rates).take(levels[start - 1:-1])
-            steps[0] += t
-            steps = steps.cumsum()
-            kept = int(steps.searchsorted(duration))  # events before the duration
-            times.frombytes(steps[:kept].tobytes())
-            if kept < k:
-                del levels[kept - k:]
-                break
-            t = steps[-1]
+                    climb.append(_climb_threshold(rate, total))
+                    down.append(m - 1)
+                try:
+                    walked = [n := (n + 1 if pick < climb[n] else down[n]) for pick in picks]
+                    break
+                except IndexError:
+                    n = first
+                    size = 2 * size + 2
+            start = len(levels)
+            levels.fromlist(walked)
+            # phase 2: the times, t + wait / total summed in event order, each
+            # total looked up by the level before its event: one slice of levels
+            k = len(walked)
+            if k:
+                steps = waits[:k] / np.frombuffer(rates).take(levels[start - 1:-1])
+                steps[0] += t
+                steps = steps.cumsum()
+                kept = int(steps.searchsorted(duration))  # events before the duration
+                times.frombytes(steps[:kept].tobytes())
+                if kept < k:
+                    del levels[kept - k:]
+                    break
+                t = steps[-1]
     return JumpTrajectory(
         np.frombuffer(times, dtype=float), np.frombuffer(levels, dtype=np.int64, offset=8),
         float(duration), int(seed), include_measurement_channels,

@@ -157,6 +157,25 @@ def test_jump_sim_metadata_header(tmp_path, row1_config):
     assert any("param_r_c" in l for l in meta)
 
 
+def test_jump_sim_overflowing_wait_is_quiet(tmp_path):
+    """A wait that divides to inf ends the path without a warning on stderr.
+
+    omega_m / Q = 1e-321 with T = 1e-30: the ground state exits by a 0 -> 2
+    jump, and level 2's total rate of ~2e-321 turns the next wait into inf,
+    past the duration.
+    """
+    config, out = tmp_path / "slow.cfg", tmp_path / "traj.csv"
+    config.write_text(ROW1_CONFIG.replace("T = 0.3", "T = 1e-30")
+                      .replace("omega_m = 6.2831853071795865e5", "omega_m = 1e-16")
+                      .replace("Q = 1.2e7", "Q = 1e305"))
+    proc = run_python("-m", "memcav.cli", "jump-sim", "--config", str(config), "--seed", "1",
+                      "--duration", "1.0", "--channels", "-o", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    path = read_csv(out)
+    assert path["t_s"].tolist() == [6.3453946715083603e-47]
+    assert path["n"].tolist() == [2.0]
+
+
 @pytest.mark.parametrize("readout_args", [
     ["--bin-width", "1.0"],  # duration shorter than one bin
     [],                      # no bin width at all

@@ -265,6 +265,9 @@ def _scenario(name, row1, row2, small_bath):
 @example(("zero_temperature", False, 1, None))
 @example(("q_inf", True, 4, None))
 @example(("trial", True, 61, None))
+# outgrows the first 8-level table at pick 144 and its 18-level extension at
+# pick 710, each partway through a piece, so the walk restarts mid-piece twice
+@example(("small_bath", False, 3, 1000))
 @example(("two_phonon", True, 5, 4))
 @example(("two_phonon", True, 5, 4032))
 @example(("two_phonon", True, 5, None))
@@ -341,6 +344,36 @@ def test_bin_edges_match_product(n, bin_width):
     traj = jumpsim.JumpTrajectory(np.array([5e-324]), np.array([1]), n * bin_width, 0, False)
     edges = np.arange(n + 1) * bin_width
     assert traj.mean_level_per_bin(bin_width).tobytes() == (np.diff(edges) / bin_width).tobytes()
+
+
+@st.composite
+def _readouts(draw):
+    """(times, bin_width, n_bins): sorted event times on a readout's bin grid."""
+    duration = draw(st.floats(1e-300, 1e300))
+    bin_width = duration / draw(st.floats(1.0, 3000.0))
+    n_bins = jumpsim.readout_bins(duration, bin_width)
+    on_edges = st.integers(0, n_bins).map(lambda i: i * bin_width)
+    times = draw(st.lists(st.floats(0.0, duration) | on_edges, max_size=60))
+    return np.sort(np.array(times, dtype=float)), bin_width, n_bins
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_readouts())
+# on edges, where t / bin_width may round up past the edge, and just past edge 9
+# (0.9), where it rounds down onto it
+@example((np.array([0.1, 0.2, 0.30000000000000004, 0.6000000000000001, 0.9000000000000001]),
+          0.1, 10))
+@example((np.array([0.0, 5e-324]), 1e-4, 10))       # t = 0, and the least positive time
+@example((np.array([5e-324, 1.0, 1.05, 1.0999]), 0.25, 4))   # past the last edge at 1.0
+@example((np.array([0.25, 0.5]), 1.0, 1))           # one bin
+@example((np.array([0.5, 0.9999999999999999]), 1.0 + 4e-10, 1))  # the widest bin of 1 s
+@example((np.array([0.0, 5e-7, 0.123456, 0.9999995]), 1.0 / jumpsim.MAX_BINS, jumpsim.MAX_BINS))
+def test_events_through_matches_searchsorted(case):
+    """The per-bin count of events at or before each edge is searchsorted's, element for element."""
+    times, bin_width, n_bins = case
+    edges = np.arange(n_bins + 1) * bin_width
+    got = jumpsim._events_through(times, edges, bin_width)
+    assert got.tolist() == np.searchsorted(times, edges, side="right").tolist()
 
 
 # ---------------------------------------------------------------------------
