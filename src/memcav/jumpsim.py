@@ -21,16 +21,19 @@ exactly the events of a shorter one.  That layout is named by RNG_STREAM
 
 Each block is walked in pieces whose sizes double from 8, in two phases.
 Only the level update is sequential, so phase 1 is one list comprehension
-over the picks that records the levels alone, reading per-level tables:
+over the picks that records the levels alone.  It reads the picks straight
+from the block's array through a memoryview, which yields them as Python
+floats with no list built first, and it reads per-level tables:
 each level's exact climb threshold, the least double c with c * total >=
 climb rate, which decides every pick as pick * total < climb rate does,
 and the level a fall leads to (2 from the ground state, for the 0 -> 2
 jump).  The tables start with 8 levels and double when a path walks past
-them.  Phase 2 is numpy: it looks up each event's total rate by the level
-before it and turns the waits into times with one cumsum per piece, which
-adds in sequence: the same bits as t += wait / total per event.  Whether a
-level absorbs the path follows from the rates alone, so it is decided
-before the walk, not per event.
+them.  The walked levels join the path's int64 record as one struct.pack
+per piece.  Phase 2 is numpy: it looks up each event's total rate by the
+level before it and turns the waits into times with one cumsum per piece,
+which adds in sequence: the same bits as t += wait / total per event.
+Whether a level absorbs the path follows from the rates alone, so it is
+decided before the walk, not per event.
 
 The continuous readout is modeled per time bin: the estimate is the
 per-phonon shift times (time-weighted mean occupation + 1/2), plus white
@@ -129,21 +132,25 @@ class JumpTrajectory:
         n_bins = readout_bins(self.duration, bin_width)
         edges = np.arange(n_bins + 1, dtype=float)
         edges *= bin_width
-        # stretch j starts at breaks[j] and holds states[j]; cum[j] is the
-        # integral of the occupation up to breaks[j]
-        breaks = np.concatenate(([0.0], self.times))
-        cum = np.empty_like(breaks)
-        cum[0] = 0.0
-        np.subtract(breaks[1:], breaks[:-1], out=cum[1:])
-        cum[1:] *= self.states[:-1]
-        np.cumsum(cum, out=cum)
-        # running integral at every edge, evaluated once and in place
+        # k before breaks and cum, and breaks dropped once cum holds its steps,
+        # which lowers the readout's peak memory by ~30 % on a long path
+        # (tests/test_jumpsim.py::test_long_readout_peak_memory)
         if n_bins < max(_COUNT_FROM_BINS, len(self.times) // 4):
             k = np.searchsorted(self.times, edges, side="right")
         else:
             k = _events_through(self.times, edges, bin_width)
+        # running integral at every edge, evaluated once and in place; stretch j
+        # starts at breaks[j] and holds states[j], and cum[j] is the integral of
+        # the occupation up to breaks[j]
         integral = edges   # the edges are not needed past here
+        breaks = np.concatenate(([0.0], self.times))
         integral -= breaks[k]
+        cum = np.empty_like(breaks)
+        cum[0] = 0.0
+        np.subtract(breaks[1:], breaks[:-1], out=cum[1:])
+        del breaks
+        cum[1:] *= self.states[:-1]
+        np.cumsum(cum, out=cum)
         integral *= self.states[k]
         integral += cum[k]
         mean = np.diff(integral)
@@ -175,6 +182,7 @@ def _events_through(times: np.ndarray, edges: np.ndarray, bin_width: float) -> n
             break
         first += rise
         first -= fall
+    del grid, below, above   # so the counts do not sit beside the grid
     counts = np.bincount(first, minlength=n_edges + 1)
     np.cumsum(counts, out=counts)
     return counts[:-1]
@@ -205,9 +213,10 @@ def _draw_blocks(rng: np.random.Generator, duration: float):
     Block k holds min(64 * 2**k, 4096) standard-exponential waits followed
     by as many uniform picks.  Block sizes depend on nothing else, so a run
     consumes its stream in the same order for every duration.  Each block
-    is handed out as consecutive pieces, an array of waits and a list of
-    picks, whose sizes double from 8 (cut at the block's end), so a path of
-    a few events walks a few picks, not the whole first block.
+    is handed out as consecutive pieces, an array of waits and a memoryview
+    of picks (iterating it gives Python floats, the array's exact doubles),
+    whose sizes double from 8 (cut at the block's end), so a path of a few
+    events walks a few picks, not the whole first block.
     """
     size, drawn, piece = _FIRST_BLOCK, 0, _FIRST_PIECE
     while True:
@@ -217,7 +226,7 @@ def _draw_blocks(rng: np.random.Generator, duration: float):
                 f"trajectory exceeds {MAX_EVENTS} events before its duration "
                 f"of {duration} s; shorten the duration")
         waits = rng.standard_exponential(size)
-        picks = rng.random(size).tolist()
+        picks = memoryview(rng.random(size))
         start = 0
         while start < size:
             stop = min(start + piece, size)
@@ -286,7 +295,8 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     (m - 1, or 2 from the ground state).  The thresholds, falls and total
     rates sit in per-level tables of 8 levels at first; a path that walks
     past them raises IndexError, and the tables grow to 2 L + 2 levels
-    while the piece is walked again from its start level.  Phase 2 is
+    while the piece is walked again from its start level.  The piece's
+    levels then join the record as one struct.pack of int64s.  Phase 2 is
     numpy, which looks up each event's total rate by the level before it
     and cuts one cumsum of the event times at the duration.  Levels walked
     past the cut are dropped.  Absorption is decided from the rates before
@@ -321,7 +331,8 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     size = _FIRST_LEVELS
     t = 0.0
     n = 0
-    # 8 bytes an event each, viewed by numpy one statement at a time (an array
+    # 8 bytes an event each, appended as bytes (the times from numpy, the levels
+    # packed per piece) and viewed by numpy one statement at a time (an array
     # cannot grow while viewed); levels opens with the initial level
     times = array("d")
     levels = array("q", [n])
@@ -348,11 +359,11 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
                 except IndexError:
                     n = first
                     size = 2 * size + 2
+            k = len(walked)
             start = len(levels)
-            levels.fromlist(walked)
+            levels.frombytes(struct.pack(f"{k}q", *walked))
             # phase 2: the times, t + wait / total summed in event order, each
             # total looked up by the level before its event: one slice of levels
-            k = len(walked)
             if k:
                 steps = waits[:k] / np.frombuffer(rates).take(levels[start - 1:-1])
                 steps[0] += t

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import chisquare, kstest
 
 from memcav import jumpsim, qnd
 from memcav.errors import SingularityError, ValidationError
-from memcav.params import with_value
+from memcav.params import HBAR, K_B, with_value
 
 from oracles import (bin_average_char_fn, bin_average_char_fn_expm, birth_death_generator,
                      bose_einstein_pmf, detection_stats_by_mean, fused_trajectory)
@@ -22,7 +23,6 @@ def small_bath(row1):
     n_bar = 2 exactly and Q = 50 keep the event count manageable while the
     chain equilibrates thousands of times over a second.
     """
-    from memcav.params import HBAR, K_B
     T = 2.0 * HBAR * row1.omega_m / K_B
     return with_value(with_value(row1, "T", T), "Q", 50.0)
 
@@ -213,6 +213,23 @@ def test_long_stationary_path_pinned(small_bath):
         "1775c8fcbff8d9f57f7929bfe72ab5b1285f74906956b1aac5eb207044b331be")
 
 
+def test_long_readout_peak_memory(small_bath):
+    """A 10^5-bin readout of the bench-shaped path stays within its measured peak.
+
+    tracemalloc read a 3.08 MB peak above the path and its states (4.39 MB
+    while cum, breaks and the edge grid were all alive at the count per bin).
+    """
+    traj = jumpsim.simulate_trajectory(small_bath, 0.5, seed=22)
+    traj.states   # cached before tracing: an input of the readout, not part of its peak
+    tracemalloc.start()
+    try:
+        traj.mean_level_per_bin(0.5 / 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3e6
+
+
 # event counts at which a cut meets the end of a walk piece (8, 24, 56) or of
 # a block (64, 192, and 4032 = 64 + ... + 2048, after which every block holds
 # 4096), and 16, inside the second piece
@@ -245,6 +262,8 @@ def _scenario(name, row1, row2, small_bath):
         return small_bath, 0.1
     if name == "trial":        # row 2's eight-bin trial window of criterion 9(c)
         return row2, 2.0 * qnd.jump_budget(row2).tau_total
+    if name == "hot_bath":     # n_bar ~ 1000: ~2.5e9 events a second, past level 255
+        return with_value(small_bath, "T", 1000.0 * HBAR * small_bath.omega_m / K_B), 2e-5
     if name == "zero_temperature":   # no thermal events: the channels alone climb
         return with_value(small_bath, "T", 0.0), 0.1
     if name == "two_phonon":   # T tiny, x0 = 0: ~4.5k events, the ground state exits by 0 -> 2
@@ -268,6 +287,9 @@ def _scenario(name, row1, row2, small_bath):
 # outgrows the first 8-level table at pick 144 and its 18-level extension at
 # pick 710, each partway through a piece, so the walk restarts mid-piece twice
 @example(("small_bath", False, 3, 1000))
+# 50,495 events up to level 287: the tables grow five times (8 -> 18 -> ... -> 318
+# levels), and levels past one byte rule out any byte-wide record of the walk
+@example(("hot_bath", False, 7, None))
 @example(("two_phonon", True, 5, 4))
 @example(("two_phonon", True, 5, 4032))
 @example(("two_phonon", True, 5, None))
