@@ -35,6 +35,18 @@ which adds in sequence: the same bits as t += wait / total per event.
 Whether a level absorbs the path follows from the rates alone, so it is
 decided before the walk, not per event.
 
+What depends on the parameter set alone is computed once per set, not once
+per trial: simulate_trajectory's rates, its absorption and overflow
+decisions and the first 8 rows of its per-level tables (keyed on the
+parameter set and the channels flag), and binned_readout's per-phonon shift
+and noise PSD (keyed on the parameter set).  Each sits in a least-recently-
+used memo of at most _MEMO_SETS = 32 parameter sets.  Sets equal under ==
+share an entry; those that differ only in the sign of a zero T or x0 give
+the same paths and readouts anyway.  Entries are never changed: a path that
+walks past the first tables grows copies of its own.  Errors are not
+stored, so a set that fails raises on every call, as before, and every path
+and readout has the bits it had without the memos.
+
 The continuous readout is modeled per time bin: the estimate is the
 per-phonon shift times (time-weighted mean occupation + 1/2), plus white
 Gaussian frequency noise of variance S_omega / bin_width.
@@ -48,7 +60,8 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +82,9 @@ _FIRST_PIECE = 8
 # when a path walks past them: ~89 % of row-2 trials never do, and a smaller
 # start costs those trials more restarts than the thresholds it saves.
 _FIRST_LEVELS = 8
+# Parameter sets held by each of _walk_setup's and _readout_scale's memos, the
+# least recently used dropped first; an entry takes well under 1 kB.
+_MEMO_SETS = 32
 # Largest path simulate_trajectory builds, checked once per block of draws:
 # it bounds a run's time and its event arrays, 16 bytes an event.
 # tests/test_cli.py::test_command_at_its_caps_stays_bounded runs jump-stats
@@ -153,7 +169,7 @@ class JumpTrajectory:
         np.cumsum(cum, out=cum)
         integral *= self.states[k]
         integral += cum[k]
-        mean = np.diff(integral)
+        mean = integral[1:] - integral[:-1]   # np.diff's arithmetic, without its ~3 us of wrapping
         mean /= bin_width
         return mean
 
@@ -278,6 +294,61 @@ def _climb_threshold(rate: float, total: float) -> float:
     return c
 
 
+class _WalkSetup(NamedTuple):
+    """What simulate_trajectory derives from a parameter set before its walk."""
+
+    heat: float        # n -> n+1 rate per n + 1
+    cool: float        # n -> n-1 rate per n
+    most: int | None   # picks a path takes when a level absorbs it (0 or 1), else None
+    quiet: bool        # some level's total is below _QUIET_BELOW
+    rates: np.ndarray  # per level: the total rate (read-only)
+    climb: tuple       # per level: the exact climb threshold
+    down: tuple        # per level: the level after a fall
+
+
+def _level_rows(heat: float, cool: float, start: int, stop: int):
+    """(totals, climb thresholds, falls) of the walk's levels start to stop - 1, start >= 1.
+
+    A level m's total is heat (m + 1) + cool m, of which heat (m + 1) climbs,
+    and a fall leads to m - 1.
+    """
+    totals, climbs = [], []
+    for m in range(start, stop):
+        rate = heat * (m + 1)
+        total = rate + cool * m
+        totals.append(total)
+        climbs.append(_climb_threshold(rate, total))
+    return totals, climbs, range(start - 1, stop - 1)
+
+
+@lru_cache(maxsize=_MEMO_SETS)
+def _walk_setup(p: ExperimentParams, include_measurement_channels: bool) -> _WalkSetup:
+    """simulate_trajectory's rates and first _FIRST_LEVELS table rows for one parameter set.
+
+    Memoized: the result is immutable, and an error is raised again on every call.
+    """
+    n_bar = thermal_occupation(p.T, p.omega_m)
+    unit = p.omega_m / p.Q
+    heat, cool = unit * n_bar, unit * (n_bar + 1.0)  # n -> n+1 per (n+1), n -> n-1 per n
+    if not math.isfinite(heat + cool):   # else every wait is 0 and the path never advances
+        raise SingularityError("thermal rates left the float range")
+    rate01, rate02 = _channel_rates(p) if include_measurement_channels else (0.0, 0.0)
+    total0 = heat + (rate01 + rate02)
+    # absorption follows from the rates: the ground state holds only when its
+    # total is 0, and a level >= 1 only when cool is 0 (so heat is 0 too), after
+    # at most one event
+    most = 0 if total0 == 0.0 else 1 if cool == 0.0 else None
+    # every level's total is at least total0 or cool
+    quiet = min(total0, cool) < _QUIET_BELOW
+    # at m = 0 the total takes the channels in, a pick climbs one level below
+    # heat + rate01, and its "fall" is the 0 -> 2 jump
+    totals, climbs, falls = _level_rows(heat, cool, 1, _FIRST_LEVELS)
+    rates = np.array([total0, *totals])
+    rates.flags.writeable = False
+    return _WalkSetup(heat, cool, most, quiet, rates,
+                      (_climb_threshold(heat + rate01, total0), *climbs), (2, *falls))
+
+
 def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
                         include_measurement_channels: bool = False) -> JumpTrajectory:
     """Exact event-driven sampling of the phonon number over [0, duration].
@@ -302,33 +373,20 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     past the cut are dropped.  Absorption is decided from the rates before
     the walk: the ground state holds when its total rate is 0, and a higher
     level only when cool is 0, so the walk then takes at most one pick.
+
+    The rates, the absorption decision and the first 8 table rows are
+    computed once per parameter set and channels flag and memoized
+    (_walk_setup, at most _MEMO_SETS sets): a trial on a set seen before
+    makes no qnd call and computes no threshold of those levels.  Growing
+    tables are the path's own copies, so the memo never changes, and the
+    path has the same bits either way.
     """
     require_positive(duration=duration)
-    n_bar = thermal_occupation(p.T, p.omega_m)
-    unit = p.omega_m / p.Q
-    heat, cool = unit * n_bar, unit * (n_bar + 1.0)  # n -> n+1 per (n+1), n -> n-1 per n
-    if not math.isfinite(heat + cool):   # else every wait is 0 and the path never advances
-        raise SingularityError("thermal rates left the float range")
-    rate01, rate02 = _channel_rates(p) if include_measurement_channels else (0.0, 0.0)
-    total0 = heat + (rate01 + rate02)
-
-    # absorption follows from the rates: the ground state holds only when its
-    # total is 0, and a level >= 1 only when cool is 0 (so heat is 0 too), after
-    # at most one event; the walk then gets only the picks the path takes
+    heat, cool, most, quiet, rates, climb, down = _walk_setup(p, include_measurement_channels)
     draws = _draw_blocks(np.random.default_rng(seed), duration)
-    most = 0 if total0 == 0.0 else 1 if cool == 0.0 else None
-    if most is not None:
+    if most is not None:   # an absorbing level: the walk gets only the picks the path takes
         waits, picks = next(draws)
         draws = [(waits[:most], picks[:most])]
-
-    # per-level tables: the total rate, the climb threshold and the level after
-    # a fall.  A level's total is heat (m + 1) + cool m, of which heat (m + 1)
-    # climbs; at m = 0 the total takes the channels in, a pick climbs one level
-    # below heat + rate01, and its "fall" is the 0 -> 2 jump
-    rates = array("d", [total0])   # doubles numpy can look up
-    climb = [_climb_threshold(heat + rate01, total0)]
-    down = [2]
-    size = _FIRST_LEVELS
     t = 0.0
     n = 0
     # 8 bytes an event each, appended as bytes (the times from numpy, the levels
@@ -339,33 +397,28 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     # a wait over a tiny total overflows to inf, which only means that no further
     # event comes before the duration; np.errstate costs ~1-3 us of a ~35 us
     # row-2 trial, so it is entered only when some total is below _QUIET_BELOW
-    # (every level's total is at least total0 or cool)
-    with (np.errstate(over="ignore") if min(total0, cool) < _QUIET_BELOW
-          else contextlib.nullcontext()):
+    with np.errstate(over="ignore") if quiet else contextlib.nullcontext():
         for waits, picks in draws:
             # phase 1: the level walk, recording the level after each event; a
-            # path that walks past the tables grows them and walks the piece again
+            # path that walks past the tables grows new ones, 2 L + 2 levels
+            # long, and walks the piece again
             first = n
             while True:
-                for m in range(len(climb), size):
-                    rate = heat * (m + 1)
-                    total = rate + cool * m
-                    rates.append(total)
-                    climb.append(_climb_threshold(rate, total))
-                    down.append(m - 1)
                 try:
                     walked = [n := (n + 1 if pick < climb[n] else down[n]) for pick in picks]
                     break
                 except IndexError:
                     n = first
-                    size = 2 * size + 2
+                    totals, climbs, falls = _level_rows(heat, cool, len(climb), 2 * len(climb) + 2)
+                    rates = np.concatenate((rates, totals))
+                    climb, down = (*climb, *climbs), (*down, *falls)
             k = len(walked)
             start = len(levels)
             levels.frombytes(struct.pack(f"{k}q", *walked))
             # phase 2: the times, t + wait / total summed in event order, each
             # total looked up by the level before its event: one slice of levels
             if k:
-                steps = waits[:k] / np.frombuffer(rates).take(levels[start - 1:-1])
+                steps = waits[:k] / rates.take(levels[start - 1:-1])
                 steps[0] += t
                 steps = steps.cumsum()
                 kept = int(steps.searchsorted(duration))  # events before the duration
@@ -399,16 +452,23 @@ class ReadoutTrace:
         return self.delta_omega * (n + 0.5)
 
 
+@lru_cache(maxsize=_MEMO_SETS)
+def _readout_scale(p: ExperimentParams) -> tuple[float, float]:
+    """(delta_omega, S_omega) of a parameter set; memoized, and an error is raised on every call."""
+    return qnd.detuning_per_phonon(p), qnd.pdh_noise_psd(p).s_omega
+
+
 def binned_readout(traj: JumpTrajectory, p: ExperimentParams, bin_width: float,
                    seed: int) -> ReadoutTrace:
     """Per-bin frequency estimates with shot-noise-limited Gaussian noise.
 
     estimate = delta_omega * (mean n in bin + 1/2) + N(0, S_omega/bin_width).
     Deterministic per seed, independent of the trajectory's own seed.
+    delta_omega and S_omega are computed once per parameter set and
+    memoized (_readout_scale, at most _MEMO_SETS sets), with the same bits.
     """
     mean_n = traj.mean_level_per_bin(bin_width)
-    dw = qnd.detuning_per_phonon(p)
-    s_omega = qnd.pdh_noise_psd(p).s_omega
+    dw, s_omega = _readout_scale(p)
     sigma = math.sqrt(s_omega / bin_width)
     rng = np.random.default_rng(seed)
     estimates = mean_n + 0.5

@@ -111,8 +111,12 @@ def test_channel_rates_out_of_float_range(row1, overrides):
     p = row1
     for key, value in overrides.items():
         p = with_value(p, key, value)
-    with pytest.raises(SingularityError):
-        jumpsim.simulate_trajectory(p, 1e-3, seed=1, include_measurement_channels=True)
+    messages = []
+    for _ in range(2):   # errors are not memoized: a second call raises the same again
+        with pytest.raises(SingularityError) as raised:
+            jumpsim.simulate_trajectory(p, 1e-3, seed=1, include_measurement_channels=True)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("channels", [False, True])
@@ -273,26 +277,38 @@ def _scenario(name, row1, row2, small_bath):
     return with_value(row1, "Q", math.inf), 1.0
 
 
+# the explicit cases of the drawn paths, shared by the oracle and memo tests
+_PATH_EXAMPLES = (
+    ("small_bath", False, 2024, 8),
+    ("small_bath", True, 2024, 16),
+    ("small_bath", False, 2024, 64),
+    ("small_bath", True, 2024, 192),
+    ("small_bath", False, 2024, 4032 + 2 * 4096),
+    ("small_bath", False, 2024, None),
+    ("zero_temperature", False, 1, None),
+    ("q_inf", True, 4, None),
+    ("trial", True, 61, None),
+    # outgrows the first 8-level table at pick 144 and its 18-level extension at
+    # pick 710, each partway through a piece, so the walk restarts mid-piece twice
+    ("small_bath", False, 3, 1000),
+    # 50,495 events up to level 287: the tables grow five times (8 -> 18 -> ... -> 318
+    # levels), and levels past one byte rule out any byte-wide record of the walk
+    ("hot_bath", False, 7, None),
+    ("two_phonon", True, 5, 4),
+    ("two_phonon", True, 5, 4032),
+    ("two_phonon", True, 5, None),
+)
+
+
+def _path_examples(test):
+    for case in reversed(_PATH_EXAMPLES):
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_paths())
-@example(("small_bath", False, 2024, 8))
-@example(("small_bath", True, 2024, 16))
-@example(("small_bath", False, 2024, 64))
-@example(("small_bath", True, 2024, 192))
-@example(("small_bath", False, 2024, 4032 + 2 * 4096))
-@example(("small_bath", False, 2024, None))
-@example(("zero_temperature", False, 1, None))
-@example(("q_inf", True, 4, None))
-@example(("trial", True, 61, None))
-# outgrows the first 8-level table at pick 144 and its 18-level extension at
-# pick 710, each partway through a piece, so the walk restarts mid-piece twice
-@example(("small_bath", False, 3, 1000))
-# 50,495 events up to level 287: the tables grow five times (8 -> 18 -> ... -> 318
-# levels), and levels past one byte rule out any byte-wide record of the walk
-@example(("hot_bath", False, 7, None))
-@example(("two_phonon", True, 5, 4))
-@example(("two_phonon", True, 5, 4032))
-@example(("two_phonon", True, 5, None))
+@_path_examples
 def test_simulate_matches_fused_oracle(row1, row2, small_bath, case):
     """The two-phase walk gives the fused loop's path bit for bit, wherever it is cut."""
     scenario, channels, seed, kept = case
@@ -309,6 +325,84 @@ def test_simulate_matches_fused_oracle(row1, row2, small_bath, case):
     assert got.times.dtype == np.float64 and got.levels.dtype == np.int64
     assert got.times.tobytes() == want.times.tobytes()
     assert got.levels.tobytes() == want.levels.tobytes()
+
+
+def _clear_memos():
+    jumpsim._walk_setup.cache_clear()
+    jumpsim._readout_scale.cache_clear()
+
+
+def _path_and_readout(p, duration, seed, channels):
+    """The bytes of a path and of its 16-bin readout, and the readout's scale."""
+    traj = jumpsim.simulate_trajectory(p, duration, seed, channels)
+    trace = jumpsim.binned_readout(traj, p, duration / 16, seed + 1)
+    return (traj.times.tobytes(), traj.levels.tobytes(), trace.true_n_per_bin.tobytes(),
+            trace.freq_estimates.tobytes(), repr((trace.delta_omega, trace.noise_sigma)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_paths())
+@_path_examples
+def test_memo_changes_no_bits(row1, row2, small_bath, case):
+    """A path and its readout are the same from a cleared memo and one a hotter path warmed."""
+    scenario, channels, seed, kept = case
+    p, longest = _scenario(scenario, row1, row2, small_bath)
+    _clear_memos()
+    full = jumpsim.simulate_trajectory(p, longest, seed, channels)
+    duration = float(full.times[kept]) if kept is not None and kept < len(full.times) else longest
+    _clear_memos()
+    cold = _path_and_readout(p, duration, seed, channels)
+    # a path twice as long on the next seed, which mostly climbs higher and grows tables
+    jumpsim.simulate_trajectory(p, 2.0 * longest, seed + 1, channels)
+    assert _path_and_readout(p, duration, seed, channels) == cold
+
+
+@pytest.mark.parametrize("field, scenario", [("T", "zero_temperature"), ("x0", "two_phonon")])
+def test_memo_signed_zeros_keep_their_bits(row1, row2, small_bath, field, scenario):
+    """Sets equal under == but for a zero's sign share a memo entry and keep their own bits."""
+    p, duration = _scenario(scenario, row1, row2, small_bath)
+    plus, minus = with_value(p, field, 0.0), with_value(p, field, -0.0)
+    assert plus == minus
+    for this, other in ((plus, minus), (minus, plus)):
+        _clear_memos()
+        cold = _path_and_readout(this, duration, 3, True)
+        want = fused_trajectory(this, duration, 3, True)
+        assert cold[:2] == (want.times.tobytes(), want.levels.tobytes())
+        _clear_memos()
+        _path_and_readout(other, duration, 3, True)
+        assert _path_and_readout(this, duration, 3, True) == cold
+
+
+def test_warm_trial_makes_no_qnd_call(row1, row2, small_bath, monkeypatch):
+    """A warm trial and readout call no qnd formula; the memo stays bounded and unchanged."""
+    duration = 2.0 * qnd.jump_budget(row2).tau_total
+    calls = []
+    names = ("detuning_per_phonon", "linear_lifetime", "pdh_noise_psd", "rwa_lifetime")
+    for name in names:
+        def counted(p, formula=getattr(qnd, name), name=name):
+            calls.append(name)
+            return formula(p)
+        monkeypatch.setattr(qnd, name, counted)
+    _clear_memos()
+    _path_and_readout(row2, duration, 61, True)
+    assert sorted(calls) == list(names)
+    calls.clear()
+    _path_and_readout(row2, duration, 61, True)
+    assert calls == []
+
+    for memo in (jumpsim._walk_setup, jumpsim._readout_scale):
+        assert memo.cache_parameters()["maxsize"] == jumpsim._MEMO_SETS
+    for i in range(jumpsim._MEMO_SETS + 1):
+        _path_and_readout(with_value(small_bath, "Q", 50.0 + i), 1e-4, i, False)
+    for memo in (jumpsim._walk_setup, jumpsim._readout_scale):
+        assert memo.cache_info().currsize == jumpsim._MEMO_SETS
+
+    # the level-287 path grows its own tables, not the memo's
+    hot, duration = _scenario("hot_bath", row1, row2, small_bath)
+    assert int(jumpsim.simulate_trajectory(hot, duration, 7).levels.max()) == 287
+    setup = jumpsim._walk_setup(hot, False)
+    assert len(setup.rates) == len(setup.climb) == len(setup.down) == jumpsim._FIRST_LEVELS
+    assert not setup.rates.flags.writeable
 
 
 @st.composite
