@@ -26,7 +26,7 @@ import numpy as np
 
 from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
-from .params import C_LIGHT, MembraneSpec, require_positive
+from .params import C_LIGHT, MembraneSpec, in_float_range, require_positive
 from .textio import Table
 
 # Membrane-induced optical loss: measured upper limit only, kept as metadata.
@@ -46,7 +46,7 @@ def dispersive_detuning(x, r_c: float, L: float, lam: float):
     [(c/L) arccos(r_c), (c/L) arccos(-r_c)].  Vectorized over x.
     """
     _check_rc(r_c)
-    _check_lengths(L, lam)
+    require_positive(L=L, lam=lam)
     x = np.asarray(x, dtype=float)
     out = (C_LIGHT / L) * np.arccos(r_c * np.cos(4.0 * np.pi * x / lam))
     return float(out) if out.ndim == 0 else out
@@ -63,14 +63,19 @@ def detuning_derivatives(x0: float, r_c: float, L: float, lam: float) -> tuple[f
     With r_c = 0 there is no quadratic coupling (omega2 = 0).
     """
     _check_rc(r_c)
-    _check_lengths(L, lam)
-    omega0 = C_LIGHT * math.acos(r_c) / L
+    require_positive(L=L, lam=lam)
+    if not math.isfinite(x0):
+        raise ValidationError(f"x0 must be finite (got {x0})")
+    omega0 = in_float_range(C_LIGHT * math.acos(r_c) / L, "omega0")
     if r_c == 0.0:
         return omega0, 0.0, 0.0
-    root = math.sqrt((1.0 - r_c) * (1.0 + r_c))
-    if root == 0.0:
-        raise SingularityError("1 - r_c underflowed; curvature diverges")
-    omega2 = 16.0 * math.pi**2 * C_LIGHT * r_c / (L * lam**2 * root)
+    root = math.sqrt((1.0 - r_c) * (1.0 + r_c))   # >= 1e-8, as r_c < 1 is at least 2^-53 below 1
+    try:
+        omega2 = in_float_range(16.0 * math.pi**2 * C_LIGHT * r_c / (L * lam**2 * root), "omega2")
+    except (ZeroDivisionError, OverflowError):   # lam^2 overflows, or L lam^2 underflows to 0
+        raise SingularityError("omega2 left the float range") from None
+    if not math.isfinite(omega2 * x0):
+        raise SingularityError("omega1 left the float range")
     return omega0, omega2 * x0, omega2
 
 
@@ -90,8 +95,9 @@ def near_unity_gap(r_c: float, L: float) -> float:
 def mode_gap(r_c: float, L: float) -> ModeGap:
     """Minimum gap between adjacent cavity bands, exact and near-unity form."""
     _check_rc(r_c)
-    approx = near_unity_gap(r_c, L)
-    exact = 2.0 * (C_LIGHT / L) * math.acos(r_c)
+    require_positive(L=L)
+    approx = in_float_range(near_unity_gap(r_c, L), "mode gap")
+    exact = in_float_range(2.0 * (C_LIGHT / L) * math.acos(r_c), "mode gap")
     return ModeGap(approx, exact, abs(approx - exact) / exact)
 
 
@@ -112,7 +118,7 @@ def band_structure(r_c: float, L: float, lam: float, x_range, n_samples: int,
     frequency since theta(x) stays inside (0, pi).
     """
     _check_rc(r_c)
-    _check_lengths(L, lam)
+    require_positive(L=L, lam=lam)
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
     if n_bands < 1:
@@ -152,9 +158,12 @@ def membrane_reflectivity(spec: MembraneSpec, lam: float) -> float:
         r = r12 (1 - e^{2 i delta}) / (1 - r12^2 e^{2 i delta}),
     with r12 = (1 - n)/(1 + n) and delta = 2 pi n d / lambda.
     """
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
-    return abs(slab_reflection_amplitude(spec.n_index, spec.d, 2.0 * np.pi / lam))
+    require_positive(lam=lam)
+    with np.errstate(all="ignore"):   # a phase or wavenumber out of range shows as NaN
+        r = abs(slab_reflection_amplitude(spec.n_index, spec.d, 2.0 * np.pi / lam))
+    if not math.isfinite(r):
+        raise SingularityError("membrane reflectivity left the float range")
+    return r
 
 
 def slab_reflection_amplitude(n: float, d: float, k) -> complex:
@@ -176,14 +185,14 @@ def mirror_reflectivity_from_finesse(F: float) -> float:
         raise ValidationError(f"finesse must be finite and >= 1 (got {F})")
     try:
         s = (-math.pi + math.sqrt(math.pi**2 + 4.0 * F**2)) / (2.0 * F)  # sqrt(R)
-    except OverflowError:   # F**2
-        raise SingularityError(f"finesse {F} leaves the float range") from None
-    return s * s
+    except OverflowError:   # F**2; short of it, 4 F^2 overflows to inf
+        s = math.inf
+    return in_float_range(s * s, f"finesse {F}")
 
 
-def _mat_mul(A, B):
-    return (A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
-            A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3])
+def _row_mul(a, B):
+    """Row vector a times the 2x2 matrix B (row-major); row i of A B is row i of A times B."""
+    return (a[0] * B[0] + a[1] * B[2], a[0] * B[1] + a[1] * B[3])
 
 
 def _sheet_matrix(zeta):
@@ -192,8 +201,7 @@ def _sheet_matrix(zeta):
 
 def _prop_matrix(k, d):
     ph = np.exp(-1j * k * d)
-    zero = np.zeros_like(ph)
-    return (ph, zero, zero, 1.0 / ph)
+    return (ph, 0j, 0j, 1.0 / ph)   # products with the zeros stay: inf * 0 must give NaN
 
 
 def _interface_matrix(n1, n2):
@@ -203,8 +211,10 @@ def _interface_matrix(n1, n2):
 
 
 def _slab_matrix(n, d, k):
-    inner = _mat_mul(_interface_matrix(1.0, n), _prop_matrix(n * k, d))
-    return _mat_mul(inner, _interface_matrix(n, 1.0))
+    enter, prop = _interface_matrix(1.0, n), _prop_matrix(n * k, d)
+    leave = _interface_matrix(n, 1.0)
+    return (*_row_mul(_row_mul(enter[:2], prop), leave),
+            *_row_mul(_row_mul(enter[2:], prop), leave))
 
 
 def cavity_transmission(omega, x, F: float, L: float,
@@ -224,25 +234,19 @@ def cavity_transmission(omega, x, F: float, L: float,
     R = mirror_reflectivity_from_finesse(F)
     if R == 1.0:
         raise SingularityError(f"finesse {F} rounds the mirror reflectivity to 1")
-    zeta_m = math.sqrt(R / (1.0 - R))
-    mirror = _sheet_matrix(zeta_m)
+    mirror = _sheet_matrix(math.sqrt(R / (1.0 - R)))
     # a product that leaves the float range shows as a non-finite result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if membrane is None:
-            mid = _sheet_matrix(sheet_strength(r_c))
-            d1 = L / 2.0 + x
-            d2 = L / 2.0 - x
+            mid, half_d = _sheet_matrix(sheet_strength(r_c)), 0.0
         else:
-            mid = _slab_matrix(membrane.n_index, membrane.d, k)
-            d1 = L / 2.0 + x - membrane.d / 2.0
-            d2 = L / 2.0 - x - membrane.d / 2.0
+            mid, half_d = _slab_matrix(membrane.n_index, membrane.d, k), membrane.d / 2.0
+        d1, d2 = L / 2.0 + x - half_d, L / 2.0 - x - half_d
         if not (np.all(d1 > 0) and np.all(d2 > 0)):
             raise ValidationError("membrane displacement places it outside the cavity")
-        M = _mat_mul(mirror, _prop_matrix(k, d1))
-        M = _mat_mul(M, mid)
-        M = _mat_mul(M, _prop_matrix(k, d2))
-        M = _mat_mul(M, mirror)
-        out = np.abs(1.0 / M[0]) ** 2
+        row = _row_mul(_row_mul(_row_mul(mirror[:2], _prop_matrix(k, d1)), mid),
+                       _prop_matrix(k, d2))
+        out = np.abs(1.0 / (row[0] * mirror[0] + row[1] * mirror[2])) ** 2   # 1 / |M[0]|^2
     if not np.all(np.isfinite(out)):
         raise SingularityError("cavity transmission left the float range")
     return float(out) if out.ndim == 0 else out
@@ -266,7 +270,7 @@ def transmission_map(F: float, L: float, lam: float, detuning_grid, x_grid,
     Detunings are taken from omega_base, the longitudinal mode nearest the
     design wavelength, round(2 L / lambda) * omega_FSR.
     """
-    _check_lengths(L, lam)
+    require_positive(L=L, lam=lam)
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
     if detuning_grid.size == 0 or x_grid.size == 0:
@@ -320,17 +324,12 @@ def finesse_ringdown(value: float, direction: str, L: float) -> float:
     """
     require_positive(value=value, L=L)
     if direction == "finesse_to_tau":
-        return L * value / (math.pi * C_LIGHT)
+        return in_float_range(L * value / (math.pi * C_LIGHT), "decay time")
     if direction == "tau_to_finesse":
-        return math.pi * C_LIGHT * value / L
+        return in_float_range(math.pi * C_LIGHT * value / L, "finesse")
     raise ValidationError(f"unknown direction '{direction}'")
 
 
 def _check_rc(r_c: float) -> None:
     if not 0.0 <= r_c < 1.0:
         raise ValidationError(f"r_c must be in [0, 1) (got {r_c})")
-
-
-def _check_lengths(L: float, lam: float) -> None:
-    if not (0.0 < L < math.inf and 0.0 < lam < math.inf):
-        raise ValidationError(f"L and lambda must be finite and positive (got {L} and {lam})")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -51,9 +50,7 @@ def _one_minus_rc(p: ExperimentParams) -> float:
 
 
 def _x_m2(p) -> float:
-    """Squared zero-point amplitude hbar / (2 m omega_m) [m^2], as x_m**2; p.x_m2 on a grid."""
-    if isinstance(p.m, np.ndarray) and hasattr(p, "x_m2"):
-        return p.x_m2
+    """Squared zero-point amplitude hbar / (2 m omega_m) [m^2], as x_m**2."""
     return mechanics.zero_point_amplitude(p.m, p.omega_m)**2
 
 
@@ -261,8 +258,8 @@ def budget_grid(p) -> BudgetGrid:
     def flat(v):
         return np.broadcast_to(v, shape).flatten()
 
-    with np.errstate(all="ignore"):  # x_m^2 is derived once: a LibmArray's ** loops in Python
-        b = _budget(SimpleNamespace(**vars(p), x_m2=_x_m2(p)))
+    with np.errstate(all="ignore"):
+        b = _budget(p)
         b = QndBudget(*map(flat, b[:-1]), QndFlags(*map(flat, b.flags)))
         out_of_range = _left_float_range(b, flat(p.x0))
     errors[out_of_range & (errors == "")] = _FLOAT_RANGE

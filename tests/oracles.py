@@ -5,8 +5,9 @@ come from finite differences, occupation statistics from the generator
 matrix (linear algebra, no sampling), and spectra from adaptive quadrature.
 The jump-budget cross-checks reach the closed-form lifetimes by a second
 route (golden rule over the photon noise spectrum, good-cavity ratios).
-The jump simulator is checked against its earlier one-loop form, and the
-detection statistics against per-bin means.  The fits' solver is checked
+The jump simulator is checked against its earlier one-loop form, the
+optics' row-0 chain against the full matrix product, and the detection
+statistics against per-bin means.  The fits' solver is checked
 against scipy's MINPACK curve_fit, given the exact complex-step Jacobian.
 """
 
@@ -21,10 +22,11 @@ from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from memcav import jumpsim, mechanics, qnd
-from memcav.cavity import _slab_matrix
-from memcav.errors import ValidationError
+from memcav.cavity import (_interface_matrix, _sheet_matrix, _slab_matrix,
+                           mirror_reflectivity_from_finesse, sheet_strength)
+from memcav.errors import SingularityError, ValidationError
 from memcav.mechanics import thermal_occupation
-from memcav.params import ExperimentParams
+from memcav.params import C_LIGHT, ExperimentParams
 
 
 def central_second_derivative(f, x0, h):
@@ -215,6 +217,51 @@ def slab_amplitudes(n: float, d: float, lam: float) -> tuple[complex, complex]:
     k = np.asarray(2.0 * np.pi / lam, dtype=float)
     M = _slab_matrix(n, d, k)
     return complex(M[2] / M[0]), complex(1.0 / M[0])
+
+
+def _mat_mul(A, B):
+    return (A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
+            A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3])
+
+
+def _full_prop_matrix(k, d):
+    ph = np.exp(-1j * k * d)
+    zero = np.zeros_like(ph)
+    return (ph, zero, zero, 1.0 / ph)
+
+
+def full_chain_transmission(omega, x, F: float, L: float, r_c: float | None = None,
+                            membrane=None):
+    """cavity.cavity_transmission as the full 2x2 product mirror P(d1) mid P(d2) mirror.
+
+    Every matrix, the slab's too, is multiplied out whole, with a plane of
+    zeros off the diagonal of each propagation matrix P, and only M[0] is
+    read: the reference for the row-0 chain, which must give the same bits
+    and raise the same errors.
+    """
+    k = np.asarray(omega, dtype=float) / C_LIGHT
+    x = np.asarray(x, dtype=float)
+    R = mirror_reflectivity_from_finesse(F)
+    if R == 1.0:
+        raise SingularityError(f"finesse {F} rounds the mirror reflectivity to 1")
+    mirror = _sheet_matrix(math.sqrt(R / (1.0 - R)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if membrane is None:
+            mid = _sheet_matrix(sheet_strength(r_c))
+            d1, d2 = L / 2.0 + x, L / 2.0 - x
+        else:
+            n, d = membrane.n_index, membrane.d
+            mid = _mat_mul(_mat_mul(_interface_matrix(1.0, n), _full_prop_matrix(n * k, d)),
+                           _interface_matrix(n, 1.0))
+            d1, d2 = L / 2.0 + x - d / 2.0, L / 2.0 - x - d / 2.0
+        M = _mat_mul(mirror, _full_prop_matrix(k, d1))
+        M = _mat_mul(M, mid)
+        M = _mat_mul(M, _full_prop_matrix(k, d2))
+        M = _mat_mul(M, mirror)
+        out = np.abs(1.0 / M[0]) ** 2
+    if not np.all(np.isfinite(out)):
+        raise SingularityError("cavity transmission left the float range")
+    return float(out) if out.ndim == 0 else out
 
 
 def _fused_draw_blocks(rng: np.random.Generator, duration: float):

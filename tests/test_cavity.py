@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from memcav import cavity
-from memcav.errors import FitError, SingularityError, ValidationError
+from memcav.errors import FitError, MemcavError, SingularityError, ValidationError
 from memcav.fitting import fit_exponential_decay
 from memcav.params import C_LIGHT, MembraneSpec
 
-from oracles import central_second_derivative, slab_amplitudes
+from oracles import central_second_derivative, full_chain_transmission, slab_amplitudes
 
 L_REF = 0.067
 LAM_REF = 5.32e-7
@@ -367,6 +369,48 @@ def test_slab_cavity_map_intensity_bounded():
     assert np.all(tm.intensity >= 0) and np.all(tm.intensity <= 1 + 1e-12)
 
 
+def test_row_chain_gives_the_full_products_bits_and_errors():
+    """cavity_transmission carries row 0 of mirror P(d1) mid P(d2) mirror; the
+    full 2x2 product, zero planes and all, gives the same bytes and raises the
+    same error type where a product leaves the float range."""
+    F, L = 200.0, 1.0
+    omega = (round(2 * L / LAM_REF) * cavity.omega_fsr(L) + np.linspace(-1e9, 1e9, 101))[:, None]
+    xs = np.linspace(-LAM_REF / 3, LAM_REF / 2, 37)
+    for membrane in (dict(r_c=0.31), dict(r_c=0.9999), dict(membrane=MembraneSpec(2.0, 50e-9))):
+        for args in ((omega, xs, F, L), (float(omega[50, 0]), float(xs[5]), 1.5e4, L_REF)):
+            row = cavity.cavity_transmission(*args, **membrane)
+            full = full_chain_transmission(*args, **membrane)
+            assert np.asarray(row).tobytes() == np.asarray(full).tobytes()
+    # 1 - R rounds to 0 at F = 1e17, F**2 overflows at 1e200, and an index of
+    # 1e308 overflows the slab's interface matrix, whose inf * 0 gives NaN
+    for F_out, membrane in ((1e17, dict(r_c=0.31)), (1e200, dict(r_c=0.31)),
+                            (F, dict(membrane=MembraneSpec(1e308, 5e-8)))):
+        with pytest.raises(MemcavError) as full_error:
+            full_chain_transmission(omega, xs, F_out, L, **membrane)
+        with pytest.raises(MemcavError) as row_error:
+            cavity.cavity_transmission(omega, xs, F_out, L, **membrane)
+        assert type(row_error.value) is type(full_error.value) is SingularityError
+
+
+@pytest.mark.parametrize("membrane", [dict(r_c=0.31), dict(membrane=MembraneSpec(2.0, 50e-9))],
+                         ids=["sheet", "slab"])
+def test_transmission_map_peak_memory(membrane):
+    """A 300 x 300 map stays within its measured peak.
+
+    tracemalloc read 10.1 MB for the sheet and for the slab, 112 bytes a
+    cell; the full 2x2 product with zero planes off P's diagonal read 17.3 MB.
+    """
+    det = np.linspace(-1e9, 1e9, 300)
+    xs = np.linspace(-LAM_REF / 3, LAM_REF / 2, 300)
+    tracemalloc.start()
+    try:
+        cavity.transmission_map(200.0, 1.0, LAM_REF, det, xs, **membrane)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 # ---------------------------------------------------------------------------
 # ringdown and finesse
 # ---------------------------------------------------------------------------
@@ -421,3 +465,65 @@ def test_finesse_ringdown_rejects_bad_input():
         cavity.finesse_ringdown(-1.0, "finesse_to_tau", L_REF)
     with pytest.raises(ValidationError):
         cavity.finesse_ringdown(1.0, "sideways", L_REF)
+
+
+# ---------------------------------------------------------------------------
+# the scalar helpers give finite floats or raise a MemcavError
+# ---------------------------------------------------------------------------
+
+_SPEC = MembraneSpec(2.0, 50e-9)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cavity.mode_gap(0.5, 0.0), ValidationError),
+    (lambda: cavity.mode_gap(0.5, -1.0), ValidationError),
+    (lambda: cavity.mode_gap(0.5, 1e-320), SingularityError),           # c / L overflows
+    (lambda: cavity.membrane_reflectivity(_SPEC, math.nan), ValidationError),
+    (lambda: cavity.membrane_reflectivity(_SPEC, math.inf), ValidationError),
+    (lambda: cavity.membrane_reflectivity(_SPEC, 5e-324), SingularityError),   # 2 pi / lam
+    (lambda: cavity.detuning_derivatives(math.nan, 0.31, L_REF, LAM_REF), ValidationError),
+    (lambda: cavity.detuning_derivatives(0.0, 0.31, L_REF, math.inf), ValidationError),
+    (lambda: cavity.detuning_derivatives(0.0, 0.31, 5e-324, LAM_REF), SingularityError),
+    (lambda: cavity.detuning_derivatives(0.0, 0.31, L_REF, 1e200), SingularityError),  # lam**2
+    (lambda: cavity.detuning_derivatives(0.0, 0.31, 5e-324, 0.1), SingularityError),   # L lam^2 = 0
+    (lambda: cavity.detuning_derivatives(1e300, 0.31, L_REF, LAM_REF), SingularityError),
+    (lambda: cavity.mirror_reflectivity_from_finesse(1e154), SingularityError),   # 4 F^2
+    (lambda: cavity.finesse_ringdown(1.0, "tau_to_finesse", 1e-320), SingularityError),
+    (lambda: cavity.finesse_ringdown(1e-320, "finesse_to_tau", 1e-10), SingularityError),
+], ids=["gap-L0", "gap-L-negative", "gap-L-tiny", "reflectivity-lam-nan", "reflectivity-lam-inf",
+        "reflectivity-lam-tiny", "derivatives-x0-nan", "derivatives-lam-inf", "derivatives-L-tiny",
+        "derivatives-lam-huge", "derivatives-divisor-zero", "derivatives-omega1-huge",
+        "reflectivity-4F2-overflows", "finesse-overflows", "tau-underflows"])
+def test_scalar_helpers_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+_EDGE = st.sampled_from([0.0, -1.0, 5e-324, 1e-320, 1e-160, 0.31, 0.9999999999999999, 1.0,
+                         2.0, 1e154, 1e300, 1.7e308, math.inf, math.nan])
+_FLOAT = st.one_of(_EDGE, st.floats())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x0=_FLOAT, r_c=_FLOAT, L=_FLOAT, lam=_FLOAT, n=_FLOAT, d=_FLOAT, value=_FLOAT)
+@example(x0=math.nan, r_c=0.31, L=L_REF, lam=LAM_REF, n=2.0, d=50e-9, value=1.0)
+@example(x0=1e300, r_c=0.31, L=1e-320, lam=math.inf, n=1e20, d=5e-324, value=1e-320)
+@example(x0=0.0, r_c=0.5, L=-1.0, lam=5e-324, n=1e300, d=1e10, value=1e200)
+def test_scalar_helpers_give_finite_floats_or_memcav_error(x0, r_c, L, lam, n, d, value):
+    """Each scalar helper gives finite floats or raises; none warns or raises otherwise."""
+    calls = {
+        "detuning_derivatives": lambda: cavity.detuning_derivatives(x0, r_c, L, lam),
+        "mode_gap": lambda: cavity.mode_gap(r_c, L),
+        "membrane_reflectivity": lambda: cavity.membrane_reflectivity(MembraneSpec(n, d), lam),
+        "sheet_strength": lambda: cavity.sheet_strength(r_c),
+        "mirror_reflectivity_from_finesse": lambda: cavity.mirror_reflectivity_from_finesse(value),
+        "finesse_to_tau": lambda: cavity.finesse_ringdown(value, "finesse_to_tau", L),
+        "tau_to_finesse": lambda: cavity.finesse_ringdown(value, "tau_to_finesse", L),
+    }
+    for name, call in calls.items():
+        try:
+            out = call()
+        except MemcavError:
+            continue
+        assert all(isinstance(v, float) and math.isfinite(v)
+                   for v in (out if isinstance(out, tuple) else (out,))), (name, out)

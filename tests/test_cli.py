@@ -759,10 +759,10 @@ _AT_CAPS = [
                        "--bands", str(cli.MAX_BANDS), "-o", "bands.csv"],
      0, {"bands.csv": cli.MAX_SAMPLES}, 0.15e9),
     ("transmission-map sheet", [*_MAP_AT_CAPS, "--rc", "0.31", "-o", "map.csv"],
-     0, {"map.csv": cli.MAX_MAP_SAMPLES**2}, 0.3e9),
+     0, {"map.csv": cli.MAX_MAP_SAMPLES**2}, 0.2e9),
     ("transmission-map slab", [*_MAP_AT_CAPS, "--membrane-index", "2.0",
                                "--membrane-thickness", "5e-8", "-o", "map.csv"],
-     0, {"map.csv": cli.MAX_MAP_SAMPLES**2}, 0.3e9),
+     0, {"map.csv": cli.MAX_MAP_SAMPLES**2}, 0.2e9),
     ("jump-sim", ["jump-sim", *_SCENARIO, "--seed", "1", "--duration", "0.01",
                   "--bin-width", "1e-8", "--readout", "readout.csv", "-o", "trajectory.csv"],
      0, {"readout.csv": jumpsim.MAX_BINS}, 0.15e9),
