@@ -35,20 +35,33 @@ MEMBRANE_LOSS_UPPER_LIMIT = 1.2e-5
 
 
 def omega_fsr(L: float) -> float:
-    """Free spectral range pi c / L [rad/s]."""
-    return math.pi * C_LIGHT / L
+    """Free spectral range pi c / L [rad/s].
+
+    Raises ValidationError for an L that is not positive and finite, and
+    SingularityError when pi c / L overflows.
+    """
+    require_positive(L=L)
+    return in_float_range(math.pi * C_LIGHT / L, "free spectral range")
 
 
 def dispersive_detuning(x, r_c: float, L: float, lam: float):
     """Cavity frequency (c/L) arccos(r_c cos(4 pi x / lambda)) [rad/s].
 
     Principal arccos branch, so values lie in
-    [(c/L) arccos(r_c), (c/L) arccos(-r_c)].  Vectorized over x.
+    [(c/L) arccos(r_c), (c/L) arccos(-r_c)].  Vectorized over x.  Raises
+    ValidationError when a phase 4 pi x / lambda is not finite, and
+    SingularityError when a frequency overflows.
     """
     _check_rc(r_c)
     require_positive(L=L, lam=lam)
     x = np.asarray(x, dtype=float)
-    out = (C_LIGHT / L) * np.arccos(r_c * np.cos(4.0 * np.pi * x / lam))
+    with np.errstate(over="ignore"):   # a phase out of range, checked below
+        phase = 4.0 * np.pi * x / lam
+    if not np.isfinite(phase).all():
+        raise ValidationError("x puts the phase 4 pi x / lambda out of the float range")
+    out = (C_LIGHT / L) * np.arccos(r_c * np.cos(phase))
+    if not np.isfinite(out).all():
+        raise SingularityError("cavity frequency left the float range")
     return float(out) if out.ndim == 0 else out
 
 
@@ -135,8 +148,9 @@ def band_structure(r_c: float, L: float, lam: float, x_range, n_samples: int,
         for k in range(n_bands):
             j, sign = k // 2 + 1, 1 if k % 2 else -1
             bands.append(((j, sign), (C_LIGHT / L) * (2.0 * np.pi * j + sign * theta)))
-    # the bands ascend, so every one is finite if the last is
-    if not (math.isfinite(omega_fsr(L)) and np.isfinite(bands[-1][1]).all()):
+    # the bands ascend from above omega_fsr, so it and every band are finite if
+    # the last band is
+    if not np.isfinite(bands[-1][1]).all():
         raise ValidationError(f"L = {L} puts the band frequencies out of the float range")
     return BandStructure(xs, bands, omega_fsr(L))
 
@@ -278,7 +292,10 @@ def transmission_map(F: float, L: float, lam: float, detuning_grid, x_grid,
     modes = 2.0 * L / lam
     if not math.isfinite(modes):
         raise ValidationError(f"2 L / lambda leaves the float range (L = {L}, lambda = {lam})")
-    omega_base = round(modes) * omega_fsr(L)
+    try:
+        omega_base = round(modes) * omega_fsr(L)
+    except SingularityError:   # L below ~5e-300: cavity_transmission reports the fault, as
+        omega_base = math.nan  # a membrane outside the cavity or a result out of range
     intensity = cavity_transmission((omega_base + detuning_grid)[:, None], x_grid[None, :],
                                     F, L, r_c=r_c, membrane=membrane)
     return TransmissionMap(detuning_grid, x_grid, intensity, float(omega_base))
@@ -317,17 +334,16 @@ def locate_resonance(x: float, center: float, half_width: float, F: float, L: fl
 # Ringdown and finesse
 # ---------------------------------------------------------------------------
 
-def finesse_ringdown(value: float, direction: str, L: float) -> float:
-    """Convert between finesse and cavity energy decay time tau = L F / (pi c).
+def decay_time(F: float, L: float) -> float:
+    """Cavity energy decay time tau = L F / (pi c) [s] of finesse F and length L [m]."""
+    require_positive(F=F, L=L)
+    return in_float_range(L * F / (math.pi * C_LIGHT), "decay time")
 
-    direction is "finesse_to_tau" or "tau_to_finesse".
-    """
-    require_positive(value=value, L=L)
-    if direction == "finesse_to_tau":
-        return in_float_range(L * value / (math.pi * C_LIGHT), "decay time")
-    if direction == "tau_to_finesse":
-        return in_float_range(math.pi * C_LIGHT * value / L, "finesse")
-    raise ValidationError(f"unknown direction '{direction}'")
+
+def finesse_from_decay(tau: float, L: float) -> float:
+    """Finesse F = pi c tau / L of energy decay time tau [s] and length L [m]."""
+    require_positive(tau=tau, L=L)
+    return in_float_range(math.pi * C_LIGHT * tau / L, "finesse")
 
 
 def _check_rc(r_c: float) -> None:

@@ -183,7 +183,7 @@ def _cmd_ringdown_fit(args) -> list:
     payload = {"tau_s": fit.tau, "amplitude": fit.amplitude, "offset": fit.offset,
                "residual_rms": fit.residual_rms}
     if args.length is not None:
-        payload["finesse"] = cavity.finesse_ringdown(fit.tau, "tau_to_finesse", args.length)
+        payload["finesse"] = cavity.finesse_from_decay(fit.tau, args.length)
     return [(write_json, args.output, payload, _base_metadata(args))]
 
 
@@ -240,7 +240,7 @@ def _simulate(args, threshold=None):
                                        include_measurement_channels=args.channels)
     meta = _base_metadata(args, p)
     meta.update({"seed": args.seed, "duration_s": args.duration,
-                 "rng": traj.rng_algorithm, "rng_stream": jumpsim.RNG_STREAM,
+                 "rng": jumpsim.RNG_ALGORITHM, "rng_stream": jumpsim.RNG_STREAM,
                  "measurement_channels": args.channels})
     if args.bin_width is None:
         return traj, None, meta, None

@@ -12,12 +12,12 @@ process.)
 
 Sampling is exact event-driven simulation with competing exponential
 clocks: no time discretization anywhere.  All randomness flows through
-numpy's PCG64 generator, so runs are bit-for-bit reproducible per seed and
-platform-independent; the generator name is recorded on every result.  The
-simulator draws its waits and branch picks in blocks whose sizes grow from
-64 to 4096 whatever the duration, so a longer run of a seed starts with
-exactly the events of a shorter one.  That layout is named by RNG_STREAM
-("pcg64-blocks-v1"), which the CLI records next to the generator name.
+numpy's PCG64 generator (RNG_ALGORITHM), so runs are bit-for-bit
+reproducible per seed and platform-independent.  The simulator draws its
+waits and branch picks in blocks whose sizes grow from 64 to 4096 whatever
+the duration, so a longer run of a seed starts with exactly the events of a
+shorter one.  That layout is named by RNG_STREAM ("pcg64-blocks-v1"); the
+CLI records both names.
 
 Each block is walked in pieces whose sizes double from 8, in two phases.
 Only the level update is sequential, so phase 1 is one list comprehension
@@ -27,25 +27,27 @@ floats with no list built first, and it reads per-level tables:
 each level's exact climb threshold, the least double c with c * total >=
 climb rate, which decides every pick as pick * total < climb rate does,
 and the level a fall leads to (2 from the ground state, for the 0 -> 2
-jump).  The tables start with 8 levels and double when a path walks past
-them.  The walked levels join the path's int64 record as one struct.pack
-per piece.  Phase 2 is numpy: it looks up each event's total rate by the
-level before it and turns the waits into times with one cumsum per piece,
-which adds in sequence: the same bits as t += wait / total per event.
-Whether a level absorbs the path follows from the rates alone, so it is
-decided before the walk, not per event.
+jump).  The tables start with 8 levels; a path that walks past them grows
+them to 2 L + 2 levels and walks its piece again.  The walked levels join
+the path's int64 record as one struct.pack per piece.  Phase 2 is numpy:
+it looks up each event's total rate by the level before it and turns the
+waits into times with one cumsum per piece, which adds in sequence: the
+same bits as t += wait / total per event.  The path ends before its first
+event at or past the duration, and the levels walked beyond it are dropped.
+A level of total rate 0 (at T = 0 without the channels, or at Q = inf)
+absorbs the path the same way: its wait is infinite.
 
 What depends on the parameter set alone is computed once per set, not once
-per trial: simulate_trajectory's rates, its absorption and overflow
-decisions and the first 8 rows of its per-level tables (keyed on the
-parameter set and the channels flag), and binned_readout's per-phonon shift
-and noise PSD (keyed on the parameter set).  Each sits in a least-recently-
-used memo of at most _MEMO_SETS = 32 parameter sets.  Sets equal under ==
-share an entry; those that differ only in the sign of a zero T or x0 give
-the same paths and readouts anyway.  Entries are never changed: a path that
-walks past the first tables grows copies of its own.  Errors are not
-stored, so a set that fails raises on every call, as before, and every path
-and readout has the bits it had without the memos.
+per trial: simulate_trajectory's rates, its overflow decision and the first
+8 rows of its per-level tables (keyed on the parameter set and the channels
+flag), and binned_readout's per-phonon shift and noise PSD (keyed on the
+parameter set).  Each sits in a least-recently-used memo of at most
+_MEMO_SETS = 32 parameter sets.  Sets equal under == share an entry; those
+that differ only in the sign of a zero T or x0 give the same paths and
+readouts anyway.  Entries are never changed: a path that walks past the
+first tables grows copies of its own.  Errors are not stored, so a set that
+fails raises on every call, and every path and readout has the bits it
+would have without the memos.
 
 The continuous readout is modeled per time bin: the estimate is the
 per-phonon shift times (time-weighted mean occupation + 1/2), plus white
@@ -59,7 +61,7 @@ import math
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -76,15 +78,11 @@ RNG_ALGORITHM = "PCG64"
 RNG_STREAM = "pcg64-blocks-v1"
 _FIRST_BLOCK = 64
 _BLOCK_CAP = 4096
-# Size of the first walk piece; sizes double, within the block layout above.
 _FIRST_PIECE = 8
-# Levels in the walk's first per-level tables, which grow to 2 L + 2 levels
-# when a path walks past them: ~89 % of row-2 trials never do, and a smaller
-# start costs those trials more restarts than the thresholds it saves.
+# ~89 % of row-2 trials never walk past 8 levels, and a smaller start costs
+# those trials more restarts than the thresholds it saves
 _FIRST_LEVELS = 8
-# Parameter sets held by each of _walk_setup's and _readout_scale's memos, the
-# least recently used dropped first; an entry takes well under 1 kB.
-_MEMO_SETS = 32
+_MEMO_SETS = 32   # an entry takes well under 1 kB
 # Largest path simulate_trajectory builds, checked once per block of draws:
 # it bounds a run's time and its event arrays, 16 bytes an event.
 # tests/test_cli.py::test_command_at_its_caps_stays_bounded runs jump-stats
@@ -92,7 +90,10 @@ _MEMO_SETS = 32
 MAX_EVENTS = 5_000_000
 # Total rate from which no wait or event time of a path can overflow: a time
 # sums at most MAX_EVENTS + _BLOCK_CAP waits, each below 45 (numpy's standard
-# exponential draws stop at ~44.4), over a total at least this large.
+# exponential draws stop at ~44.4), over a total at least this large.  Below
+# it a wait may overflow to inf; a total of 0, which every absorbing set has,
+# makes a wait inf by a divide by 0, or NaN when the drawn wait is 0.0 too.
+# Either ends the path, so the walk ignores every floating-point warning there.
 _QUIET_BELOW = 1e-290
 # Most bins of a readout, checked by readout_bins before simulating: it bounds
 # the readout's arrays and CSV rows.  The same test runs jump-sim at this cap.
@@ -116,7 +117,6 @@ class JumpTrajectory:
     duration: float      # s
     seed: int
     measurement_channels: bool
-    rng_algorithm: str = field(default=RNG_ALGORITHM)
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -136,15 +136,7 @@ class JumpTrajectory:
         return np.diff(self.times, prepend=0.0)[self.states[:-1] == level]
 
     def mean_level_per_bin(self, bin_width: float) -> np.ndarray:
-        """Time-weighted mean occupation over consecutive bins of bin_width.
-
-        The events at or before each bin edge come from
-        np.searchsorted(times, edges, side="right") for a short readout,
-        and from _events_through's count per bin, equal element for element,
-        once there are at least _COUNT_FROM_BINS bins and a quarter as many
-        bins as events: a binary search per edge then costs more than a pass
-        over the events.
-        """
+        """Time-weighted mean occupation over the readout_bins(duration, bin_width) bins."""
         n_bins = readout_bins(self.duration, bin_width)
         edges = np.arange(n_bins + 1, dtype=float)
         edges *= bin_width
@@ -227,12 +219,9 @@ def _draw_blocks(rng: np.random.Generator, duration: float):
     """Yield the (waits, picks) pieces of one trajectory, drawn block by block.
 
     Block k holds min(64 * 2**k, 4096) standard-exponential waits followed
-    by as many uniform picks.  Block sizes depend on nothing else, so a run
-    consumes its stream in the same order for every duration.  Each block
-    is handed out as consecutive pieces, an array of waits and a memoryview
-    of picks (iterating it gives Python floats, the array's exact doubles),
-    whose sizes double from 8 (cut at the block's end), so a path of a few
-    events walks a few picks, not the whole first block.
+    by as many uniform picks.  Each piece is an array of waits and a
+    memoryview of as many picks.  Raises ValidationError in place of a
+    block that would start at or past MAX_EVENTS pairs.
     """
     size, drawn, piece = _FIRST_BLOCK, 0, _FIRST_PIECE
     while True:
@@ -299,7 +288,6 @@ class _WalkSetup(NamedTuple):
 
     heat: float        # n -> n+1 rate per n + 1
     cool: float        # n -> n-1 rate per n
-    most: int | None   # picks a path takes when a level absorbs it (0 or 1), else None
     quiet: bool        # some level's total is below _QUIET_BELOW
     rates: np.ndarray  # per level: the total rate (read-only)
     climb: tuple       # per level: the exact climb threshold
@@ -325,7 +313,7 @@ def _level_rows(heat: float, cool: float, start: int, stop: int):
 def _walk_setup(p: ExperimentParams, include_measurement_channels: bool) -> _WalkSetup:
     """simulate_trajectory's rates and first _FIRST_LEVELS table rows for one parameter set.
 
-    Memoized: the result is immutable, and an error is raised again on every call.
+    Raises SingularityError when a thermal or channel rate is not finite.
     """
     n_bar = thermal_occupation(p.T, p.omega_m)
     unit = p.omega_m / p.Q
@@ -334,10 +322,6 @@ def _walk_setup(p: ExperimentParams, include_measurement_channels: bool) -> _Wal
         raise SingularityError("thermal rates left the float range")
     rate01, rate02 = _channel_rates(p) if include_measurement_channels else (0.0, 0.0)
     total0 = heat + (rate01 + rate02)
-    # absorption follows from the rates: the ground state holds only when its
-    # total is 0, and a level >= 1 only when cool is 0 (so heat is 0 too), after
-    # at most one event
-    most = 0 if total0 == 0.0 else 1 if cool == 0.0 else None
     # every level's total is at least total0 or cool
     quiet = min(total0, cool) < _QUIET_BELOW
     # at m = 0 the total takes the channels in, a pick climbs one level below
@@ -345,7 +329,7 @@ def _walk_setup(p: ExperimentParams, include_measurement_channels: bool) -> _Wal
     totals, climbs, falls = _level_rows(heat, cool, 1, _FIRST_LEVELS)
     rates = np.array([total0, *totals])
     rates.flags.writeable = False
-    return _WalkSetup(heat, cool, most, quiet, rates,
+    return _WalkSetup(heat, cool, quiet, rates,
                       (_climb_threshold(heat + rate01, total0), *climbs), (2, *falls))
 
 
@@ -359,34 +343,9 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     Raises ValidationError when the path has not reached its duration
     after MAX_EVENTS events (checked per block of draws, so at most one
     block later).
-
-    Each piece of draws runs in two phases.  Phase 1 is one list
-    comprehension that records the levels: a pick below its level's exact
-    climb threshold climbs one level, any other takes the level's fall
-    (m - 1, or 2 from the ground state).  The thresholds, falls and total
-    rates sit in per-level tables of 8 levels at first; a path that walks
-    past them raises IndexError, and the tables grow to 2 L + 2 levels
-    while the piece is walked again from its start level.  The piece's
-    levels then join the record as one struct.pack of int64s.  Phase 2 is
-    numpy, which looks up each event's total rate by the level before it
-    and cuts one cumsum of the event times at the duration.  Levels walked
-    past the cut are dropped.  Absorption is decided from the rates before
-    the walk: the ground state holds when its total rate is 0, and a higher
-    level only when cool is 0, so the walk then takes at most one pick.
-
-    The rates, the absorption decision and the first 8 table rows are
-    computed once per parameter set and channels flag and memoized
-    (_walk_setup, at most _MEMO_SETS sets): a trial on a set seen before
-    makes no qnd call and computes no threshold of those levels.  Growing
-    tables are the path's own copies, so the memo never changes, and the
-    path has the same bits either way.
     """
     require_positive(duration=duration)
-    heat, cool, most, quiet, rates, climb, down = _walk_setup(p, include_measurement_channels)
-    draws = _draw_blocks(np.random.default_rng(seed), duration)
-    if most is not None:   # an absorbing level: the walk gets only the picks the path takes
-        waits, picks = next(draws)
-        draws = [(waits[:most], picks[:most])]
+    heat, cool, quiet, rates, climb, down = _walk_setup(p, include_measurement_channels)
     t = 0.0
     n = 0
     # 8 bytes an event each, appended as bytes (the times from numpy, the levels
@@ -394,14 +353,9 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     # cannot grow while viewed); levels opens with the initial level
     times = array("d")
     levels = array("q", [n])
-    # a wait over a tiny total overflows to inf, which only means that no further
-    # event comes before the duration; np.errstate costs ~1-3 us of a ~35 us
-    # row-2 trial, so it is entered only when some total is below _QUIET_BELOW
-    with np.errstate(over="ignore") if quiet else contextlib.nullcontext():
-        for waits, picks in draws:
-            # phase 1: the level walk, recording the level after each event; a
-            # path that walks past the tables grows new ones, 2 L + 2 levels
-            # long, and walks the piece again
+    # np.errstate costs ~0.75 us more than nullcontext, of a ~80 us row-2 trial
+    with np.errstate(all="ignore") if quiet else contextlib.nullcontext():
+        for waits, picks in _draw_blocks(np.random.default_rng(seed), duration):
             first = n
             while True:
                 try:
@@ -415,18 +369,15 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
             k = len(walked)
             start = len(levels)
             levels.frombytes(struct.pack(f"{k}q", *walked))
-            # phase 2: the times, t + wait / total summed in event order, each
-            # total looked up by the level before its event: one slice of levels
-            if k:
-                steps = waits[:k] / rates.take(levels[start - 1:-1])
-                steps[0] += t
-                steps = steps.cumsum()
-                kept = int(steps.searchsorted(duration))  # events before the duration
-                times.frombytes(steps[:kept].tobytes())
-                if kept < k:
-                    del levels[kept - k:]
-                    break
-                t = steps[-1]
+            steps = waits / rates.take(levels[start - 1:-1])
+            steps[0] += t
+            steps = steps.cumsum()
+            kept = int(steps.searchsorted(duration))  # events before the duration
+            times.frombytes(steps[:kept].tobytes())
+            if kept < k:
+                del levels[kept - k:]
+                break
+            t = steps[-1]
     return JumpTrajectory(
         np.frombuffer(times, dtype=float), np.frombuffer(levels, dtype=np.int64, offset=8),
         float(duration), int(seed), include_measurement_channels,
@@ -445,7 +396,6 @@ class ReadoutTrace:
     noise_sigma: float          # rad/s, per-bin readout noise
     bandwidth_ok: bool          # bin_width * omega_m >> 1 held
     seed: int
-    rng_algorithm: str = field(default=RNG_ALGORITHM)
 
     def signal_level(self, n: int) -> float:
         """Noiseless readout level for occupation n."""
@@ -454,7 +404,7 @@ class ReadoutTrace:
 
 @lru_cache(maxsize=_MEMO_SETS)
 def _readout_scale(p: ExperimentParams) -> tuple[float, float]:
-    """(delta_omega, S_omega) of a parameter set; memoized, and an error is raised on every call."""
+    """(delta_omega, S_omega) of a parameter set."""
     return qnd.detuning_per_phonon(p), qnd.pdh_noise_psd(p).s_omega
 
 
@@ -464,8 +414,6 @@ def binned_readout(traj: JumpTrajectory, p: ExperimentParams, bin_width: float,
 
     estimate = delta_omega * (mean n in bin + 1/2) + N(0, S_omega/bin_width).
     Deterministic per seed, independent of the trajectory's own seed.
-    delta_omega and S_omega are computed once per parameter set and
-    memoized (_readout_scale, at most _MEMO_SETS sets), with the same bits.
     """
     mean_n = traj.mean_level_per_bin(bin_width)
     dw, s_omega = _readout_scale(p)

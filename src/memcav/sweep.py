@@ -103,11 +103,9 @@ class SweepResult:
         feasible = np.flatnonzero(self.budget.feasible)
         if not feasible.size:
             return None
-        snr = self.budget.values.snr[feasible]
-        # as a scan that keeps the first feasible point and then any strictly
-        # higher SNR: a NaN SNR wins only as the first feasible point
-        k = 0 if np.isnan(snr[0]) else np.argmax(np.where(np.isnan(snr), -math.inf, snr))
-        return self.entry(int(feasible[k]))
+        # a feasible point passed the float-range rule, so its SNR is finite and
+        # argmax takes the first of equal maxima
+        return self.entry(int(feasible[np.argmax(self.budget.values.snr[feasible])]))
 
 
 def grid_sweep(base: ExperimentParams, axes) -> SweepResult:

@@ -68,9 +68,9 @@ def test_criterion_4_cooling_factor():
 
 def test_criterion_5_finesse_ringdown():
     L = 0.067
-    tau = cavity.finesse_ringdown(16100.0, "finesse_to_tau", L)
+    tau = cavity.decay_time(16100.0, L)
     assert math.isclose(tau, 1.145e-6, rel_tol=1e-3)
-    back = cavity.finesse_ringdown(tau, "tau_to_finesse", L)
+    back = cavity.finesse_from_decay(tau, L)
     assert math.isclose(back, 16100.0, rel_tol=1e-12)
     _report(5, f"F=16100 <-> tau={tau*1e6:.4f} us, round trip exact to 1e-12")
 

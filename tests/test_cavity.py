@@ -447,24 +447,26 @@ def test_fit_ringdown_needs_samples():
 
 
 def test_finesse_ringdown_values():
-    tau = cavity.finesse_ringdown(16100, "finesse_to_tau", L_REF)
+    tau = cavity.decay_time(16100, L_REF)
     assert math.isclose(tau, 1.145e-6, rel_tol=5e-4)
-    F = cavity.finesse_ringdown(1.081e-6, "tau_to_finesse", L_REF)
+    F = cavity.finesse_from_decay(1.081e-6, L_REF)
     assert math.isclose(F, 15200, rel_tol=5e-4)
 
 
 def test_finesse_ringdown_roundtrip():
     F = 16100.0
-    tau = cavity.finesse_ringdown(F, "finesse_to_tau", L_REF)
-    back = cavity.finesse_ringdown(tau, "tau_to_finesse", L_REF)
+    tau = cavity.decay_time(F, L_REF)
+    back = cavity.finesse_from_decay(tau, L_REF)
     assert math.isclose(back, F, rel_tol=1e-12)
 
 
 def test_finesse_ringdown_rejects_bad_input():
     with pytest.raises(ValidationError):
-        cavity.finesse_ringdown(-1.0, "finesse_to_tau", L_REF)
+        cavity.decay_time(-1.0, L_REF)
     with pytest.raises(ValidationError):
-        cavity.finesse_ringdown(1.0, "sideways", L_REF)
+        cavity.finesse_from_decay(-1.0, L_REF)
+    with pytest.raises(ValidationError):
+        cavity.finesse_from_decay(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +490,22 @@ _SPEC = MembraneSpec(2.0, 50e-9)
     (lambda: cavity.detuning_derivatives(0.0, 0.31, 5e-324, 0.1), SingularityError),   # L lam^2 = 0
     (lambda: cavity.detuning_derivatives(1e300, 0.31, L_REF, LAM_REF), SingularityError),
     (lambda: cavity.mirror_reflectivity_from_finesse(1e154), SingularityError),   # 4 F^2
-    (lambda: cavity.finesse_ringdown(1.0, "tau_to_finesse", 1e-320), SingularityError),
-    (lambda: cavity.finesse_ringdown(1e-320, "finesse_to_tau", 1e-10), SingularityError),
+    (lambda: cavity.finesse_from_decay(1.0, 1e-320), SingularityError),
+    (lambda: cavity.decay_time(1e-320, 1e-10), SingularityError),
+    (lambda: cavity.omega_fsr(0.0), ValidationError),
+    (lambda: cavity.omega_fsr(-1.0), ValidationError),
+    (lambda: cavity.omega_fsr(math.nan), ValidationError),
+    (lambda: cavity.omega_fsr(1e-320), SingularityError),                  # pi c / L overflows
+    (lambda: cavity.dispersive_detuning(0.0, 0.31, 1e-320, LAM_REF), SingularityError),
+    (lambda: cavity.dispersive_detuning(math.nan, 0.31, L_REF, LAM_REF), ValidationError),
+    (lambda: cavity.dispersive_detuning(1e307, 0.31, L_REF, LAM_REF), ValidationError),  # 4 pi x
+    (lambda: cavity.dispersive_detuning(math.inf, 0.31, L_REF, LAM_REF), ValidationError),
 ], ids=["gap-L0", "gap-L-negative", "gap-L-tiny", "reflectivity-lam-nan", "reflectivity-lam-inf",
         "reflectivity-lam-tiny", "derivatives-x0-nan", "derivatives-lam-inf", "derivatives-L-tiny",
         "derivatives-lam-huge", "derivatives-divisor-zero", "derivatives-omega1-huge",
-        "reflectivity-4F2-overflows", "finesse-overflows", "tau-underflows"])
+        "reflectivity-4F2-overflows", "finesse-overflows", "tau-underflows", "fsr-L0",
+        "fsr-L-negative", "fsr-L-nan", "fsr-L-tiny", "detuning-L-tiny", "detuning-x-nan",
+        "detuning-phase-huge", "detuning-x-inf"])
 def test_scalar_helpers_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
@@ -512,13 +524,15 @@ _FLOAT = st.one_of(_EDGE, st.floats())
 def test_scalar_helpers_give_finite_floats_or_memcav_error(x0, r_c, L, lam, n, d, value):
     """Each scalar helper gives finite floats or raises; none warns or raises otherwise."""
     calls = {
+        "omega_fsr": lambda: cavity.omega_fsr(L),
+        "dispersive_detuning": lambda: cavity.dispersive_detuning(x0, r_c, L, lam),
         "detuning_derivatives": lambda: cavity.detuning_derivatives(x0, r_c, L, lam),
         "mode_gap": lambda: cavity.mode_gap(r_c, L),
         "membrane_reflectivity": lambda: cavity.membrane_reflectivity(MembraneSpec(n, d), lam),
         "sheet_strength": lambda: cavity.sheet_strength(r_c),
         "mirror_reflectivity_from_finesse": lambda: cavity.mirror_reflectivity_from_finesse(value),
-        "finesse_to_tau": lambda: cavity.finesse_ringdown(value, "finesse_to_tau", L),
-        "tau_to_finesse": lambda: cavity.finesse_ringdown(value, "tau_to_finesse", L),
+        "decay_time": lambda: cavity.decay_time(value, L),
+        "finesse_from_decay": lambda: cavity.finesse_from_decay(value, L),
     }
     for name, call in calls.items():
         try:

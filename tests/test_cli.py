@@ -441,6 +441,11 @@ _FILES["row1_latin1.cfg"] = b"# \xff\n" + ROW1_CONFIG.encode()
     (["jump-sim", "Q = 1e-300", "--seed", "1", "--duration", "0.001"], 2),
     (["jump-stats", "Q = 1e-300", "--seed", "1", "--duration", "0.001",
       "--bin-width", "1e-4", "--threshold", "0.1"], 2),
+    # a length whose free spectral range overflows: the bands leave the float
+    # range, and the map's membrane lies outside the cavity
+    (["bandstructure", "--rc", "0.31", "--length", "1e-320", "--wavelength", "5.32e-7"], 1),
+    (["transmission-map", "--rc", "0.31", "--finesse", "200", "--length", "1e-320",
+      "--wavelength", "5.32e-7", *_OPTICS], 1),
 ])
 def test_bad_input_exits_without_traceback(tmp_path, row1_config, capsys, argv, code):
     command, *rest = argv

@@ -32,10 +32,13 @@ def small_bath(row1):
 # ---------------------------------------------------------------------------
 
 def test_zero_temperature_no_events(row1):
-    frozen = with_value(row1, "T", 0.0)
-    traj = jumpsim.simulate_trajectory(frozen, 10.0, seed=1)
-    assert len(traj.times) == 0
-    assert traj.state_at(5.0) == 0
+    """T = +-0 and Q = inf, channels off: the ground state absorbs the path."""
+    for name, value in (("T", 0.0), ("T", -0.0), ("Q", math.inf)):
+        frozen = with_value(row1, name, value)
+        for duration in (1.0, 10.0):
+            traj = jumpsim.simulate_trajectory(frozen, duration, seed=1)
+            assert len(traj.times) == 0, (name, value, duration)
+            assert traj.state_at(duration / 2) == 0
 
 
 def test_reproducibility_bit_identical(row1):
@@ -58,7 +61,7 @@ def test_stream_layout_pinned(small_bath):
     """The first events of one seed under RNG_STREAM; a layout change breaks this."""
     assert jumpsim.RNG_STREAM == "pcg64-blocks-v1"
     traj = jumpsim.simulate_trajectory(small_bath, 0.002, seed=2024)
-    assert traj.rng_algorithm == "PCG64"
+    assert jumpsim.RNG_ALGORITHM == "PCG64"
     head = [(float(t), int(n)) for t, n in zip(traj.times[:5], traj.levels[:5])]
     assert repr(head) == (
         "[(3.394688272058e-05, 1), (3.524897650065723e-05, 2), "
