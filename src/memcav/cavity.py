@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
 from .params import C_LIGHT, MembraneSpec, in_float_range, require_positive
 from .textio import Table
@@ -100,13 +99,9 @@ class ModeGap(NamedTuple):
     rel_error: float  # |approx - exact| / exact
 
 
-def near_unity_gap(r_c: float, L: float) -> float:
-    """(c/L) sqrt(8 (1 - r_c)) [rad/s], unchecked and elementwise on arrays."""
-    return (C_LIGHT / L) * sqrt(8.0 * (1.0 - r_c))
-
-
 def mode_gap(r_c: float, L: float) -> ModeGap:
     """Minimum gap between adjacent cavity bands, exact and near-unity form."""
+    from .qnd import near_unity_gap   # here, so the cavity commands load no qnd
     _check_rc(r_c)
     require_positive(L=L)
     approx = in_float_range(near_unity_gap(r_c, L), "mode gap")

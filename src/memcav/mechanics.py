@@ -12,7 +12,6 @@ import numpy as np
 
 from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
-from .fitting import fit_exponential_decay
 from .params import HBAR, K_B, require_positive
 
 # Below this bath occupation the classical-bath assumption n_bar >> 1 breaks.
@@ -70,4 +69,5 @@ def ringdown_time_from_q(Q: float, omega_m: float) -> float:
 
 def fit_mech_ringdown(t, amplitude) -> float:
     """Exponential envelope fit of a mechanical ringdown, without offset; returns tau [s]."""
+    from .fitting import fit_exponential_decay   # here, so the budget commands load no fitting
     return fit_exponential_decay(t, amplitude, with_offset=False).tau

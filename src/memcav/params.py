@@ -156,8 +156,8 @@ def grid_violations(p, shape: tuple) -> np.ndarray:
         if not holds.all():
             where = np.flatnonzero(np.broadcast_to(~holds, shape))
             got = np.broadcast_to(value, shape).ravel()[where]
-            texts = np.array(format_distinct(got, lambda v: f"{key} {msg} (got {v})"),
-                             dtype=object)
+            texts = np.array(format_distinct(
+                got, lambda vs: [f"{key} {msg} (got {v})" for v in vs.tolist()]), dtype=object)
             prev = found[where]
             found[where] = np.where(prev == "", texts, prev + "; " + texts)
     return found

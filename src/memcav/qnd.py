@@ -24,42 +24,82 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import cavity, mechanics
-from .elementwise import sqrt
+from . import mechanics
+from .elementwise import LibmArray, sqrt
 from .errors import SingularityError, ValidationError
 from .params import (C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, grid_violations,
                      in_float_range, validate)
 
 
-def _kappa(p: ExperimentParams) -> float:
+def _kappa(L, F) -> float:
     """Cavity energy damping rate pi c / (L F) [rad/s]."""
-    return math.pi * C_LIGHT / (p.L * p.F)
+    return math.pi * C_LIGHT / (L * F)
 
 
-def _one_minus_rc(p: ExperimentParams) -> float:
+def _one_minus_rc(r_c) -> float:
     """1 - r_c, which every near-unity-reflectivity form divides by or roots."""
-    one_minus = 1.0 - p.r_c
+    one_minus = 1.0 - r_c
     # a grid leaves r_c >= 1 to params.grid_violations
     if not isinstance(one_minus, np.ndarray) and one_minus <= 0.0:
         raise SingularityError("1 - r_c underflowed in a near-unity-reflectivity form")
     return one_minus
 
 
-def _x_m2(p) -> float:
+def _x_m2(m, omega_m) -> float:
     """Squared zero-point amplitude hbar / (2 m omega_m) [m^2], as x_m**2."""
-    return mechanics.zero_point_amplitude(p.m, p.omega_m)**2
+    return mechanics.zero_point_amplitude(m, omega_m)**2
+
+
+def near_unity_gap(r_c: float, L: float) -> float:
+    """Band gap at the extremum, (c/L) sqrt(8 (1 - r_c)) [rad/s], unchecked and
+    elementwise on arrays."""
+    return (C_LIGHT / L) * sqrt(8.0 * (1.0 - r_c))
+
+
+# The formulas' cores: each takes the quantities it shares with the others
+# (x_m^2, 1 - r_c, kappa) ready-made, checks nothing, and runs on floats or
+# on arrays that broadcast.  The public formulas below and _budget call them.
+
+def _shift(x_m2, L, lam, one_minus_rc):
+    return 16.0 * math.pi**2 * C_LIGHT * x_m2 / (L * lam**2 * sqrt(2.0 * one_minus_rc))
+
+
+def _readout_floor(kappa, F, L, lam, P_in):
+    """(S_omega, N_bar) of pdh_noise_psd."""
+    n_bar = P_in * lam / (math.pi * HBAR * C_LIGHT * kappa)
+    return math.pi**3 * HBAR * C_LIGHT**3 / (16.0 * F**2 * L**2 * lam * P_in), n_bar
+
+
+def _tau_thermal(Q, T):
+    return Q * HBAR / (K_B * T)
+
+
+def _tau_rwa(lam, L, one_minus_rc, m, omega_m, kappa, x_m2, P_in):
+    return (lam**3 * L**2 * one_minus_rc * m * omega_m * (omega_m**2 + kappa**2 / 16.0)
+            / (8.0 * math.pi**3 * x_m2 * C_LIGHT * P_in))
+
+
+def _tau_lin(m, omega_m, L, lam, one_minus_rc, kappa, P_in, x0):
+    """linear_lifetime's tau, math.inf where x0 = 0, elementwise on a grid."""
+    grid = isinstance(x0, np.ndarray)
+    if not grid and x0 == 0.0:
+        return math.inf
+    tau = (m * omega_m * L**2 * lam**3 * one_minus_rc * (4.0 * omega_m**2 + kappa**2)
+           / (256.0 * math.pi**3 * P_in * C_LIGHT * x0**2))
+    return np.where(x0 == 0.0, math.inf, tau) if grid else tau
 
 
 def detuning_per_phonon(p: ExperimentParams) -> float:
     """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
     what = "per-phonon detuning"
     try:
-        return in_float_range(16.0 * math.pi**2 * C_LIGHT * _x_m2(p)
-                              / (p.L * p.lam**2 * sqrt(2.0 * _one_minus_rc(p))), what)
+        return in_float_range(_shift(_x_m2(p.m, p.omega_m), p.L, p.lam, _one_minus_rc(p.r_c)),
+                              what)
     except (ZeroDivisionError, OverflowError):  # x_m^2 or lam^2 leaves the float range
         raise SingularityError(f"{what} left the float range") from None
 
@@ -78,9 +118,8 @@ def pdh_noise_psd(p: ExperimentParams) -> PdhNoise:
     """
     what = "readout noise floor"
     try:
-        kappa = _kappa(p)
-        n_bar = p.P_in * p.lam / (math.pi * HBAR * C_LIGHT * kappa)
-        s_omega = math.pi**3 * HBAR * C_LIGHT**3 / (16.0 * p.F**2 * p.L**2 * p.lam * p.P_in)
+        kappa = _kappa(p.L, p.F)
+        s_omega, n_bar = _readout_floor(kappa, p.F, p.L, p.lam, p.P_in)
     except (ZeroDivisionError, OverflowError):  # e.g. L^2 overflows
         raise SingularityError(f"{what} left the float range") from None
     return PdhNoise(in_float_range(s_omega, what), in_float_range(kappa, what),
@@ -91,7 +130,7 @@ def thermal_lifetime(p: ExperimentParams) -> float:
     """Ground-state lifetime against the thermal bath, Q hbar / (k_B T) [s]."""
     what = "thermal lifetime"
     try:
-        return in_float_range(p.Q * HBAR / (K_B * p.T), what)
+        return in_float_range(_tau_thermal(p.Q, p.T), what)
     except ZeroDivisionError:  # k_B T underflows to 0
         raise SingularityError(f"{what} left the float range") from None
 
@@ -106,9 +145,8 @@ def rwa_lifetime(p: ExperimentParams) -> float:
     """
     what = "counter-rotating lifetime"
     try:
-        return in_float_range(p.lam**3 * p.L**2 * _one_minus_rc(p) * p.m * p.omega_m
-                              * (p.omega_m**2 + _kappa(p)**2 / 16.0)
-                              / (8.0 * math.pi**3 * _x_m2(p) * C_LIGHT * p.P_in), what)
+        return in_float_range(_tau_rwa(p.lam, p.L, _one_minus_rc(p.r_c), p.m, p.omega_m,
+                                       _kappa(p.L, p.F), _x_m2(p.m, p.omega_m), p.P_in), what)
     except (ZeroDivisionError, OverflowError):  # a power overflows, a divisor underflows
         raise SingularityError(f"{what} left the float range") from None
 
@@ -121,17 +159,14 @@ def linear_lifetime(p: ExperimentParams) -> float:
 
     Returns math.inf for x0 = 0 (no linear coupling channel).
     """
-    grid = isinstance(p.x0, np.ndarray)
-    if not grid and p.x0 == 0.0:
-        return math.inf
     what = "linear-coupling lifetime"
     try:
-        tau = in_float_range(p.m * p.omega_m * p.L**2 * p.lam**3 * _one_minus_rc(p)
-                             * (4.0 * p.omega_m**2 + _kappa(p)**2)
-                             / (256.0 * math.pi**3 * p.P_in * C_LIGHT * p.x0**2), what)
+        tau = _tau_lin(p.m, p.omega_m, p.L, p.lam, _one_minus_rc(p.r_c), _kappa(p.L, p.F),
+                       p.P_in, p.x0)
     except (ZeroDivisionError, OverflowError):  # a power overflows, a divisor underflows
         raise SingularityError(f"{what} left the float range") from None
-    return np.where(p.x0 == 0.0, math.inf, tau) if grid else tau
+    # x0 = 0's infinite lifetime is by design
+    return tau if isinstance(tau, np.ndarray) or p.x0 == 0.0 else in_float_range(tau, what)
 
 
 class QndFlags(NamedTuple):
@@ -173,24 +208,31 @@ _FLOAT_RANGE = "jump budget left the float range"
 def _budget(p) -> QndBudget:
     """The budget of p, without validating p, on floats or on arrays that broadcast.
 
-    On floats, a step that leaves the float range raises SingularityError; on
-    arrays it leaves inf, NaN or a zero tau_total, which _left_float_range marks.
+    x_m^2, 1 - r_c and kappa are computed once and handed to the formulas'
+    cores, whose results are not range-checked one by one: on floats, a step
+    that leaves the float range raises SingularityError, and a result that
+    leaves it stays for _left_float_range to mark, as on arrays.
     """
+    L, lam, F, P_in, T, m, omega_m, Q, r_c, x0 = (p.L, p.lam, p.F, p.P_in, p.T, p.m, p.omega_m,
+                                                  p.Q, p.r_c, p.x0)
     try:
-        dw = detuning_per_phonon(p)
-        s_omega, kappa, n_bar_photons = pdh_noise_psd(p)
-        tau_t = thermal_lifetime(p)
-        tau_r = rwa_lifetime(p)
-        tau_l = linear_lifetime(p)
+        x_m2 = _x_m2(m, omega_m)
+        one_minus_rc = _one_minus_rc(r_c)
+        kappa = _kappa(L, F)
+        dw = _shift(x_m2, L, lam, one_minus_rc)
+        s_omega, n_bar_photons = _readout_floor(kappa, F, L, lam, P_in)
+        tau_t = _tau_thermal(Q, T)
+        tau_r = _tau_rwa(lam, L, one_minus_rc, m, omega_m, kappa, x_m2, P_in)
+        tau_l = _tau_lin(m, omega_m, L, lam, one_minus_rc, kappa, P_in, x0)
         # an absent channel's infinite lifetime adds a rate of 0
         tau_total = 1.0 / (1.0 / tau_t + 1.0 / tau_r + 1.0 / tau_l)
         snr = dw**2 * tau_total / s_omega
-        gap = cavity.near_unity_gap(p.r_c, p.L)
-        n_bar = mechanics.thermal_occupation(p.T, p.omega_m)
+        gap = near_unity_gap(r_c, L)
+        n_bar = mechanics.thermal_occupation(T, omega_m)
     except (ZeroDivisionError, OverflowError, SingularityError):  # e.g. an underflow to 0
         raise SingularityError(_FLOAT_RANGE) from None
-    flags = QndFlags(tau_total * p.omega_m > 1.0, gap > p.omega_m,
-                     mechanics.is_classical_bath(n_bar), p.omega_m > kappa)
+    flags = QndFlags(tau_total * omega_m > 1.0, gap > omega_m,
+                     mechanics.is_classical_bath(n_bar), omega_m > kappa)
     return QndBudget(dw, kappa, n_bar_photons, s_omega, tau_t, tau_r, tau_l, tau_total, snr, gap,
                      n_bar, flags)
 
@@ -199,16 +241,18 @@ def _left_float_range(b: QndBudget, x0):
     """Whether a budget has left the float range, elementwise on grid columns.
 
     It has when any of its numbers is not finite, bar tau_lin at x0 = 0
-    (infinite by design), or when tau_total or the photon number is 0.  The
-    photon number is the one result whose 0, where pdh_noise_psd raises on a
-    float, can leave every other number finite.
+    (infinite by design), or when tau_total, the photon number or the shift
+    per phonon is 0.  For valid parameters the formulas' results are
+    positive unless they underflow to 0, and a 0 of any other of them
+    divides by 0 further on, which raises on a float and leaves inf or NaN
+    in an array.
     """
     dw, kappa, n_photons, s_omega, tau_t, tau_r, tau_lin, tau_total, snr, gap, n_bar, _ = b
     # v - v is 0 for a finite v and NaN for any other, which makes the sum NaN
     spread = ((dw - dw) + (kappa - kappa) + (n_photons - n_photons) + (s_omega - s_omega)
               + (tau_t - tau_t) + (tau_r - tau_r) + (tau_total - tau_total) + (snr - snr)
               + (gap - gap) + (n_bar - n_bar))
-    return ((spread != 0.0) | (tau_total == 0.0) | (n_photons == 0.0)
+    return ((spread != 0.0) | (tau_total == 0.0) | (n_photons == 0.0) | (dw == 0.0)
             | (tau_lin - tau_lin != 0.0) & (x0 != 0.0))
 
 
@@ -246,7 +290,7 @@ class BudgetGrid:
 
 
 def budget_grid(p) -> BudgetGrid:
-    """The budget of every point of p, whose fields are LibmArrays that broadcast.
+    """The budget of every point of p, whose fields are arrays that broadcast.
 
     One broadcast pass through jump_budget's formulas and float-range rule,
     so every point fails, or not, as jump_budget does there, and every
@@ -255,22 +299,25 @@ def budget_grid(p) -> BudgetGrid:
     shape = np.broadcast_shapes(*(v.shape for v in vars(p).values()))
     errors = grid_violations(p, shape)
 
-    def flat(v):
-        return np.broadcast_to(v, shape).flatten()
+    def columns(values, dtype):
+        """Each of values broadcast to shape, as a flat row-major column of one new block."""
+        out = np.empty((len(values), *shape), dtype)
+        for column, v in zip(out, values):
+            column[...] = v
+        return out.reshape(len(values), -1)
 
     with np.errstate(all="ignore"):
-        b = _budget(p)
-        b = QndBudget(*map(flat, b[:-1]), QndFlags(*map(flat, b.flags)))
-        out_of_range = _left_float_range(b, flat(p.x0))
-    errors[out_of_range & (errors == "")] = _FLOAT_RANGE
-    failed = errors != ""
-    for col in b[:-1]:
-        col[failed] = np.nan
-    feasible = ~failed
-    for col in b.flags:
-        col[failed] = False
-        feasible &= col
-    return BudgetGrid(b, errors, failed, feasible)
+        # as LibmArrays, whose x**k rounds as a float's
+        b = _budget(SimpleNamespace(**{attr: v.view(LibmArray) for attr, v in vars(p).items()}))
+        values, flags = columns(b[:-1], float), columns(b.flags, bool)
+        out_of_range = _left_float_range(QndBudget(*values, None),
+                                         np.broadcast_to(p.x0, shape).ravel())
+    invalid = errors != ""
+    errors[out_of_range & ~invalid] = _FLOAT_RANGE
+    failed = invalid | out_of_range
+    values[:, failed] = np.nan
+    flags[:, failed] = False
+    return BudgetGrid(QndBudget(*values, QndFlags(*flags)), errors, failed, flags.all(axis=0))
 
 
 def budget_fields(b: QndBudget) -> dict:

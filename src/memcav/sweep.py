@@ -18,7 +18,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import qnd
-from .elementwise import LibmArray
 from .errors import MemcavError, ValidationError
 from .params import CONFIG_KEYS, MAX_SWEEP_POINTS, ExperimentParams, attr_name
 from .textio import Table
@@ -130,8 +129,7 @@ def grid_sweep(base: ExperimentParams, axes) -> SweepResult:
     fields = {attr: np.full(ones, value, dtype=float) for attr, value in vars(base).items()}
     for k, attr in enumerate(attrs):
         fields[attr] = samples[attr].reshape(ones[:k] + (-1,) + ones[k + 1:])
-    grid = SimpleNamespace(**{attr: v.view(LibmArray) for attr, v in fields.items()})
-    return SweepResult(axes, shape, base, samples, qnd.budget_grid(grid))
+    return SweepResult(axes, shape, base, samples, qnd.budget_grid(SimpleNamespace(**fields)))
 
 
 def golden_section(f, a: float, b: float) -> tuple[float, float]:
@@ -191,7 +189,8 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     if best is None:
         return OptimizeResult(False, None, None, evals)
 
-    searches = [(attr_name(axis.param_name), axis.values(), axis.scale) for axis in axes]
+    searches = [(attr, values, axis.scale)
+                for (attr, values), axis in zip(result.samples.items(), result.axes)]
     current_p, current_b = best.params, best.budget
     for _ in range(refine_iters):
         start = current_p
@@ -203,13 +202,13 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
             if lo == hi:
                 continue
             fwd, inv = (math.log, math.exp) if scale == "log" else (lambda v: v, lambda v: v)
-            others = dict(vars(current_p))
+            point = SimpleNamespace(**vars(current_p))   # current_p, but for attr
             budgets = {}
 
             def objective(u: float) -> float:
-                others[attr] = inv(u)
+                setattr(point, attr, inv(u))
                 try:
-                    budget = qnd.jump_budget(SimpleNamespace(**others))
+                    budget = qnd.jump_budget(point)
                 except MemcavError:
                     return -math.inf
                 if not all(budget.flags):

@@ -175,6 +175,32 @@ def snr_general_n(n: int, p: ExperimentParams) -> float:
     return dw**2 * thermal_lifetime_n(n, p) / s_omega
 
 
+def budget_by_formulas(p) -> qnd.QndBudget:
+    """qnd._budget as the five public formulas, each called on p.
+
+    Each formula derives its own x_m^2, 1 - r_c and kappa and checks its own
+    result's range: the reference for the budget that derives each once and
+    leaves the range to the float-range rule, which must give the same bits,
+    and raise the same error type where that rule fails a float budget.
+    """
+    try:
+        dw = qnd.detuning_per_phonon(p)
+        s_omega, kappa, n_bar_photons = qnd.pdh_noise_psd(p)
+        tau_t = qnd.thermal_lifetime(p)
+        tau_r = qnd.rwa_lifetime(p)
+        tau_l = qnd.linear_lifetime(p)
+        tau_total = 1.0 / (1.0 / tau_t + 1.0 / tau_r + 1.0 / tau_l)
+        snr = dw**2 * tau_total / s_omega
+        gap = qnd.near_unity_gap(p.r_c, p.L)
+        n_bar = thermal_occupation(p.T, p.omega_m)
+    except (ZeroDivisionError, OverflowError, SingularityError):
+        raise SingularityError("jump budget left the float range") from None
+    flags = qnd.QndFlags(tau_total * p.omega_m > 1.0, gap > p.omega_m,
+                         mechanics.is_classical_bath(n_bar), p.omega_m > kappa)
+    return qnd.QndBudget(dw, kappa, n_bar_photons, s_omega, tau_t, tau_r, tau_l, tau_total, snr,
+                         gap, n_bar, flags)
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Good-cavity cross-checks between lifetime ratios and closed forms.

@@ -656,8 +656,8 @@ code = run(sys.argv[1:])
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
-_CAVITY = {"cavity", "elementwise"}
-_QND = {"qnd", "mechanics", "fitting", *_CAVITY}   # mechanics holds the ringdown fit
+_CAVITY = {"cavity"}
+_QND = {"qnd", "mechanics", "elementwise"}
 
 # the memcav modules each README command loads besides memcav, cli, errors,
 # params and textio, which every command shares

@@ -1,14 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from memcav import cooling, mechanics, qnd
+from memcav.elementwise import LibmArray
 from memcav.errors import MemcavError, SingularityError, ValidationError
 from memcav.params import C_LIGHT, HBAR, ExperimentParams, validate, with_value
-from oracles import (consistency_ratios, linear_rate_golden_rule, photon_psd,
+from memcav.sweep import SweepAxis
+from oracles import (budget_by_formulas, consistency_ratios, linear_rate_golden_rule, photon_psd,
                      rwa_rate_golden_rule, snr_general_n, thermal_lifetime_n)
 
 
@@ -287,6 +290,71 @@ def test_formulas_give_floats_or_memcav_error(p):
             continue
         assert all(isinstance(v, float) and 0.0 < v < math.inf
                    for v in (out if isinstance(out, tuple) else (out,))), (formula.__name__, out)
+
+
+def _outcome(budget, p):
+    """budget(p) bit by bit, or the type of the error that it raises, or that the
+    float-range rule raises for a budget of floats."""
+    try:
+        b = budget(p)
+    except MemcavError as exc:
+        return type(exc)
+    if not isinstance(b.snr, np.ndarray) and qnd._left_float_range(b, p.x0):
+        return SingularityError
+    return [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in (*b[:-1], *b.flags)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_params().filter(lambda p: validate(p) == []))
+# valid parameters on which a step or a result leaves the float range, as above
+@example(_row1_with("L", 1e300))
+@example(_row1_with("lam", 1e300))
+@example(_row1_with("omega_m", 1e300))
+@example(_row1_with("P_in", 1e-320))
+@example(_row1_with("m", 1e300))
+@example(_row1_with("x0", 1e-170))
+@example(_row1_with("T", 1e-320))
+@example(_row1_with("m", 1e-320))
+@example(_row1_with("omega_m", 1e-300))
+@example(_row1_with("F", 1e300))
+@example(_row1_with("omega_m", 1e150))
+@example(_row1_with("m", 1e-300))
+@example(_row1_with("P_in", 1e300))
+@example(_row1_with("x0", 0.0))
+@example(_row1_with("r_c", 1.0 - 2.0**-53))
+# the photon number underflows to 0 while every other number stays finite
+@example(ExperimentParams(**{**_ROW1, "L": 1e50, "F": 1e50, "lam": 1e-100, "P_in": 1e-250,
+                             "x0": 0.0}))
+def test_budget_equals_formula_composition(p):
+    """The budget that derives x_m^2, 1 - r_c and kappa once gives the bits of the
+    five public formulas composed, or fails where they fail, with the same error."""
+    assert _outcome(qnd._budget, p) == _outcome(budget_by_formulas, p)
+
+
+@st.composite
+def _grids(draw):
+    """A drawn base swept along 1-3 SweepAxis, laid out as sweep.grid_sweep lays a grid."""
+    base = draw(_params())
+    names = draw(st.lists(st.sampled_from(sorted(_ROW1)), min_size=1, max_size=3, unique=True))
+    ones = (1,) * len(names)
+    fields = {name: np.full(ones, value) for name, value in vars(base).items()}
+    for k, name in enumerate(names):
+        lo, hi = sorted(draw(st.lists(_finite(_ROW1[name]), min_size=2, max_size=2)))
+        assume(lo < hi and math.isfinite(hi - lo))
+        scale = draw(st.sampled_from(["linear", "log"])) if lo > 0.0 else "linear"
+        axis = SweepAxis(name, lo, hi, draw(st.integers(2, 4)), scale)
+        with np.errstate(all="ignore"):   # samples of ends near the float range may overflow
+            values = axis.values()
+        fields[name] = values.reshape(ones[:k] + (-1,) + ones[k + 1:])
+    return SimpleNamespace(**{name: v.view(LibmArray) for name, v in fields.items()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grids())
+def test_grid_budget_equals_formula_composition(grid):
+    """On a grid, invalid points included, both compositions give the same arrays bit by bit."""
+    with np.errstate(all="ignore"):
+        assert _outcome(qnd._budget, grid) == _outcome(budget_by_formulas, grid)
 
 
 def test_snr_nearly_linear_in_power_when_thermal_dominated(row1):

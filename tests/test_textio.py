@@ -161,6 +161,45 @@ def test_write_csv_equals_format_value_join(tmp_path_factory, columns, batch):
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
 
 
+def _nans(*bits):
+    """NaNs with the given bit patterns (sign and payload)."""
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+_NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF80000DEADBEEF,
+             0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)
+
+
+@pytest.mark.parametrize("column", [
+    # a negative NaN sorts, by the int64 view, just below +0.0
+    np.array([0.0, -0.0, -math.nan]),
+    np.concatenate([_nans(*_NAN_BITS), [0.0, -0.0, 0.0], _nans(*_NAN_BITS[::-1]), [-0.0]]),
+    np.array([math.inf, -math.inf, 5e-324, -5e-324, 0.0, math.inf, 5e-324]),
+    np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1, np.iinfo(np.int64).min]),
+    np.array([-0.0]),
+    _nans(0xFFF80000DEADBEEF),
+    np.array([np.iinfo(np.int64).max]),
+    np.broadcast_to(-0.0, 5),
+    np.broadcast_to(_nans(0xFFF8000000000001), 4),
+    np.broadcast_to(np.int64(np.iinfo(np.int64).min), 3),
+], ids=["zeros-and-nan", "nan-payloads", "infinities-subnormals", "int64-ends", "one-row",
+        "one-row-nan", "one-row-int", "stride-0", "stride-0-nan", "stride-0-int"])
+def test_csv_cells_of_special_values(tmp_path, column):
+    """Each cell is its own element's text, and format_distinct formats each bit pattern once."""
+    path = tmp_path / "t.csv"
+    write_csv(path, ["c"], Table(column))
+    expected = ["c", *map(_cell, column.tolist())]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+    handed = []
+
+    def bit_patterns(values):   # of the distinct values format_distinct hands over
+        handed.append(len(values))
+        return values.view(np.uint64).tolist()
+
+    assert textio.format_distinct(column, bit_patterns) == column.view(np.uint64).tolist()
+    assert handed == [len(set(column.view(np.int64).tolist()))]
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         Table(np.array([1.0, 2.0]), np.array([3.0]))
