@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularityError, ValidationError
-from .params import C_LIGHT, MembraneSpec, in_float_range, require_positive
+from .params import C_LIGHT, MembraneSpec, float_result, in_float_range, require_positive
 from .textio import Table
 
 # Membrane-induced optical loss: measured upper limit only, kept as metadata.
@@ -82,10 +82,7 @@ def detuning_derivatives(x0: float, r_c: float, L: float, lam: float) -> tuple[f
     if r_c == 0.0:
         return omega0, 0.0, 0.0
     root = math.sqrt((1.0 - r_c) * (1.0 + r_c))   # >= 1e-8, as r_c < 1 is at least 2^-53 below 1
-    try:
-        omega2 = in_float_range(16.0 * math.pi**2 * C_LIGHT * r_c / (L * lam**2 * root), "omega2")
-    except (ZeroDivisionError, OverflowError):   # lam^2 overflows, or L lam^2 underflows to 0
-        raise SingularityError("omega2 left the float range") from None
+    omega2 = float_result("omega2", lambda: 16.0 * math.pi**2 * C_LIGHT * r_c / (L * lam**2 * root))
     if not math.isfinite(omega2 * x0):
         raise SingularityError("omega1 left the float range")
     return omega0, omega2 * x0, omega2

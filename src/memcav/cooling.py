@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, FitError, SingularityError, ValidationError
+from .errors import EstimationError, FitError, ValidationError
 from .fitting import check_samples, least_squares
-from .params import ExperimentParams, HBAR, K_B, C_LIGHT, in_float_range, require_positive
+from .params import ExperimentParams, HBAR, K_B, C_LIGHT, float_result, require_positive
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,7 @@ def psd_model(omega, m: float, t_eff: float, omega_eff: float, gamma_eff: float)
     """Thermally driven damped oscillator PSD at omega = 2 pi nu [m^2/Hz]."""
     require_positive(m=m, t_eff=t_eff, omega_eff=omega_eff, gamma_eff=gamma_eff)
     omega = np.asarray(omega, dtype=float)
-    out = (4.0 * K_B * t_eff * gamma_eff / m) / (
-        (omega_eff**2 - omega**2) ** 2 + (gamma_eff * omega) ** 2
-    )
+    out = _lorentzian(omega, 4.0 * K_B * t_eff * gamma_eff / m, omega_eff, gamma_eff, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -142,9 +140,5 @@ def shot_thermal_ratio(p: ExperimentParams) -> float:
     Raises SingularityError where F^2 overflows, the divisor underflows to 0
     or R is not positive and finite.
     """
-    what = "shot/thermal noise ratio"
-    try:
-        return in_float_range((16.0 * HBAR * p.P_in * p.Q * p.F**2) / (
-            p.lam * C_LIGHT * np.pi * K_B * p.T * p.m * p.omega_m), what)
-    except (ZeroDivisionError, OverflowError):  # F^2 overflows, the divisor underflows to 0
-        raise SingularityError(f"{what} left the float range") from None
+    return float_result("shot/thermal noise ratio", lambda: 16.0 * HBAR * p.P_in * p.Q * p.F**2 / (
+        p.lam * C_LIGHT * np.pi * K_B * p.T * p.m * p.omega_m))

@@ -34,10 +34,7 @@ class LibmArray(np.ndarray):
 
     def __pow__(self, k):
         flat = self.ravel().tolist()
-        try:
-            out = np.fromiter(map(pow, flat, repeat(k)), float, len(flat))
-        except OverflowError:
-            out = np.fromiter(map(_pow_or_inf, flat, repeat(k)), float, len(flat))
+        out = np.fromiter(map(_pow_or_inf, flat, repeat(k)), float, len(flat))
         return out.reshape(self.shape).view(LibmArray)
 
 

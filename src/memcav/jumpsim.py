@@ -38,10 +38,10 @@ A level of total rate 0 (at T = 0 without the channels, or at Q = inf)
 absorbs the path the same way: its wait is infinite.
 
 What depends on the parameter set alone is computed once per set, not once
-per trial: simulate_trajectory's rates, its overflow decision and the first
-8 rows of its per-level tables (keyed on the parameter set and the channels
-flag), and binned_readout's per-phonon shift and noise PSD (keyed on the
-parameter set).  Each sits in a least-recently-used memo of at most
+per trial: simulate_trajectory's rates and the first 8 rows of its
+per-level tables (keyed on the parameter set and the channels flag), and
+binned_readout's per-phonon shift and noise PSD (keyed on the parameter
+set).  Each sits in a least-recently-used memo of at most
 _MEMO_SETS = 32 parameter sets.  Sets equal under == share an entry; those
 that differ only in the sign of a zero T or x0 give the same paths and
 readouts anyway.  Entries are never changed: a path that walks past the
@@ -56,7 +56,6 @@ Gaussian frequency noise of variance S_omega / bin_width.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
 import sys
@@ -88,13 +87,6 @@ _MEMO_SETS = 32   # an entry takes well under 1 kB
 # tests/test_cli.py::test_command_at_its_caps_stays_bounded runs jump-stats
 # into this cap and bounds its peak memory.
 MAX_EVENTS = 5_000_000
-# Total rate from which no wait or event time of a path can overflow: a time
-# sums at most MAX_EVENTS + _BLOCK_CAP waits, each below 45 (numpy's standard
-# exponential draws stop at ~44.4), over a total at least this large.  Below
-# it a wait may overflow to inf; a total of 0, which every absorbing set has,
-# makes a wait inf by a divide by 0, or NaN when the drawn wait is 0.0 too.
-# Either ends the path, so the walk ignores every floating-point warning there.
-_QUIET_BELOW = 1e-290
 # Most bins of a readout, checked by readout_bins before simulating: it bounds
 # the readout's arrays and CSV rows.  The same test runs jump-sim at this cap.
 MAX_BINS = 1_000_000
@@ -248,7 +240,7 @@ def _channel_rates(p: ExperimentParams) -> tuple[float, float]:
     try:
         rate01 = 1.0 / qnd.linear_lifetime(p)
         rate02 = 1.0 / qnd.rwa_lifetime(p)
-    except (ZeroDivisionError, SingularityError):  # a lifetime underflows to 0 or leaves the range
+    except SingularityError:  # a lifetime leaves the float range
         raise SingularityError(out_of_range) from None
     if not math.isfinite(rate01 + rate02):
         raise SingularityError(out_of_range)
@@ -288,7 +280,6 @@ class _WalkSetup(NamedTuple):
 
     heat: float        # n -> n+1 rate per n + 1
     cool: float        # n -> n-1 rate per n
-    quiet: bool        # some level's total is below _QUIET_BELOW
     rates: np.ndarray  # per level: the total rate (read-only)
     climb: tuple       # per level: the exact climb threshold
     down: tuple        # per level: the level after a fall
@@ -322,14 +313,12 @@ def _walk_setup(p: ExperimentParams, include_measurement_channels: bool) -> _Wal
         raise SingularityError("thermal rates left the float range")
     rate01, rate02 = _channel_rates(p) if include_measurement_channels else (0.0, 0.0)
     total0 = heat + (rate01 + rate02)
-    # every level's total is at least total0 or cool
-    quiet = min(total0, cool) < _QUIET_BELOW
     # at m = 0 the total takes the channels in, a pick climbs one level below
     # heat + rate01, and its "fall" is the 0 -> 2 jump
     totals, climbs, falls = _level_rows(heat, cool, 1, _FIRST_LEVELS)
     rates = np.array([total0, *totals])
     rates.flags.writeable = False
-    return _WalkSetup(heat, cool, quiet, rates,
+    return _WalkSetup(heat, cool, rates,
                       (_climb_threshold(heat + rate01, total0), *climbs), (2, *falls))
 
 
@@ -345,7 +334,7 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     block later).
     """
     require_positive(duration=duration)
-    heat, cool, quiet, rates, climb, down = _walk_setup(p, include_measurement_channels)
+    heat, cool, rates, climb, down = _walk_setup(p, include_measurement_channels)
     t = 0.0
     n = 0
     # 8 bytes an event each, appended as bytes (the times from numpy, the levels
@@ -353,8 +342,8 @@ def simulate_trajectory(p: ExperimentParams, duration: float, seed: int,
     # cannot grow while viewed); levels opens with the initial level
     times = array("d")
     levels = array("q", [n])
-    # np.errstate costs ~0.75 us more than nullcontext, of a ~80 us row-2 trial
-    with np.errstate(all="ignore") if quiet else contextlib.nullcontext():
+    # a total rate of 0 or below ~1e-290 can make a wait inf or NaN, which ends the path
+    with np.errstate(all="ignore"):
         for waits, picks in _draw_blocks(np.random.default_rng(seed), duration):
             first = n
             while True:

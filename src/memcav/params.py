@@ -183,6 +183,17 @@ def in_float_range(value, what: str):
     return value
 
 
+def float_result(what: str, formula):
+    """in_float_range(formula(), what), where a step of formula that raises
+    ZeroDivisionError or OverflowError (a divisor underflows to 0, a power
+    overflows) leaves the float range too.
+    """
+    try:
+        return in_float_range(formula(), what)
+    except (ZeroDivisionError, OverflowError):
+        raise SingularityError(f"{what} left the float range") from None
+
+
 def load_config(path) -> ExperimentParams:
     """Read a ``key = value`` config file and return validated parameters.
 

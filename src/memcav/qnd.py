@@ -15,9 +15,9 @@ that channel is then reported as an infinite lifetime and simply omitted
 from the total decay rate.
 
 Each formula runs on floats or on arrays that broadcast (a sweep grid); on floats
-it raises SingularityError where a step or its result leaves the float range:
-a power overflows, a divisor underflows to 0, or the result is not positive
-and finite.
+it raises SingularityError where a step or its result leaves the float range
+(params.float_result): a power overflows, a divisor underflows to 0, or the
+result is not positive and finite.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 from . import mechanics
 from .elementwise import LibmArray, sqrt
 from .errors import SingularityError, ValidationError
-from .params import (C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, grid_violations,
-                     in_float_range, validate)
+from .params import (C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, float_result,
+                     grid_violations, in_float_range, validate)
 
 
 def _kappa(L, F) -> float:
@@ -46,7 +46,7 @@ def _one_minus_rc(r_c) -> float:
     one_minus = 1.0 - r_c
     # a grid leaves r_c >= 1 to params.grid_violations
     if not isinstance(one_minus, np.ndarray) and one_minus <= 0.0:
-        raise SingularityError("1 - r_c underflowed in a near-unity-reflectivity form")
+        raise SingularityError("1 - r_c is not positive in a near-unity-reflectivity form")
     return one_minus
 
 
@@ -96,12 +96,8 @@ def _tau_lin(m, omega_m, L, lam, one_minus_rc, kappa, P_in, x0):
 
 def detuning_per_phonon(p: ExperimentParams) -> float:
     """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
-    what = "per-phonon detuning"
-    try:
-        return in_float_range(_shift(_x_m2(p.m, p.omega_m), p.L, p.lam, _one_minus_rc(p.r_c)),
-                              what)
-    except (ZeroDivisionError, OverflowError):  # x_m^2 or lam^2 leaves the float range
-        raise SingularityError(f"{what} left the float range") from None
+    return float_result("per-phonon detuning", lambda: _shift(
+        _x_m2(p.m, p.omega_m), p.L, p.lam, _one_minus_rc(p.r_c)))
 
 
 class PdhNoise(NamedTuple):
@@ -128,11 +124,7 @@ def pdh_noise_psd(p: ExperimentParams) -> PdhNoise:
 
 def thermal_lifetime(p: ExperimentParams) -> float:
     """Ground-state lifetime against the thermal bath, Q hbar / (k_B T) [s]."""
-    what = "thermal lifetime"
-    try:
-        return in_float_range(_tau_thermal(p.Q, p.T), what)
-    except ZeroDivisionError:  # k_B T underflows to 0
-        raise SingularityError(f"{what} left the float range") from None
+    return float_result("thermal lifetime", lambda: _tau_thermal(p.Q, p.T))
 
 
 def rwa_lifetime(p: ExperimentParams) -> float:
@@ -143,12 +135,9 @@ def rwa_lifetime(p: ExperimentParams) -> float:
               / (8 pi^3 x_m^2 c P_in),
     equal to the golden-rule route 1 / ((shift/phonon)^2 S_NN(-2 omega_m) / 2).
     """
-    what = "counter-rotating lifetime"
-    try:
-        return in_float_range(_tau_rwa(p.lam, p.L, _one_minus_rc(p.r_c), p.m, p.omega_m,
-                                       _kappa(p.L, p.F), _x_m2(p.m, p.omega_m), p.P_in), what)
-    except (ZeroDivisionError, OverflowError):  # a power overflows, a divisor underflows
-        raise SingularityError(f"{what} left the float range") from None
+    return float_result("counter-rotating lifetime", lambda: _tau_rwa(
+        p.lam, p.L, _one_minus_rc(p.r_c), p.m, p.omega_m, _kappa(p.L, p.F),
+        _x_m2(p.m, p.omega_m), p.P_in))
 
 
 def linear_lifetime(p: ExperimentParams) -> float:

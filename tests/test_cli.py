@@ -649,6 +649,28 @@ def test_package_imports_numpy_and_the_standard_library_alone():
     assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
+def test_package_modules_use_every_name_they_import():
+    """No src/memcav module but __init__.py, which re-exports, imports a name
+    that its code never reads."""
+    root = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted((root / "src" / "memcav").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.split(".")[0]): node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 _LOADED_SCRIPT = """
 import json, sys
 from memcav.cli import run

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from memcav import cooling, mechanics, qnd
+from memcav import cavity, cooling, mechanics, qnd
 from memcav.elementwise import LibmArray
 from memcav.errors import MemcavError, SingularityError, ValidationError
 from memcav.params import C_LIGHT, HBAR, ExperimentParams, validate, with_value
@@ -290,6 +290,47 @@ def test_formulas_give_floats_or_memcav_error(p):
             continue
         assert all(isinstance(v, float) and 0.0 < v < math.inf
                    for v in (out if isinstance(out, tuple) else (out,))), (formula.__name__, out)
+
+
+# (formula, input, what its error names); "step" where an operation raises on the
+# way, "result" where only the result leaves the float range
+@pytest.mark.parametrize("formula, arg, what", [
+    (qnd.detuning_per_phonon, _row1_with("lam", 1e200), "per-phonon detuning"),       # step
+    (qnd.detuning_per_phonon, _row1_with("m", 1e300), "per-phonon detuning"),         # result
+    (qnd.pdh_noise_psd, _row1_with("L", 1e300), "readout noise floor"),               # step
+    (qnd.pdh_noise_psd, _row1_with("P_in", 1e300), "readout noise floor"),            # result
+    (qnd.thermal_lifetime, _row1_with("T", 1e-320), "thermal lifetime"),              # step
+    (qnd.thermal_lifetime, ExperimentParams(**{**_ROW1, "Q": 1e300, "T": 1e-30}),
+     "thermal lifetime"),                                                             # result
+    (qnd.rwa_lifetime, _row1_with("L", 1e300), "counter-rotating lifetime"),          # step
+    (qnd.rwa_lifetime, _row1_with("omega_m", 1e150), "counter-rotating lifetime"),    # result
+    (qnd.linear_lifetime, _row1_with("L", 1e300), "linear-coupling lifetime"),        # step
+    (qnd.linear_lifetime, _row1_with("omega_m", 1e150), "linear-coupling lifetime"),  # result
+    (cooling.shot_thermal_ratio, _row1_with("F", 1e200), "shot/thermal noise ratio"),  # step
+    (cooling.shot_thermal_ratio, _row1_with("T", 1e-320), "shot/thermal noise ratio"),  # step
+    (cooling.shot_thermal_ratio, _row1_with("P_in", 1e300), "shot/thermal noise ratio"),  # result
+    (lambda L_lam: cavity.detuning_derivatives(0.0, 0.5, *L_lam), (1e300, 1e-300),
+     "omega2"),                                                                       # step
+    (lambda L_lam: cavity.detuning_derivatives(0.0, 0.5, *L_lam), (1e-290, 1e-10),
+     "omega2"),                                                                       # result
+])
+def test_formula_names_what_left_the_float_range(formula, arg, what):
+    with pytest.raises(SingularityError) as info:
+        formula(arg)
+    assert str(info.value) == f"{what} left the float range"
+
+
+@pytest.mark.parametrize("r_c", [1.0, 1.5])
+@pytest.mark.parametrize("x0", [5e-13, 0.0])
+@pytest.mark.parametrize("formula", [qnd.detuning_per_phonon, qnd.rwa_lifetime,
+                                     qnd.linear_lifetime])
+def test_near_unity_forms_reject_rc_at_or_above_one(formula, r_c, x0):
+    """Unvalidated parameters with 1 - r_c <= 0 raise SingularityError, not a bare
+    ValueError from the square root, and not an infinite tau_lin at x0 = 0."""
+    p = ExperimentParams(**{**_ROW1, "r_c": r_c, "x0": x0})
+    with pytest.raises(SingularityError) as info:
+        formula(p)
+    assert str(info.value) == "1 - r_c is not positive in a near-unity-reflectivity form"
 
 
 def _outcome(budget, p):
