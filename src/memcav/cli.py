@@ -83,10 +83,11 @@ MAX_SAMPLES = 100_000     # bandstructure --samples
 MAX_BANDS = 20            # bandstructure --bands
 MAX_MAP_SAMPLES = 1000    # transmission-map --det-samples and --x-samples
 # Largest sweep --refine-iters, checked before the grid: it bounds the rounds
-# of --maximize, each 44 budget evaluations per axis.  Refinement stops after
-# a round that moves nothing, so most runs end after one or two rounds and
-# no test runs this many; test_bad_input_exits_without_traceback checks the
-# flag's range.
+# of --maximize, each at most 44 budget evaluations per axis (a line search
+# already run, on the same bracket and other coordinates, is skipped).
+# Refinement stops after a round that moves nothing, so most runs end after
+# one or two rounds and no test runs this many;
+# test_bad_input_exits_without_traceback checks the flag's range.
 MAX_REFINE_ITERS = 1000
 
 

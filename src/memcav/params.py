@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -125,6 +126,18 @@ def _failures(p):
                     "must be < " + ("lambda/8" if high is None else f"{high:g}")
 
 
+def _valid(p) -> bool:
+    """Whether p's fields, floats, pass every rule."""
+    for attrs, low, closed, high in _RULES:
+        high = _upper(p, high)
+        for attr in attrs:
+            value = getattr(p, attr)
+            # inf fails "< high" and NaN fails both ends, so a value that passes is finite
+            if not (low <= value < high if closed else low < value < high):
+                return False
+    return True
+
+
 def validate(p: ExperimentParams) -> list[str]:
     """Check every parameter invariant; return violations, empty if valid.
 
@@ -132,15 +145,26 @@ def validate(p: ExperimentParams) -> list[str]:
     message, ordered deterministically by config-key name.  A non-finite
     value gives a single "must be finite" message for its key.
     """
-    for attrs, low, closed, high in _RULES:
-        high = _upper(p, high)
-        for attr in attrs:
-            value = getattr(p, attr)
-            # inf fails "< high" and NaN fails both ends, so a value that passes is finite
-            if not (low <= value < high if closed else low < value < high):
-                return [f"{key} {msg} (got {got})" for key, got, holds, msg in _failures(p)
-                        if not holds]
-    return []
+    if _valid(p):
+        return []
+    return [f"{key} {msg} (got {got})" for key, got, holds, msg in _failures(p) if not holds]
+
+
+def _all_valid(p) -> bool:
+    """Whether every point of a grid passes every rule.
+
+    Each rule is an interval, so a field's least and greatest values stand
+    for all of them (NaN propagates through both); x0's upper end, lambda/8,
+    is least at the least lambda.
+    """
+    lows, highs = {}, {}
+    for attr, value in vars(p).items():
+        if value.size == 1:   # a field no axis sweeps
+            lows[attr] = highs[attr] = value.item()
+        else:
+            lows[attr], highs[attr] = value.min(), value.max()
+    return (highs["x0"] < lows["lam"] / 8.0   # cheapest first
+            and _valid(SimpleNamespace(**lows)) and _valid(SimpleNamespace(**highs)))
 
 
 def grid_violations(p, shape: tuple) -> np.ndarray:
@@ -152,6 +176,8 @@ def grid_violations(p, shape: tuple) -> np.ndarray:
     per distinct value.
     """
     found = np.full(math.prod(shape), "", dtype=object)
+    if _all_valid(p):
+        return found
     for key, value, holds, msg in _failures(p):
         if not holds.all():
             where = np.flatnonzero(np.broadcast_to(~holds, shape))

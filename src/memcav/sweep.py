@@ -165,6 +165,12 @@ def golden_section(f, a: float, b: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The refined point and its budget (None where no grid point is feasible).
+
+    `evaluations` counts the jump budgets computed: every grid point, and
+    4 + _GOLDEN_STEPS for each line search run; a skipped search counts none.
+    """
+
     feasible: bool
     params: ExperimentParams | None
     budget: qnd.QndBudget | None
@@ -178,10 +184,14 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     The refinement searches each axis inside the grid interval bracketing
     the current best point (other coordinates held fixed), keeps a candidate
     only if it is feasible and strictly better, and is fully deterministic.
+    A line search already run, on the same axis and bracket with the same
+    other coordinates, is skipped: it would evaluate the same points again,
+    none of them better than the current point, since SNR only rises.
     Refinement stops after a round that leaves the point where it was, since
     every later round would repeat that round exactly.
     `grid` is grid_sweep(base, axes) when the caller has it already; its
-    points count as evaluations all the same.
+    points count as evaluations all the same.  `evaluations` counts the grid
+    points and 4 + _GOLDEN_STEPS for each line search run.
     """
     result = grid if grid is not None else grid_sweep(base, axes)
     best = result.best
@@ -192,6 +202,7 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
     searches = [(attr, values, axis.scale)
                 for (attr, values), axis in zip(result.samples.items(), result.axes)]
     current_p, current_b = best.params, best.budget
+    done = set()   # (axis, lo, hi, the other coordinates) of each line search run
     for _ in range(refine_iters):
         start = current_p
         for attr, values, scale in searches:
@@ -199,8 +210,12 @@ def maximize_snr(base: ExperimentParams, axes, refine_iters: int = 3,
             idx = int(np.argmin(np.abs(values - x_now)))
             lo = values[max(idx - 1, 0)]
             hi = values[min(idx + 1, len(values) - 1)]
-            if lo == hi:
+            # the budget is even in x0 and reads r_c through 1 - r_c, and every
+            # other field is invalid at 0, so keys that compare equal give one search
+            key = (attr, lo, hi, *(v for a, v in vars(current_p).items() if a != attr))
+            if lo == hi or key in done:
                 continue
+            done.add(key)
             fwd, inv = (math.log, math.exp) if scale == "log" else (lambda v: v, lambda v: v)
             point = SimpleNamespace(**vars(current_p))   # current_p, but for attr
             budgets = {}

@@ -6,16 +6,24 @@ delimiters and '#'-prefixed metadata header lines.  Floats are printed
 with 17 significant digits, so a value round-trips losslessly, and a
 missing (NaN) float is a blank cell, which read_csv reads back as NaN.
 Columns are written a batch of rows at a time, and within a batch each
-distinct bit pattern of a column is formatted once.  JSON cannot carry
+distinct bit pattern of a column is formatted once; a constant column (a
+broadcast one, of stride 0) formats its one value once.  JSON cannot carry
 comments, so metadata goes into a leading "metadata" object instead; JSON
 is written strictly, with a missing (NaN) value as null.  Nothing
 time-dependent is ever written: identical inputs must give byte-identical
 files.
+
+An existing file is rewritten in place, not truncated first, and a regular
+file is then cut to the length written, also when the write fails, so no
+old tail survives.  A file truncated to zero and rewritten is written back
+at close on ext4 (its auto_da_alloc), which costs more than the write.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -99,9 +107,30 @@ class Table:
 
 def _texts(column):
     """The cell texts of one column of a batch."""
-    if isinstance(column, np.ndarray):
-        return format_distinct(column, _CELLS[column.dtype])
-    return column   # str already
+    if not isinstance(column, np.ndarray):
+        return column   # str already
+    if column.strides == (0,):   # one value, broadcast
+        return format_distinct(column[:1], _CELLS[column.dtype]) * len(column)
+    return format_distinct(column, _CELLS[column.dtype])
+
+
+def _write_text(path, write) -> None:
+    """Open path as UTF-8 text without truncating it, call write(out), and cut a
+    regular file to the length written (another file, such as /dev/null, cannot
+    be cut).  Raises ValidationError, naming the path, if it cannot be written.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as out:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                write(out)
+                out.flush()
+            finally:
+                if regular:
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_csv(path, header, table: Table, metadata: dict | None = None) -> None:
@@ -112,14 +141,14 @@ def write_csv(path, header, table: Table, metadata: dict | None = None) -> None:
     """
     if len(header) != len(table.columns):
         raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
-    try:
-        with open(path, "w", encoding="utf-8") as out:
-            out.write("\n".join([*metadata_lines(metadata or {}), ",".join(header)]) + "\n")
-            for lo in range(0, len(table), _BATCH):
-                cols = [_texts(col) for col in table[lo:lo + _BATCH].columns]
-                out.write("\n".join(map(",".join, zip(*cols))) + "\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+    def write(out):
+        out.write("\n".join([*metadata_lines(metadata or {}), ",".join(header)]) + "\n")
+        for lo in range(0, len(table), _BATCH):
+            cols = [_texts(col) for col in table[lo:lo + _BATCH].columns]
+            out.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+    _write_text(path, write)
 
 
 def read_text(path, error=ValidationError) -> str:
@@ -190,7 +219,4 @@ def write_json(path, payload: dict, metadata: dict | None = None) -> None:
         text = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False)
     except ValueError as exc:
         raise NumericsError(f"cannot write {path}: {exc}") from None
-    try:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+    _write_text(path, lambda out: out.write(text + "\n"))

@@ -6,25 +6,27 @@ matrix (linear algebra, no sampling), and spectra from adaptive quadrature.
 The jump-budget cross-checks reach the closed-form lifetimes by a second
 route (golden rule over the photon noise spectrum, good-cavity ratios).
 The jump simulator is checked against its earlier one-loop form, the
-optics' row-0 chain against the full matrix product, and the detection
-statistics against per-bin means.  The fits' solver is checked
+optics' row-0 chain against the full matrix product, the detection
+statistics against per-bin means, and the SNR refinement against its form
+that reruns every line search.  The fits' solver is checked
 against scipy's MINPACK curve_fit, given the exact complex-step Jacobian.
 """
 
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from memcav import jumpsim, mechanics, qnd
+from memcav import jumpsim, mechanics, qnd, sweep
 from memcav.cavity import (_interface_matrix, _sheet_matrix, _slab_matrix,
                            mirror_reflectivity_from_finesse, sheet_strength)
-from memcav.errors import SingularityError, ValidationError
+from memcav.errors import MemcavError, SingularityError, ValidationError
 from memcav.mechanics import thermal_occupation
 from memcav.params import C_LIGHT, ExperimentParams
 
@@ -199,6 +201,56 @@ def budget_by_formulas(p) -> qnd.QndBudget:
                          mechanics.is_classical_bath(n_bar), p.omega_m > kappa)
     return qnd.QndBudget(dw, kappa, n_bar_photons, s_omega, tau_t, tau_r, tau_l, tau_total, snr,
                          gap, n_bar, flags)
+
+
+def maximize_snr_reference(base: ExperimentParams, axes, refine_iters: int = 3,
+                           grid: sweep.SweepResult | None = None) -> sweep.OptimizeResult:
+    """sweep.maximize_snr as it was before it skipped repeated line searches.
+
+    Every round searches every axis, so the refined point and its budget
+    must be the same bits; only the evaluations may be fewer.
+    """
+    result = grid if grid is not None else sweep.grid_sweep(base, axes)
+    best = result.best
+    evals = math.prod(result.shape)
+    if best is None:
+        return sweep.OptimizeResult(False, None, None, evals)
+
+    searches = [(attr, values, axis.scale)
+                for (attr, values), axis in zip(result.samples.items(), result.axes)]
+    current_p, current_b = best.params, best.budget
+    for _ in range(refine_iters):
+        start = current_p
+        for attr, values, scale in searches:
+            x_now = getattr(current_p, attr)
+            idx = int(np.argmin(np.abs(values - x_now)))
+            lo = values[max(idx - 1, 0)]
+            hi = values[min(idx + 1, len(values) - 1)]
+            if lo == hi:
+                continue
+            fwd, inv = (math.log, math.exp) if scale == "log" else (lambda v: v, lambda v: v)
+            point = SimpleNamespace(**vars(current_p))   # current_p, but for attr
+            budgets = {}
+
+            def objective(u: float) -> float:
+                setattr(point, attr, inv(u))
+                try:
+                    budget = qnd.jump_budget(point)
+                except MemcavError:
+                    return -math.inf
+                if not all(budget.flags):
+                    return -math.inf
+                if budget.snr > current_b.snr:   # only these can replace the current point
+                    budgets[u] = budget
+                return budget.snr
+
+            u, snr = sweep.golden_section(objective, fwd(lo), fwd(hi))
+            if snr > current_b.snr:
+                current_p, current_b = replace(current_p, **{attr: inv(u)}), budgets[u]
+            evals += 4 + sweep._GOLDEN_STEPS
+        if current_p is start:   # every later round would repeat this one
+            break
+    return sweep.OptimizeResult(True, current_p, current_b, evals)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import sys
 import tempfile
@@ -490,6 +491,12 @@ def test_failed_run_keeps_paths_that_existed_before(tmp_path, row1_config, capsy
     assert "Traceback" not in capsys.readouterr().err
     assert {path.name for path in tmp_path.iterdir()} == before
     assert out.is_symlink() == (existing == "symlink")
+
+
+def test_outputs_to_dev_null(row1_config):
+    # a device is written but never cut to length, which it cannot be
+    assert run(["sweep", "--config", str(row1_config), "--axis", "F:3e5:6e5:2:log",
+                "-o", os.devnull, "--best", os.devnull]) == 0
 
 
 def test_failed_write_removes_its_partial_file(tmp_path, row1_config, capsys, monkeypatch):

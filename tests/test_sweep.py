@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from memcav import __version__, qnd, sweep
 from memcav.cli import run
 from memcav.errors import MemcavError, SingularityError, ValidationError
 from memcav.params import ExperimentParams, as_dict, attr_name, with_value
+from oracles import maximize_snr_reference
 
 
 def test_axis_validation():
@@ -129,7 +130,8 @@ def test_refinement_pinned_when_it_beats_grid(row1):
     opt = sweep.maximize_snr(row1, axes, refine_iters=2)
     assert grid_best.budget.snr == 18.586155010792446
     assert opt.budget.snr == 19.224603346615275
-    assert opt.evaluations == 16 + 2 * 2 * (4 + 40)
+    # the second round repeats both of the first's line searches, so it runs neither
+    assert opt.evaluations == 16 + 2 * (4 + 40)
     assert opt.params == replace(row1, P_in=0.00035249598521233286, r_c=0.99999)
 
 
@@ -145,10 +147,13 @@ def test_refinement_pinned_when_it_beats_grid(row1):
      2, "0x1.33460754a66b1p+6", {"F": 600000.0, "P_in": 0.0003521291520359514, "r_c": 0.99999}),
 ])
 def test_refinement_stops_when_a_round_moves_nothing(row1, axes, rounds, snr_hex, moved):
-    # params and SNR as three full rounds give them; only the evaluations drop
+    # params and SNR as three full rounds give them; only the evaluations drop.
+    # P_in is the one axis refinement moves, so a round after the first reruns
+    # only the line searches before P_in's, whose other coordinates it moved
     opt = sweep.maximize_snr(row1, axes)
     grid_points = math.prod(a.count for a in axes)
-    assert opt.evaluations == grid_points + rounds * len(axes) * (4 + 40)
+    before_p_in = [a.param_name for a in axes].index("P_in")
+    assert opt.evaluations == grid_points + (len(axes) + (rounds - 1) * before_p_in) * (4 + 40)
     assert opt.budget.snr.hex() == snr_hex
     assert opt.params == replace(row1, **moved)
 
@@ -320,6 +325,51 @@ def _sweeps(draw):
                                 "x0": 0.0}), [sweep.SweepAxis("Q", 1e7, 2e7, 2)]))
 def test_grid_rows_equal_jump_budget_bit_for_bit(case):
     _assert_rows_match_jump_budget(*case)
+
+
+@st.composite
+def _refinements(draw):
+    """A base within a factor 3 of the scenario (r_c in [0.99, 0.9999]), 1-3 axes of
+    2-5 points spanning up to a factor 10 either way, and 0-4 rounds."""
+    base = ExperimentParams(**{name: draw(st.floats(0.99, 0.9999) if name == "r_c"
+                                          else st.floats(v / 3, v * 3))
+                               for name, v in _ROW1.items()})
+    axes = []
+    for name in draw(st.lists(st.sampled_from(sorted(_ROW1)), min_size=1, max_size=3,
+                              unique=True)):
+        v = _ROW1[name]
+        ends = st.floats(0.99, 0.99999) if name == "r_c" else st.floats(v / 10, v * 10)
+        lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+        axes.append(sweep.SweepAxis(name, lo, hi, draw(st.integers(2, 5)),
+                                    draw(st.sampled_from(["linear", "log"]))))
+    return base, axes, draw(st.integers(0, 4))
+
+
+def _bits(opt):
+    """The bits of each float of a refined point and its budget, and the budget's flags."""
+    if not opt.feasible:
+        return None
+    return [v.hex() for v in (*astuple(opt.params), *opt.budget[:-1])], opt.budget.flags
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_refinements())
+# round one moves r_c into another grid interval, so round two searches it again in a
+# new bracket, with the same other coordinates
+@example((ExperimentParams(L=0.0625, lam=1.7733333333333336e-07, F=1e5, P_in=1.2e-05, T=0.5,
+                           m=3.383668489782771e-14, omega_m=669063.0, Q=4e6, r_c=0.9921875,
+                           x0=7.617254501691682e-13),
+          [sweep.SweepAxis("T", 1.0, 2.0, 2), sweep.SweepAxis("r_c", 0.9921875, 0.99999, 3),
+           sweep.SweepAxis("F", 3e4, 34705.0, 2)], 2))
+def test_refinement_equals_rerunning_every_line_search(case):
+    # a skipped line search would have rerun one already run, so the point and
+    # its budget keep their bits and only the evaluations fall
+    base, axes, rounds = case
+    opt = sweep.maximize_snr(base, axes, rounds)
+    reference = maximize_snr_reference(base, axes, rounds)
+    assert opt.feasible == reference.feasible
+    assert _bits(opt) == _bits(reference)
+    assert opt.evaluations <= reference.evaluations
 
 
 @pytest.mark.parametrize("axes", [

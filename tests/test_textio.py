@@ -200,6 +200,60 @@ def test_csv_cells_of_special_values(tmp_path, column):
     assert handed == [len(set(column.view(np.int64).tolist()))]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_FLOATS.map(np.float64), _INTS.map(np.int64)), st.integers(1, 12),
+       st.integers(1, 5))
+def test_constant_column_writes_as_materialized(tmp_path_factory, value, rows, batch):
+    # a stride-0 column formats one cell and repeats it, in every batch
+    constant = np.broadcast_to(value, rows)
+    assert constant.strides == (0,)
+    out = tmp_path_factory.mktemp("csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_BATCH", batch)
+        write_csv(out / "constant.csv", ["c", "i"], Table(constant, np.arange(rows)))
+        write_csv(out / "copy.csv", ["c", "i"], Table(constant.copy(), np.arange(rows)))
+    assert (out / "constant.csv").read_bytes() == (out / "copy.csv").read_bytes()
+
+
+@pytest.mark.parametrize("write, body", [
+    (write_csv, (["a", "b"], Table(np.array([1.5, -0.0]), np.array([3, 4])), {"seed": 1})),
+    (write_json, ({"x": 1.0}, {"tool": "memcav"})),
+])
+@pytest.mark.parametrize("existing", ["longer file", "symlink to a longer file"])
+def test_write_replaces_an_existing_file_whole(tmp_path, write, body, existing):
+    write(tmp_path / "fresh", *body)
+    target = tmp_path / "target"
+    target.write_text("old line\n" * 1000)
+    path = target
+    if existing.startswith("symlink"):
+        path = tmp_path / "link"
+        path.symlink_to(target)
+    write(path, *body)
+    assert path.is_symlink() == existing.startswith("symlink")
+    assert target.read_bytes() == (tmp_path / "fresh").read_bytes()
+
+
+def test_failed_write_leaves_no_old_tail(tmp_path, monkeypatch):
+    columns = Table(np.arange(6.0))
+    write_csv(tmp_path / "fresh.csv", ["c"], columns)
+    path = tmp_path / "t.csv"
+    path.write_text("old line\n" * 1000)
+    monkeypatch.setattr(textio, "_BATCH", 2)
+    real, calls = textio.format_distinct, []
+
+    def format_distinct(values, format_all):   # the disk fills in the third batch
+        calls.append(values)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return real(values, format_all)
+
+    monkeypatch.setattr(textio, "format_distinct", format_distinct)
+    with pytest.raises(ValidationError, match="No space left on device"):
+        write_csv(path, ["c"], columns)
+    written = path.read_bytes()
+    assert written and (tmp_path / "fresh.csv").read_bytes().startswith(written)
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         Table(np.array([1.0, 2.0]), np.array([3.0]))
