@@ -112,7 +112,10 @@ def fit_psd(freq_hz, psd, m: float | None = None, omega_m: float | None = None,
         raise FitError("no peak above the estimated floor")
     above = s - floor0 > 0.5 * peak
     gamma0 = 2.0 * np.pi * max(np.ptp(f[above]), f[1] - f[0])
-    amp0 = peak * (gamma0 * omega0) ** 2
+    with np.errstate(over="ignore"):   # a PSD near the top of the float range
+        amp0 = peak * (gamma0 * omega0) ** 2
+    if amp0 == np.inf:
+        raise FitError("the PSD's peak amplitude leaves the float range")
 
     popt, rms = least_squares(_lorentzian, 2.0 * np.pi * f, s,
                               (amp0, omega0, gamma0, floor0), 20000, "PSD")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,17 +110,30 @@ def _upper(p, high):
     return p.lam / 8.0 if p.lam > 0.0 else math.inf
 
 
-def _failures(p):
+def _failures(p, ends=None):
     """(config key, value, holds, message) per rule, on floats or a grid's arrays, in
-    report order; past "must be finite", `finite <= ...` (implication) spares the rest."""
+    report order; past "must be finite", `finite <= ...` (implication) spares the rest.
+
+    `ends`, a grid's least and greatest value of each field (see _ends),
+    leaves out each rule that holds at them: every rule is an interval, so
+    a field whose least value meets the lower end, or whose greatest meets
+    the upper end, meets it at every point.  x0's upper end, lambda/8, is
+    least at the least lambda.  Without ends, each is NaN, which meets none.
+    """
+    ends = ends or dict.fromkeys(_ATTR_TO_KEY, (math.nan, math.nan))
     for attrs, low, closed, high in _RULES:
         for attr in attrs:
             key, value = _ATTR_TO_KEY[attr], getattr(p, attr)
-            finite = np.isfinite(value)
-            yield key, value, finite, "must be finite"
-            above = value >= low if closed else value > low
-            yield key, value, finite <= above, f"must be {'>=' if closed else '>'} {low:g}"
-            if high != math.inf:
+            least, greatest = ends[attr]
+            if math.isfinite(least) and math.isfinite(greatest):
+                finite = True
+            else:
+                finite = np.isfinite(value)
+                yield key, value, finite, "must be finite"
+            if not (low <= least if closed else low < least):
+                above = value >= low if closed else value > low
+                yield key, value, finite <= above, f"must be {'>=' if closed else '>'} {low:g}"
+            if high != math.inf and not greatest < (ends["lam"][0] / 8.0 if high is None else high):
                 yield key, value, finite <= (value < _upper(p, high)), \
                     "must be < " + ("lambda/8" if high is None else f"{high:g}")
 
@@ -150,21 +162,15 @@ def validate(p: ExperimentParams) -> list[str]:
     return [f"{key} {msg} (got {got})" for key, got, holds, msg in _failures(p) if not holds]
 
 
-def _all_valid(p) -> bool:
-    """Whether every point of a grid passes every rule.
-
-    Each rule is an interval, so a field's least and greatest values stand
-    for all of them (NaN propagates through both); x0's upper end, lambda/8,
-    is least at the least lambda.
-    """
-    lows, highs = {}, {}
+def _ends(p) -> dict[str, tuple[float, float]]:
+    """A grid's least and greatest value of each field; NaN propagates to both."""
+    ends = {}
     for attr, value in vars(p).items():
         if value.size == 1:   # a field no axis sweeps
-            lows[attr] = highs[attr] = value.item()
+            ends[attr] = (value.item(),) * 2
         else:
-            lows[attr], highs[attr] = value.min(), value.max()
-    return (highs["x0"] < lows["lam"] / 8.0   # cheapest first
-            and _valid(SimpleNamespace(**lows)) and _valid(SimpleNamespace(**highs)))
+            ends[attr] = value.min().item(), value.max().item()
+    return ends
 
 
 def grid_violations(p, shape: tuple) -> np.ndarray:
@@ -172,13 +178,12 @@ def grid_violations(p, shape: tuple) -> np.ndarray:
 
     p's fields are arrays that broadcast to `shape`.  Each point holds the
     messages validate gives there, joined by "; ", and "" where it gives
-    none.  Each rule formats a message only for a failing point, and once
+    none.  Only a rule that fails at an end of its field is checked point
+    by point, and it formats a message only for a failing point, and once
     per distinct value.
     """
     found = np.full(math.prod(shape), "", dtype=object)
-    if _all_valid(p):
-        return found
-    for key, value, holds, msg in _failures(p):
+    for key, value, holds, msg in _failures(p, _ends(p)):
         if not holds.all():
             where = np.flatnonzero(np.broadcast_to(~holds, shape))
             got = np.broadcast_to(value, shape).ravel()[where]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,13 +11,17 @@ import memcav
 from memcav.params import K_B, ExperimentParams
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports memcav from this checkout."""
+def run_python(*args, stdout=subprocess.PIPE):
+    """Run a fresh interpreter that imports memcav from this checkout.
+
+    PYTHONUNBUFFERED is unset, so the child's stdout is buffered, as it is
+    by default for a file or a pipe, and reaches `stdout` only when flushed.
+    """
     src = str(Path(memcav.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 @pytest.fixture(scope="session")
@@ -201,6 +206,17 @@ README_PINS = [
      {"sweep.csv":
          "ed46a229dec0b70849ce14af178aca65f4a098f257c730fc11e3c44117f10385"}),
 ]
+
+
+def blanked_digest(path) -> str:
+    """sha256 of a JSON or CSV output whose version string, found once, is blanked."""
+    text = path.read_text(encoding="utf-8")
+    for version, blank in ((f'"version": "{memcav.__version__}"', '"version": ""'),
+                           (f"# version = {memcav.__version__}\n", "# version = \n")):
+        if version in text:
+            assert text.count(version) == 1
+            return hashlib.sha256(text.replace(version, blank).encode("utf-8")).hexdigest()
+    raise AssertionError(f"{path.name} holds no version string")
 
 
 def readme_argv(argv, directory) -> list[str]:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import memcav
 from memcav import cli, cooling, jumpsim, sweep
 from memcav.cli import run
 from memcav.errors import ValidationError
@@ -594,9 +595,60 @@ def test_module_entry_point_runs_cli(tmp_path):
     proc = run_python("-m", "memcav.cli", "qnd-budget",
                       "--config", str(tmp_path / "missing.cfg"), "-o", str(out))
     assert proc.returncode == 1
-    assert "config file not found" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: config file not found")
+    assert len(proc.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+def test_numerical_error_in_fresh_process(tmp_path):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(ROW1_CONFIG.replace("x0 = 5e-13", "x0 = 0").replace("P_in = 1e-5", "P_in = 1e300"))
+    out = tmp_path / "b.json"
+    proc = run_python("-m", "memcav.cli", "qnd-budget", "--config", str(cfg), "-o", str(out))
+    assert (proc.returncode, proc.stderr) == (2, "numerical error: jump budget left the float range\n")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_unwritable_stdout_exits_one(flag):
+    """A buffered stdout that cannot be flushed gives one error line, not a traceback."""
+    with open("/dev/full", "w") as full:
+        proc = run_python("-m", "memcav.cli", flag, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+_ATEXIT_SCRIPT = """
+import atexit, sys
+atexit.register(print, "atexit ran", file=sys.stderr)
+from memcav.cli import main
+main()
+"""
+
+
+def test_main_ends_before_interpreter_teardown():
+    """main() ends with os._exit, so an atexit hook registered before it does not
+    run; the buffered --version line still reaches the pipe."""
+    proc = run_python("-c", _ATEXIT_SCRIPT, "--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"memcav {memcav.__version__}\n", "")
+
+
+_NO_STREAMS_SCRIPT = """
+import sys
+from memcav.cli import main
+sys.stdout = sys.stderr = None
+main()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0),
+                                        (["qnd-budget", "--config", "missing.cfg"], 1)])
+def test_main_without_std_streams(tmp_path, argv, code):
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    proc = run_python("-c", _NO_STREAMS_SCRIPT, *argv, "-o", str(tmp_path / "b.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
 
 
 def _write_fit_input(path, header, x, y):
@@ -1028,6 +1080,7 @@ _F = np.linspace(1.3e5, 1.4e5, 60)
 @example(("mech-ringdown-fit", [], _T, 1e-300 * np.exp(-_T / 2e-6)))        # 1e-300-scaled
 @example(("ringdown-fit", [], _T, np.exp(_T / 2e-6)))                        # growing
 @example(("mech-ringdown-fit", [], _T, np.exp(_T / 2e-6)))                   # growing
+@example(("cool-fit", [], _F, 1e300 / (1.0 + ((_F - 1.35e5) / 1e3) ** 2)))  # amplitude overflows
 def test_fit_commands_exit_cleanly(case):
     command, flags, x, y = case
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
