@@ -27,13 +27,20 @@ import numpy as np
 
 from . import __version__
 from .errors import MemcavError, NumericsError, ValidationError
-from .params import MAX_SWEEP_POINTS, MembraneSpec, as_dict, load_config, require_positive
+from .params import (MAX_SWEEP_POINTS, MembraneSpec, as_dict, attr_name, load_config,
+                     require_positive)
 from .textio import Table, read_csv, write_csv, write_json
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
+
+    def _print_message(self, message, file=None):
+        try:   # argparse's own drops the OSError that an unbuffered stdout raises here
+            print(message, end="", file=file or sys.stderr)   # a None stream (pythonw) drops it
+        except OSError as exc:
+            raise MemcavError(f"cannot write stdout: {exc}") from None
 
 
 def _seed(text: str) -> int:
@@ -294,9 +301,11 @@ def _parse_axis(text: str) -> sweep.SweepAxis:
     name, lo, hi, count = parts[:4]
     scale = parts[4] if len(parts) == 5 else "linear"
     try:
-        return sweep.SweepAxis(name, float(lo), float(hi), int(count), scale)
-    except ValueError as exc:
+        lo, hi, count = float(lo), float(hi), int(count)
+        attr_name(name)
+    except (ValueError, ValidationError) as exc:
         raise ValidationError(f"bad --axis '{text}': {exc}") from None
+    return sweep.SweepAxis(name, lo, hi, count, scale)
 
 
 def _cmd_sweep(args) -> list:

@@ -3,12 +3,13 @@
 Zero-point motion, thermal occupation, spring constant, and Q extracted
 from mechanical ringdown.  The Q <-> tau conversion uses the amplitude-decay
 convention Q = omega_m tau / 2 exclusively; the energy-decay convention is
-deliberately not exposed.
+deliberately not exposed.  The checked functions take floats; the jump budget,
+of one parameter set or of a sweep grid, calls their cores, which check nothing.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
@@ -18,31 +19,37 @@ from .params import HBAR, K_B, require_positive
 CLASSICAL_NBAR_MIN = 10.0
 
 
-def zero_point_amplitude(m: float, omega_m: float) -> float:
-    """RMS ground-state displacement sqrt(hbar / (2 m omega_m)) [m].
-
-    Like thermal_occupation, elementwise and unchecked on arrays: a sweep
-    grid reports its invalid points through params.grid_violations.
-    """
-    if not isinstance(m, np.ndarray) and (m <= 0 or omega_m <= 0):
-        raise ValidationError("m and omega_m must be positive")
+def _zero_point(m, omega_m):
     return sqrt(HBAR / (2.0 * m * omega_m))
+
+
+def _bath_occupation(T, omega_m):
+    return K_B * T / (HBAR * omega_m)
+
+
+def zero_point_amplitude(m: float, omega_m: float) -> float:
+    """RMS ground-state displacement sqrt(hbar / (2 m omega_m)) [m]."""
+    if m <= 0 or omega_m <= 0:
+        raise ValidationError("m and omega_m must be positive")
+    require_positive(m=m, omega_m=omega_m)   # NaN and inf pass the test above
+    return _zero_point(m, omega_m)
 
 
 def thermal_occupation(T: float, omega_m: float) -> float:
     """Bath mean phonon number k_B T / (hbar omega_m), classical limit.
 
-    Valid for n_bar >> 1, which is_classical_bath() checks.  On floats,
-    raises SingularityError where hbar omega_m underflows to 0.
+    Valid for n_bar >> 1, which is_classical_bath() checks.  Raises
+    SingularityError where hbar omega_m underflows to 0.
     """
-    if not isinstance(T, np.ndarray):
-        if T < 0:
-            raise ValidationError(f"T must be >= 0 (got {T})")
-        if omega_m <= 0:
-            raise ValidationError(f"omega_m must be positive (got {omega_m})")
-        if HBAR * omega_m == 0.0:
-            raise SingularityError(f"hbar omega_m underflowed to 0 (omega_m = {omega_m})")
-    return K_B * T / (HBAR * omega_m)
+    if T < 0:
+        raise ValidationError(f"T must be >= 0 (got {T})")
+    if omega_m <= 0:
+        raise ValidationError(f"omega_m must be positive (got {omega_m})")
+    if not (math.isfinite(T) and math.isfinite(omega_m)):   # NaN passes the tests above
+        raise ValidationError(f"T and omega_m must be finite (got {T}, {omega_m})")
+    if HBAR * omega_m == 0.0:
+        raise SingularityError(f"hbar omega_m underflowed to 0 (omega_m = {omega_m})")
+    return _bath_occupation(T, omega_m)
 
 
 def is_classical_bath(n_bar: float) -> bool:

@@ -92,22 +92,13 @@ class MembraneSpec:
 
 
 # The parameters' intervals, in report order: (attributes, lower end, whether it
-# is admitted, upper end, which never is; None for lambda/8, see _upper).
+# is admitted, upper end, which never is; None for lambda/8 where lambda > 0).
 _RULES = (
     (("F",), 1.0, True, math.inf),
     (("L", "P_in", "Q", "T", "lam", "m", "omega_m"), 0.0, False, math.inf),
     (("r_c",), 0.0, True, 1.0),
     (("x0",), 0.0, True, None),
 )
-
-
-def _upper(p, high):
-    """A rule's upper end; None is lambda/8 (x0's quarter-period) where lambda > 0, else inf."""
-    if high is not None:
-        return high
-    if isinstance(p.lam, np.ndarray):
-        return np.where(p.lam > 0.0, p.lam / 8.0, math.inf)
-    return p.lam / 8.0 if p.lam > 0.0 else math.inf
 
 
 def _failures(p, ends=None):
@@ -134,14 +125,15 @@ def _failures(p, ends=None):
                 above = value >= low if closed else value > low
                 yield key, value, finite <= above, f"must be {'>=' if closed else '>'} {low:g}"
             if high != math.inf and not greatest < (ends["lam"][0] / 8.0 if high is None else high):
-                yield key, value, finite <= (value < _upper(p, high)), \
+                below = (p.lam > 0.0) <= (value < p.lam / 8.0) if high is None else value < high
+                yield key, value, finite <= below, \
                     "must be < " + ("lambda/8" if high is None else f"{high:g}")
 
 
 def _valid(p) -> bool:
     """Whether p's fields, floats, pass every rule."""
     for attrs, low, closed, high in _RULES:
-        high = _upper(p, high)
+        high = p.lam / 8.0 if high is None else high   # lambda has passed its rule
         for attr in attrs:
             value = getattr(p, attr)
             # inf fails "< high" and NaN fails both ends, so a value that passes is finite
@@ -202,19 +194,15 @@ def require_positive(error: type = ValidationError, /, **values: float) -> None:
                     f"(got {', '.join(map(str, bad.values()))})")
 
 
-def in_float_range(value, what: str):
-    """value, or SingularityError("<what> left the float range") for a float
-    that is not positive and finite.
-
-    A grid's arrays pass as they are: the jump budget's float-range rule
-    marks their points.
-    """
-    if isinstance(value, float) and not 0.0 < value < math.inf:
+def in_float_range(value: float, what: str) -> float:
+    """value, a float, or SingularityError("<what> left the float range") where it
+    is not positive and finite; a grid's points fail by qnd.budget_grid's rule."""
+    if not 0.0 < value < math.inf:
         raise SingularityError(f"{what} left the float range")
     return value
 
 
-def float_result(what: str, formula):
+def float_result(what: str, formula) -> float:
     """in_float_range(formula(), what), where a step of formula that raises
     ZeroDivisionError or OverflowError (a divisor underflows to 0, a power
     overflows) leaves the float range too.
@@ -280,7 +268,7 @@ def attr_name(name: str) -> str:
     """ExperimentParams attribute for an attribute or config-key name."""
     attr = _KEY_TO_ATTR.get(name, name)
     if attr not in _ATTR_TO_KEY:
-        raise ValueError(f"unknown parameter '{name}'")
+        raise ValidationError(f"unknown parameter '{name}'")
     return attr
 
 

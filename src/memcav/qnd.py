@@ -14,10 +14,10 @@ A membrane parked exactly at the extremum (x0 = 0) has no linear coupling:
 that channel is then reported as an infinite lifetime and simply omitted
 from the total decay rate.
 
-Each formula runs on floats or on arrays that broadcast (a sweep grid); on floats
-it raises SingularityError where a step or its result leaves the float range
-(params.float_result): a power overflows, a divisor underflows to 0, or the
-result is not positive and finite.
+The public formulas take floats, and raise SingularityError where a step or
+the result leaves the float range (params.float_result): a power overflows,
+a divisor underflows to 0, or the result is not positive and finite.  A grid
+goes through budget_grid, which calls the same cores on arrays.
 """
 
 from __future__ import annotations
@@ -41,18 +41,12 @@ def _kappa(L, F) -> float:
     return math.pi * C_LIGHT / (L * F)
 
 
-def _one_minus_rc(r_c) -> float:
+def _one_minus_rc(r_c: float) -> float:
     """1 - r_c, which every near-unity-reflectivity form divides by or roots."""
     one_minus = 1.0 - r_c
-    # a grid leaves r_c >= 1 to params.grid_violations
-    if not isinstance(one_minus, np.ndarray) and one_minus <= 0.0:
+    if one_minus <= 0.0:
         raise SingularityError("1 - r_c is not positive in a near-unity-reflectivity form")
     return one_minus
-
-
-def _x_m2(m, omega_m) -> float:
-    """Squared zero-point amplitude hbar / (2 m omega_m) [m^2], as x_m**2."""
-    return mechanics.zero_point_amplitude(m, omega_m)**2
 
 
 def near_unity_gap(r_c: float, L: float) -> float:
@@ -97,7 +91,7 @@ def _tau_lin(m, omega_m, L, lam, one_minus_rc, kappa, P_in, x0):
 def detuning_per_phonon(p: ExperimentParams) -> float:
     """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
     return float_result("per-phonon detuning", lambda: _shift(
-        _x_m2(p.m, p.omega_m), p.L, p.lam, _one_minus_rc(p.r_c)))
+        mechanics.zero_point_amplitude(p.m, p.omega_m)**2, p.L, p.lam, _one_minus_rc(p.r_c)))
 
 
 class PdhNoise(NamedTuple):
@@ -137,7 +131,7 @@ def rwa_lifetime(p: ExperimentParams) -> float:
     """
     return float_result("counter-rotating lifetime", lambda: _tau_rwa(
         p.lam, p.L, _one_minus_rc(p.r_c), p.m, p.omega_m, _kappa(p.L, p.F),
-        _x_m2(p.m, p.omega_m), p.P_in))
+        mechanics.zero_point_amplitude(p.m, p.omega_m)**2, p.P_in))
 
 
 def linear_lifetime(p: ExperimentParams) -> float:
@@ -155,7 +149,7 @@ def linear_lifetime(p: ExperimentParams) -> float:
     except (ZeroDivisionError, OverflowError):  # a power overflows, a divisor underflows
         raise SingularityError(f"{what} left the float range") from None
     # x0 = 0's infinite lifetime is by design
-    return tau if isinstance(tau, np.ndarray) or p.x0 == 0.0 else in_float_range(tau, what)
+    return tau if p.x0 == 0.0 else in_float_range(tau, what)
 
 
 class QndFlags(NamedTuple):
@@ -205,8 +199,8 @@ def _budget(p) -> QndBudget:
     L, lam, F, P_in, T, m, omega_m, Q, r_c, x0 = (p.L, p.lam, p.F, p.P_in, p.T, p.m, p.omega_m,
                                                   p.Q, p.r_c, p.x0)
     try:
-        x_m2 = _x_m2(m, omega_m)
-        one_minus_rc = _one_minus_rc(r_c)
+        x_m2 = mechanics._zero_point(m, omega_m)**2
+        one_minus_rc = 1.0 - r_c   # > 0 wherever r_c passes validation
         kappa = _kappa(L, F)
         dw = _shift(x_m2, L, lam, one_minus_rc)
         s_omega, n_bar_photons = _readout_floor(kappa, F, L, lam, P_in)
@@ -217,8 +211,8 @@ def _budget(p) -> QndBudget:
         tau_total = 1.0 / (1.0 / tau_t + 1.0 / tau_r + 1.0 / tau_l)
         snr = dw**2 * tau_total / s_omega
         gap = near_unity_gap(r_c, L)
-        n_bar = mechanics.thermal_occupation(T, omega_m)
-    except (ZeroDivisionError, OverflowError, SingularityError):  # e.g. an underflow to 0
+        n_bar = mechanics._bath_occupation(T, omega_m)
+    except (ZeroDivisionError, OverflowError):  # e.g. a divisor underflows to 0
         raise SingularityError(_FLOAT_RANGE) from None
     flags = QndFlags(tau_total * omega_m > 1.0, gap > omega_m,
                      mechanics.is_classical_bath(n_bar), omega_m > kappa)

@@ -252,6 +252,18 @@ def test_sweep_cli_bad_axis(tmp_path, row1_config):
     assert code == 1
 
 
+@pytest.mark.parametrize("axis, message", [
+    ("bogus:0:1:2", "unknown parameter 'bogus'"),
+    ("bogus:x:1:2", "could not convert string to float: 'x'"),
+])
+def test_sweep_cli_bad_axis_names_it(tmp_path, row1_config, capsys, axis, message):
+    """An unknown name or a number that does not parse is reported as a bad --axis,
+    the number first."""
+    code = run(["sweep", "--config", str(row1_config), "--axis", axis,
+                "-o", str(tmp_path / "s.csv")])
+    assert (code, capsys.readouterr().err) == (1, f"error: bad --axis '{axis}': {message}\n")
+
+
 def test_transmission_map_membrane_requires_thickness(tmp_path):
     code = run(["transmission-map", "--finesse", "200", "--length", "1.0",
                 "--wavelength", "5.32e-7", "--membrane-index", "2.0",
@@ -612,12 +624,14 @@ def test_numerical_error_in_fresh_process(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("flag", ["--version", "--help"])
 def test_unwritable_stdout_exits_one(flag):
-    """A buffered stdout that cannot be flushed gives one error line, not a traceback."""
-    with open("/dev/full", "w") as full:
-        proc = run_python("-m", "memcav.cli", flag, stdout=full)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: cannot write stdout: ")
-    assert len(proc.stderr.splitlines()) == 1
+    """A stdout that cannot be written gives one error line, not a traceback: a
+    buffered one when main() flushes it, an unbuffered one (-u) when argparse writes."""
+    for unbuffered in ([], ["-u"]):
+        with open("/dev/full", "w") as full:
+            proc = run_python(*unbuffered, "-m", "memcav.cli", flag, stdout=full)
+        assert proc.returncode == 1, unbuffered
+        assert proc.stderr.startswith("error: cannot write stdout: [Errno 28] ")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 _ATEXIT_SCRIPT = """
@@ -728,6 +742,33 @@ def test_package_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_package_tests_for_an_array_only_where_listed():
+    """Every isinstance(..., np.ndarray) in src/memcav, by module and function.
+
+    The checked formulas take floats and the shared cores take both, so a
+    formula needs no such test: only _tau_lin (a float divided by 0 raises,
+    an array gives inf), elementwise.sqrt and textio's column kinds have one.
+    A new scalar/array fork must be added here on purpose.
+    """
+    root = Path(__file__).resolve().parents[1]
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*where, child.name])
+                continue
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
+                    and "np.ndarray" in ast.unparse(child.args[1])):
+                found.append(".".join(where))
+            visit(child, where)
+
+    for path in sorted((root / "src" / "memcav").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    assert sorted(found) == ["elementwise.sqrt", "qnd._tau_lin", "textio.Table.__init__",
+                             "textio._texts"]
 
 
 _LOADED_SCRIPT = """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memcav import mechanics
-from memcav.errors import FitError, SingularityError
+from memcav.errors import FitError, SingularityError, ValidationError
 from memcav.params import HBAR
 
 
@@ -40,6 +40,16 @@ def test_thermal_occupation_values():
 def test_thermal_occupation_underflow_raises():
     with pytest.raises(SingularityError, match="underflowed"):
         mechanics.thermal_occupation(0.3, 1e-300)
+
+
+@pytest.mark.parametrize("function", [mechanics.zero_point_amplitude,
+                                      mechanics.thermal_occupation])
+@pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                  (1.0, math.inf)], ids=["nan-1", "inf-1", "1-nan", "1-inf"])
+def test_checked_functions_reject_non_finite(function, args):
+    """A NaN or infinite argument raises ValidationError, not a NaN, inf or 0 result."""
+    with pytest.raises(ValidationError, match="finite"):
+        function(*args)
 
 
 def test_thermal_occupation_linear_in_t():

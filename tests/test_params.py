@@ -135,13 +135,13 @@ def test_membrane_spec_rejects_non_finite(n_index, d):
 
 
 def test_with_value_unknown_field(row1):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="unknown parameter 'nope'"):
         with_value(row1, "nope", 1.0)
 
 
 def test_attr_name_accepts_attribute_or_config_key():
     assert attr_name("lambda") == attr_name("lam") == "lam" and attr_name("F") == "F"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         attr_name("Lambda")
 
 

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from memcav import cavity, cooling, mechanics, qnd
-from memcav.elementwise import LibmArray
 from memcav.errors import MemcavError, SingularityError, ValidationError
 from memcav.params import C_LIGHT, HBAR, ExperimentParams, validate, with_value
 from memcav.sweep import SweepAxis
@@ -333,16 +332,20 @@ def test_near_unity_forms_reject_rc_at_or_above_one(formula, r_c, x0):
     assert str(info.value) == "1 - r_c is not positive in a near-unity-reflectivity form"
 
 
+def _bits(values):
+    return [(type(v), np.asarray(v).tobytes()) for v in values]
+
+
 def _outcome(budget, p):
     """budget(p) bit by bit, or the type of the error that it raises, or that the
-    float-range rule raises for a budget of floats."""
+    float-range rule raises for its budget."""
     try:
         b = budget(p)
     except MemcavError as exc:
         return type(exc)
-    if not isinstance(b.snr, np.ndarray) and qnd._left_float_range(b, p.x0):
+    if qnd._left_float_range(b, p.x0):
         return SingularityError
-    return [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in (*b[:-1], *b.flags)]
+    return _bits((*b[:-1], *b.flags))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -387,15 +390,28 @@ def _grids(draw):
         with np.errstate(all="ignore"):   # samples of ends near the float range may overflow
             values = axis.values()
         fields[name] = values.reshape(ones[:k] + (-1,) + ones[k + 1:])
-    return SimpleNamespace(**{name: v.view(LibmArray) for name, v in fields.items()})
+    return SimpleNamespace(**fields)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_grids())
 def test_grid_budget_equals_formula_composition(grid):
-    """On a grid, invalid points included, both compositions give the same arrays bit by bit."""
-    with np.errstate(all="ignore"):
-        assert _outcome(qnd._budget, grid) == _outcome(budget_by_formulas, grid)
+    """At each valid point of a grid, budget_grid gives the bits of the five public
+    formulas composed on the point's floats, and fails the float-range rule where
+    they fail."""
+    b = qnd.budget_grid(grid)
+    shape = np.broadcast_shapes(*(v.shape for v in vars(grid).values()))
+    fields = {name: np.broadcast_to(v, shape).ravel().tolist() for name, v in vars(grid).items()}
+    for i, values in enumerate(zip(*fields.values())):
+        p = ExperimentParams(**dict(zip(fields, values)))
+        if validate(p):
+            continue
+        if b.failed[i]:
+            assert b.errors[i] == "jump budget left the float range"
+            at_point = SingularityError
+        else:
+            at_point = _bits([column[i].item() for column in (*b.values[:-1], *b.values.flags)])
+        assert at_point == _outcome(budget_by_formulas, p)
 
 
 def test_snr_nearly_linear_in_power_when_thermal_dominated(row1):

@@ -22,7 +22,7 @@ def test_axis_validation():
         sweep.SweepAxis("P_in", 1e-6, 1e-4, 1)
     with pytest.raises(ValidationError):
         sweep.SweepAxis("P_in", -1.0, 1.0, 5, "log")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="unknown parameter 'bogus'"):
         sweep.SweepAxis("bogus", 0.0, 1.0, 5)
 
 
