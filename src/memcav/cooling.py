@@ -67,13 +67,13 @@ def teff_from_area(trace: PsdTrace, m: float, omega_m: float) -> float:
     area = float(np.trapezoid(trace.psd - trace.noise_floor, trace.freq_samples))
     if area <= 0:
         raise EstimationError("non-positive spectrum area after floor subtraction")
-    return m * omega_m**2 * area / K_B
+    return float_result("effective temperature", lambda: m * omega_m**2 * area / K_B)
 
 
 def teff_from_q(t_bath: float, q_eff: float, q: float) -> float:
     """Effective temperature T Q_eff / Q from the fitted effective Q."""
     require_positive(t_bath=t_bath, q_eff=q_eff, q=q)
-    return t_bath * q_eff / q
+    return float_result("effective temperature", lambda: t_bath * q_eff / q)
 
 
 def _lorentzian(omega, amp, omega_eff, gamma_eff, floor):

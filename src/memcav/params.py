@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SingularityError, ValidationError
-from .textio import format_distinct, read_text
+from .textio import read_text
 
 
 @dataclass(frozen=True)
@@ -101,35 +101,6 @@ _RULES = (
 )
 
 
-def _failures(p, ends=None):
-    """(config key, value, holds, message) per rule, on floats or a grid's arrays, in
-    report order; past "must be finite", `finite <= ...` (implication) spares the rest.
-
-    `ends`, a grid's least and greatest value of each field (see _ends),
-    leaves out each rule that holds at them: every rule is an interval, so
-    a field whose least value meets the lower end, or whose greatest meets
-    the upper end, meets it at every point.  x0's upper end, lambda/8, is
-    least at the least lambda.  Without ends, each is NaN, which meets none.
-    """
-    ends = ends or dict.fromkeys(_ATTR_TO_KEY, (math.nan, math.nan))
-    for attrs, low, closed, high in _RULES:
-        for attr in attrs:
-            key, value = _ATTR_TO_KEY[attr], getattr(p, attr)
-            least, greatest = ends[attr]
-            if math.isfinite(least) and math.isfinite(greatest):
-                finite = True
-            else:
-                finite = np.isfinite(value)
-                yield key, value, finite, "must be finite"
-            if not (low <= least if closed else low < least):
-                above = value >= low if closed else value > low
-                yield key, value, finite <= above, f"must be {'>=' if closed else '>'} {low:g}"
-            if high != math.inf and not greatest < (ends["lam"][0] / 8.0 if high is None else high):
-                below = (p.lam > 0.0) <= (value < p.lam / 8.0) if high is None else value < high
-                yield key, value, finite <= below, \
-                    "must be < " + ("lambda/8" if high is None else f"{high:g}")
-
-
 def _valid(p) -> bool:
     """Whether p's fields, floats, pass every rule."""
     for attrs, low, closed, high in _RULES:
@@ -142,27 +113,33 @@ def _valid(p) -> bool:
     return True
 
 
+def _messages(key, value, low, closed, high, lam) -> list[str]:
+    """validate's messages for one field's value, a float: "must be finite" alone, or
+    its lower end's then its upper end's; lam bounds x0 (high None) where lam > 0."""
+    if not math.isfinite(value):
+        return [f"{key} must be finite (got {value})"]
+    failed = []
+    if not (low <= value if closed else low < value):
+        failed.append(f"{key} must be {'>=' if closed else '>'} {low:g} (got {value})")
+    if high is None:
+        if lam > 0.0 and not value < lam / 8.0:
+            failed.append(f"{key} must be < lambda/8 (got {value})")
+    elif not value < high:
+        failed.append(f"{key} must be < {high:g} (got {value})")
+    return failed
+
+
 def validate(p: ExperimentParams) -> list[str]:
     """Check every parameter invariant; return violations, empty if valid.
 
-    Violations are data, not errors: each failed invariant produces one
-    message, ordered deterministically by config-key name.  A non-finite
-    value gives a single "must be finite" message for its key.
+    Violations are data, not errors: one message per failed invariant, in
+    config-key order, and "must be finite" alone for a non-finite value.
+    p's fields are floats, as any checked formula's; a grid goes to grid_violations.
     """
     if _valid(p):
         return []
-    return [f"{key} {msg} (got {got})" for key, got, holds, msg in _failures(p) if not holds]
-
-
-def _ends(p) -> dict[str, tuple[float, float]]:
-    """A grid's least and greatest value of each field; NaN propagates to both."""
-    ends = {}
-    for attr, value in vars(p).items():
-        if value.size == 1:   # a field no axis sweeps
-            ends[attr] = (value.item(),) * 2
-        else:
-            ends[attr] = value.min().item(), value.max().item()
-    return ends
+    return [msg for attrs, *rule in _RULES for attr in attrs
+            for msg in _messages(_ATTR_TO_KEY[attr], getattr(p, attr), *rule, p.lam)]
 
 
 def grid_violations(p, shape: tuple) -> np.ndarray:
@@ -170,19 +147,25 @@ def grid_violations(p, shape: tuple) -> np.ndarray:
 
     p's fields are arrays that broadcast to `shape`.  Each point holds the
     messages validate gives there, joined by "; ", and "" where it gives
-    none.  Only a rule that fails at an end of its field is checked point
-    by point, and it formats a message only for a failing point, and once
-    per distinct value.
+    none.  validate's rules run on each field's own values (x0's broadcast
+    against lambda's alone), and the field's messages are broadcast to the points.
     """
     found = np.full(math.prod(shape), "", dtype=object)
-    for key, value, holds, msg in _failures(p, _ends(p)):
-        if not holds.all():
-            where = np.flatnonzero(np.broadcast_to(~holds, shape))
-            got = np.broadcast_to(value, shape).ravel()[where]
-            texts = np.array(format_distinct(
-                got, lambda vs: [f"{key} {msg} (got {v})" for v in vs.tolist()]), dtype=object)
-            prev = found[where]
-            found[where] = np.where(prev == "", texts, prev + "; " + texts)
+    for attrs, low, closed, high in _RULES:
+        for attr in attrs:
+            key, value = _ATTR_TO_KEY[attr], getattr(p, attr)
+            lams = [math.nan] * value.size   # read by x0's rule alone
+            if high is None:
+                value, lams = np.broadcast_arrays(value, p.lam)
+                lams = lams.ravel().tolist()
+            texts = ["; ".join(_messages(key, v, low, closed, high, lam))
+                     for v, lam in zip(value.ravel().tolist(), lams)]
+            if any(texts):
+                texts = np.array(texts, dtype=object).reshape(value.shape)
+                where = np.flatnonzero(np.broadcast_to(texts != "", shape))
+                texts = np.broadcast_to(texts, shape).ravel()[where]
+                prev = found[where]
+                found[where] = np.where(prev == "", texts, prev + "; " + texts)
     return found
 
 

@@ -33,7 +33,7 @@ from . import mechanics
 from .elementwise import LibmArray, sqrt
 from .errors import SingularityError, ValidationError
 from .params import (C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, float_result,
-                     grid_violations, in_float_range, validate)
+                     grid_violations, in_float_range, require_positive, validate)
 
 
 def _kappa(L, F) -> float:
@@ -90,8 +90,9 @@ def _tau_lin(m, omega_m, L, lam, one_minus_rc, kappa, P_in, x0):
 
 def detuning_per_phonon(p: ExperimentParams) -> float:
     """Cavity shift per phonon, 16 pi^2 c x_m^2 / (L lam^2 sqrt(2(1-r_c)))."""
+    require_positive(m=p.m, omega_m=p.omega_m)
     return float_result("per-phonon detuning", lambda: _shift(
-        mechanics.zero_point_amplitude(p.m, p.omega_m)**2, p.L, p.lam, _one_minus_rc(p.r_c)))
+        mechanics._zero_point(p.m, p.omega_m)**2, p.L, p.lam, _one_minus_rc(p.r_c)))
 
 
 class PdhNoise(NamedTuple):
@@ -129,9 +130,10 @@ def rwa_lifetime(p: ExperimentParams) -> float:
               / (8 pi^3 x_m^2 c P_in),
     equal to the golden-rule route 1 / ((shift/phonon)^2 S_NN(-2 omega_m) / 2).
     """
+    require_positive(m=p.m, omega_m=p.omega_m)
     return float_result("counter-rotating lifetime", lambda: _tau_rwa(
         p.lam, p.L, _one_minus_rc(p.r_c), p.m, p.omega_m, _kappa(p.L, p.F),
-        mechanics.zero_point_amplitude(p.m, p.omega_m)**2, p.P_in))
+        mechanics._zero_point(p.m, p.omega_m)**2, p.P_in))
 
 
 def linear_lifetime(p: ExperimentParams) -> float:

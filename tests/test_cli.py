@@ -744,14 +744,9 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
-def test_package_tests_for_an_array_only_where_listed():
-    """Every isinstance(..., np.ndarray) in src/memcav, by module and function.
-
-    The checked formulas take floats and the shared cores take both, so a
-    formula needs no such test: only _tau_lin (a float divided by 0 raises,
-    an array gives inf), elementwise.sqrt and textio's column kinds have one.
-    A new scalar/array fork must be added here on purpose.
-    """
+def _package_nodes_where(matches, pattern="*.py"):
+    """module.function (or module.Class.method) of each node of the src/memcav
+    modules named by pattern for which matches(node) holds, one entry per node."""
     root = Path(__file__).resolve().parents[1]
     found = []
 
@@ -760,15 +755,41 @@ def test_package_tests_for_an_array_only_where_listed():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, [*where, child.name])
                 continue
-            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance"
-                    and "np.ndarray" in ast.unparse(child.args[1])):
+            if matches(child):
                 found.append(".".join(where))
             visit(child, where)
 
-    for path in sorted((root / "src" / "memcav").glob("*.py")):
+    for path in sorted((root / "src" / "memcav").glob(pattern)):
         visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_package_tests_for_an_array_only_where_listed():
+    """Every isinstance(..., np.ndarray) in src/memcav, by module and function.
+
+    The checked formulas take floats and the shared cores take both, so a
+    formula needs no such test: only _tau_lin (a float divided by 0 raises,
+    an array gives inf), elementwise.sqrt and textio's column kinds have one.
+    A new scalar/array fork must be added here on purpose.
+    """
+    found = _package_nodes_where(
+        lambda node: (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                      and "np.ndarray" in ast.unparse(node.args[1])))
     assert sorted(found) == ["elementwise.sqrt", "qnd._tau_lin", "textio.Table.__init__",
                              "textio._texts"]
+
+
+def test_params_uses_numpy_only_in_grid_violations():
+    """Every np. name in params.py, by function.
+
+    The parameter rules take floats, as the checked formulas do; only
+    grid_violations, which runs them on each field's own values of a grid,
+    handles arrays.  A new array rule must be added here on purpose.
+    """
+    found = _package_nodes_where(
+        lambda node: isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np",
+        "params.py")
+    assert set(found) == {"params.grid_violations"}
 
 
 _LOADED_SCRIPT = """

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from memcav import cooling
-from memcav.errors import EstimationError, ValidationError
+from memcav.errors import EstimationError, SingularityError, ValidationError
 from memcav.params import K_B
 from memcav.cooling import PsdTrace
 
@@ -107,6 +107,20 @@ def test_teff_from_q_coldest_point():
     factor = 294.0 / t
     assert math.isclose(factor, 4.31e4, rel_tol=5e-3)
     assert abs(factor / 4.4e4 - 1) < 0.05
+
+
+_FLAT = PsdTrace(np.linspace(1e5, 2e5, 11), np.full(11, 1e-20))   # area 1e-15 m^2
+
+
+# a step overflows (omega_m^2) or the result overflows to inf or underflows to 0
+@pytest.mark.parametrize("function, args", [
+    (cooling.teff_from_q, (1e-300, 1e300, 5e-324)), (cooling.teff_from_q, (1e300, 1e300, 1.0)),
+    (cooling.teff_from_q, (1e-300, 1e-300, 1e300)), (cooling.teff_from_area, (_FLAT, 1e300, 1e10)),
+    (cooling.teff_from_area, (_FLAT, 1.0, 1e300)), (cooling.teff_from_area, (_FLAT, 5e-324, 1.0)),
+])
+def test_teff_out_of_float_range(function, args):
+    with pytest.raises(SingularityError, match="^effective temperature left the float range$"):
+        function(*args)
 
 
 # ---------------------------------------------------------------------------

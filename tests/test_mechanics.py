@@ -32,6 +32,7 @@ def test_zero_point_identity():
 
 def test_thermal_occupation_values():
     assert mechanics.thermal_occupation(0.0, 6.2832e5) == 0.0
+    assert mechanics.thermal_occupation(5e-324, 1e10) == 0.0   # k_B T underflows: 0, not an error
     assert math.isclose(mechanics.thermal_occupation(0.3, 6.2832e5), 6.25e4, rel_tol=2e-3)
     n = mechanics.thermal_occupation(1e-3, OMEGA_134K)
     assert math.isclose(n, 155.5, rel_tol=1e-2)
@@ -50,6 +51,25 @@ def test_checked_functions_reject_non_finite(function, args):
     """A NaN or infinite argument raises ValidationError, not a NaN, inf or 0 result."""
     with pytest.raises(ValidationError, match="finite"):
         function(*args)
+
+
+# (function, positive finite arguments, what its error names): a step raises
+# on the way (2 m omega_m underflows to 0, omega_m^2 overflows) or the result
+# leaves the float range (x_m underflows to 0, a product overflows to inf)
+@pytest.mark.parametrize("function, args, what", [
+    (mechanics.zero_point_amplitude, (1e-200, 1e-200), "zero-point amplitude"),
+    (mechanics.zero_point_amplitude, (5e-324, 5e-324), "zero-point amplitude"),
+    (mechanics.zero_point_amplitude, (1e300, 1e10), "zero-point amplitude"),
+    (mechanics.spring_constant, (1e300, 1e10), "spring constant"),
+    (mechanics.spring_constant, (5e-324, 1e300), "spring constant"),
+    (mechanics.q_from_ringdown, (1e300, 1e10), "quality factor"),
+    (mechanics.ringdown_time_from_q, (1e-10, 5e-324), "ringdown time"),
+    (mechanics.thermal_occupation, (1e300, 1e-10), "thermal occupation"),
+])
+def test_checked_functions_name_what_left_the_float_range(function, args, what):
+    with pytest.raises(SingularityError) as info:
+        function(*args)
+    assert str(info.value) == f"{what} left the float range"
 
 
 def test_thermal_occupation_linear_in_t():

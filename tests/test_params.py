@@ -224,16 +224,24 @@ def _grids(draw):
     return fields, np.broadcast_shapes(*(v.shape for v in fields.values()))
 
 
-def _edge_axis(name, values):
-    """A grid like _grids' of row 1 with one axis, along which `name` takes `values`."""
-    fields = {other: np.full((1,), v) for other, v in _ROW1.items()}
-    fields[name] = np.array(values)
-    return fields, (len(values),)
+def _axes_grid(*axes):
+    """A grid like _grids' of row 1 whose axes, in order, are (name, values) pairs."""
+    ones = (1,) * len(axes)
+    fields = {name: np.full(ones, v) for name, v in _ROW1.items()}
+    for k, (name, values) in enumerate(axes):
+        fields[name] = np.array(values).reshape(ones[:k] + (-1,) + ones[k + 1:])
+    return fields, np.broadcast_shapes(*(v.shape for v in fields.values()))
+
+
+# x0's lambda/8 rule holds only where lambda > 0
+_LAM_AXIS = ("lam", [_ROW1["lam"], 0.0, -0.0, -1.0, math.nan, math.inf])
+_X0_AXIS = ("x0", [0.0, -0.0, _ROW1["lam"] / 8, 1e-7, 1.0, math.nan, math.inf])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_grids())
-@_examples([_edge_axis(name, values) for name, values in _EDGES.items()])
+@_examples([_axes_grid((name, values)) for name, values in _EDGES.items()])
+@_examples([_axes_grid(_LAM_AXIS, _X0_AXIS), _axes_grid(_X0_AXIS, _LAM_AXIS)])
 def test_grid_violations_equal_validate_at_every_point(grid):
     fields, shape = grid
     expected = ["; ".join(validate(ExperimentParams(**{name: np.broadcast_to(v, shape)[at].item()
