@@ -6,8 +6,9 @@ metadata echo (tool version, resolved parameters, seeds), as (writer, path,
 the run created (a path that existed before stays).  Nothing is
 time-dependent, so identical invocations give byte-identical outputs.
 Exit codes: 0 success, 1 validation/config error, 2 numerical or fit error.
-Each command imports the modules it runs inside its function, so that a
-fresh process loads no other.
+Each command imports the modules it runs inside its function, after it has
+read its config, so that a fresh process loads no other: qnd-budget,
+--help, --version, a usage error and a config error load no numpy.
 
 main(), the `memcav` script, flushes stdout and stderr once run() returns
 and then ends the process with os._exit: the interpreter's teardown, which
@@ -22,8 +23,6 @@ import contextlib
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import MemcavError, NumericsError, ValidationError
@@ -140,10 +139,10 @@ def _x_span(args, lam: float) -> tuple[float, float]:
 
 
 def _cmd_bandstructure(args) -> list:
-    from . import cavity
     samples = _count(args.samples, MAX_SAMPLES, "--samples", lowest=2)
     bands = _count(args.bands, MAX_BANDS, "--bands")
     r_c, _, L, lam = _optics(args, ("r_c", "L", "lam"))
+    from . import cavity
     bs = cavity.band_structure(r_c, L, lam, _x_span(args, lam), samples, bands)
     header, rows = cavity.band_structure_rows(bs)
     meta = _base_metadata(args)
@@ -152,7 +151,6 @@ def _cmd_bandstructure(args) -> list:
 
 
 def _cmd_transmission_map(args) -> list:
-    from . import cavity
     det_samples = _count(args.det_samples, MAX_MAP_SAMPLES, "--det-samples")
     x_samples = _count(args.x_samples, MAX_MAP_SAMPLES, "--x-samples")
     _requires(args, "membrane_index", "membrane_thickness")
@@ -164,6 +162,8 @@ def _cmd_transmission_map(args) -> list:
     r_c, F, L, lam = _optics(args, ("F", "L", "lam") if membrane else ("r_c", "F", "L", "lam"))
     if membrane:
         r_c = None
+    import numpy as np
+    from . import cavity
     det = np.linspace(*_span(args.det_min, args.det_max, "--det-min/--det-max"), det_samples)
     xs = np.linspace(*_x_span(args, lam), x_samples)
     tm = cavity.transmission_map(F, L, lam, det, xs, r_c=r_c, membrane=membrane)
@@ -243,8 +243,8 @@ def _simulate(args, threshold=None):
     and its metadata are None without a bin width.  The bin width and a
     detection threshold are checked before anything is simulated.
     """
-    from . import jumpsim, qnd
     p = load_config(args.config)
+    from . import jumpsim, qnd
     if args.bin_width is not None:
         jumpsim.readout_bins(args.duration, args.bin_width)
     if threshold is not None:
@@ -277,8 +277,8 @@ def _cmd_jump_sim(args) -> list:
 
 
 def _cmd_jump_stats(args) -> list:
-    from . import jumpsim
     _, trace, _, meta_r = _simulate(args, args.threshold)
+    from . import jumpsim
     stats = jumpsim.jump_detection_stats(trace, args.threshold)
     payload = {
         "detection_probability": stats.detection_probability,
@@ -309,12 +309,12 @@ def _parse_axis(text: str) -> sweep.SweepAxis:
 
 
 def _cmd_sweep(args) -> list:
-    from . import sweep
     _requires(args, "maximize", "best")
     refine_iters = (3 if args.refine_iters is None else
                     _count(args.refine_iters, MAX_REFINE_ITERS, "--refine-iters", lowest=0))
     _requires(args, "refine_iters", "maximize")
     p = load_config(args.config)
+    from . import sweep
     axes = [_parse_axis(a) for a in args.axis]
     result = sweep.grid_sweep(p, axes)
     meta = _base_metadata(args, p)

@@ -49,10 +49,11 @@ class PsdTrace:
 
 
 def psd_model(omega, m: float, t_eff: float, omega_eff: float, gamma_eff: float):
-    """Thermally driven damped oscillator PSD at omega = 2 pi nu [m^2/Hz]."""
+    """Thermally driven damped oscillator PSD at omega = 2 pi nu [m^2/Hz]; raises
+    SingularityError where its amplitude 4 k_B T_eff gamma_eff / m leaves the float range."""
     require_positive(m=m, t_eff=t_eff, omega_eff=omega_eff, gamma_eff=gamma_eff)
-    omega = np.asarray(omega, dtype=float)
-    out = _lorentzian(omega, 4.0 * K_B * t_eff * gamma_eff / m, omega_eff, gamma_eff, 0.0)
+    amplitude = float_result("PSD amplitude", lambda: 4.0 * K_B * t_eff * gamma_eff / m)
+    out = _lorentzian(np.asarray(omega, dtype=float), amplitude, omega_eff, gamma_eff, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

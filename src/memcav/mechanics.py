@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import math
 
-from .elementwise import sqrt
 from .errors import SingularityError, ValidationError
 from .params import HBAR, K_B, float_result, require_positive
 
 # Below this bath occupation the classical-bath assumption n_bar >> 1 breaks.
 CLASSICAL_NBAR_MIN = 10.0
+
+
+def sqrt(x):
+    """math.sqrt of a number; a sweep grid's column (sweep.LibmArray) takes its own."""
+    return x.sqrt() if hasattr(x, "sqrt") else math.sqrt(x)
 
 
 def _zero_point(m, omega_m):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, SingularityError, ValidationError
 from .textio import read_text
 
@@ -134,39 +132,13 @@ def validate(p: ExperimentParams) -> list[str]:
 
     Violations are data, not errors: one message per failed invariant, in
     config-key order, and "must be finite" alone for a non-finite value.
-    p's fields are floats, as any checked formula's; a grid goes to grid_violations.
+    p's fields are floats, as any checked formula's; a grid goes to
+    sweep.grid_violations.
     """
     if _valid(p):
         return []
     return [msg for attrs, *rule in _RULES for attr in attrs
             for msg in _messages(_ATTR_TO_KEY[attr], getattr(p, attr), *rule, p.lam)]
-
-
-def grid_violations(p, shape: tuple) -> np.ndarray:
-    """validate() at every point of a grid, as one row-major object column.
-
-    p's fields are arrays that broadcast to `shape`.  Each point holds the
-    messages validate gives there, joined by "; ", and "" where it gives
-    none.  validate's rules run on each field's own values (x0's broadcast
-    against lambda's alone), and the field's messages are broadcast to the points.
-    """
-    found = np.full(math.prod(shape), "", dtype=object)
-    for attrs, low, closed, high in _RULES:
-        for attr in attrs:
-            key, value = _ATTR_TO_KEY[attr], getattr(p, attr)
-            lams = [math.nan] * value.size   # read by x0's rule alone
-            if high is None:
-                value, lams = np.broadcast_arrays(value, p.lam)
-                lams = lams.ravel().tolist()
-            texts = ["; ".join(_messages(key, v, low, closed, high, lam))
-                     for v, lam in zip(value.ravel().tolist(), lams)]
-            if any(texts):
-                texts = np.array(texts, dtype=object).reshape(value.shape)
-                where = np.flatnonzero(np.broadcast_to(texts != "", shape))
-                texts = np.broadcast_to(texts, shape).ravel()[where]
-                prev = found[where]
-                found[where] = np.where(prev == "", texts, prev + "; " + texts)
-    return found
 
 
 def require_positive(error: type = ValidationError, /, **values: float) -> None:
@@ -179,7 +151,7 @@ def require_positive(error: type = ValidationError, /, **values: float) -> None:
 
 def in_float_range(value: float, what: str) -> float:
     """value, a float, or SingularityError("<what> left the float range") where it
-    is not positive and finite; a grid's points fail by qnd.budget_grid's rule."""
+    is not positive and finite; a grid's points fail by sweep.budget_grid's rule."""
     if not 0.0 < value < math.inf:
         raise SingularityError(f"{what} left the float range")
     return value

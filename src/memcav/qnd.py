@@ -17,23 +17,19 @@ from the total decay rate.
 The public formulas take floats, and raise SingularityError where a step or
 the result leaves the float range (params.float_result): a power overflows,
 a divisor underflows to 0, or the result is not positive and finite.  A grid
-goes through budget_grid, which calls the same cores on arrays.
+goes through sweep.budget_grid, which calls the same cores on its columns,
+sweep.LibmArrays; this module uses the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
-import numpy as np
-
 from . import mechanics
-from .elementwise import LibmArray, sqrt
 from .errors import SingularityError, ValidationError
 from .params import (C_LIGHT, ExperimentParams, HBAR, K_B, as_dict, float_result,
-                     grid_violations, in_float_range, require_positive, validate)
+                     in_float_range, require_positive, validate)
 
 
 def _kappa(L, F) -> float:
@@ -51,16 +47,17 @@ def _one_minus_rc(r_c: float) -> float:
 
 def near_unity_gap(r_c: float, L: float) -> float:
     """Band gap at the extremum, (c/L) sqrt(8 (1 - r_c)) [rad/s], unchecked and
-    elementwise on arrays."""
-    return (C_LIGHT / L) * sqrt(8.0 * (1.0 - r_c))
+    elementwise on a sweep grid's columns."""
+    return (C_LIGHT / L) * mechanics.sqrt(8.0 * (1.0 - r_c))
 
 
 # The formulas' cores: each takes the quantities it shares with the others
 # (x_m^2, 1 - r_c, kappa) ready-made, checks nothing, and runs on floats or
-# on arrays that broadcast.  The public formulas below and _budget call them.
+# on a sweep grid's columns, which broadcast.  The public formulas below and
+# _budget call them.
 
 def _shift(x_m2, L, lam, one_minus_rc):
-    return 16.0 * math.pi**2 * C_LIGHT * x_m2 / (L * lam**2 * sqrt(2.0 * one_minus_rc))
+    return 16.0 * math.pi**2 * C_LIGHT * x_m2 / (L * lam**2 * mechanics.sqrt(2.0 * one_minus_rc))
 
 
 def _readout_floor(kappa, F, L, lam, P_in):
@@ -79,13 +76,14 @@ def _tau_rwa(lam, L, one_minus_rc, m, omega_m, kappa, x_m2, P_in):
 
 
 def _tau_lin(m, omega_m, L, lam, one_minus_rc, kappa, P_in, x0):
-    """linear_lifetime's tau, math.inf where x0 = 0, elementwise on a grid."""
-    grid = isinstance(x0, np.ndarray)
+    """linear_lifetime's tau, math.inf where x0 = 0; a sweep grid's x0 column
+    (sweep.LibmArray) sets its own points at x0 = 0."""
+    grid = hasattr(x0, "inf_where_zero")
     if not grid and x0 == 0.0:
         return math.inf
     tau = (m * omega_m * L**2 * lam**3 * one_minus_rc * (4.0 * omega_m**2 + kappa**2)
            / (256.0 * math.pi**3 * P_in * C_LIGHT * x0**2))
-    return np.where(x0 == 0.0, math.inf, tau) if grid else tau
+    return x0.inf_where_zero(tau) if grid else tau
 
 
 def detuning_per_phonon(p: ExperimentParams) -> float:
@@ -191,7 +189,7 @@ _FLOAT_RANGE = "jump budget left the float range"
 
 
 def _budget(p) -> QndBudget:
-    """The budget of p, without validating p, on floats or on arrays that broadcast.
+    """The budget of p, without validating p, on floats or on a sweep grid's columns.
 
     x_m^2, 1 - r_c and kappa are computed once and handed to the formulas'
     cores, whose results are not range-checked one by one: on floats, a step
@@ -256,53 +254,6 @@ def jump_budget(p: ExperimentParams) -> QndBudget:
     if _left_float_range(b, p.x0):
         raise SingularityError(_FLOAT_RANGE)
     return b
-
-
-@dataclass(frozen=True)
-class BudgetGrid:
-    """jump_budget at every point of a grid, as flat row-major columns.
-
-    `values` is a QndBudget whose fields, and whose flags' fields, are the
-    columns; they hold NaN and False at the `failed` points.  `errors` is
-    an object column of the message jump_budget raises at each point, ""
-    where it raises none; `failed` is where it is not "".
-    """
-
-    values: QndBudget
-    errors: np.ndarray
-    failed: np.ndarray
-    feasible: np.ndarray
-
-
-def budget_grid(p) -> BudgetGrid:
-    """The budget of every point of p, whose fields are arrays that broadcast.
-
-    One broadcast pass through jump_budget's formulas and float-range rule,
-    so every point fails, or not, as jump_budget does there, and every
-    value is bit-identical to jump_budget's.
-    """
-    shape = np.broadcast_shapes(*(v.shape for v in vars(p).values()))
-    errors = grid_violations(p, shape)
-
-    def columns(values, dtype):
-        """Each of values broadcast to shape, as a flat row-major column of one new block."""
-        out = np.empty((len(values), *shape), dtype)
-        for column, v in zip(out, values):
-            column[...] = v
-        return out.reshape(len(values), -1)
-
-    with np.errstate(all="ignore"):
-        # as LibmArrays, whose x**k rounds as a float's
-        b = _budget(SimpleNamespace(**{attr: v.view(LibmArray) for attr, v in vars(p).items()}))
-        values, flags = columns(b[:-1], float), columns(b.flags, bool)
-        out_of_range = _left_float_range(QndBudget(*values, None),
-                                         np.broadcast_to(p.x0, shape).ravel())
-    invalid = errors != ""
-    errors[out_of_range & ~invalid] = _FLOAT_RANGE
-    failed = invalid | out_of_range
-    values[:, failed] = np.nan
-    flags[:, failed] = False
-    return BudgetGrid(QndBudget(*values, QndFlags(*flags)), errors, failed, flags.all(axis=0))
 
 
 def budget_fields(b: QndBudget) -> dict:

@@ -5,25 +5,139 @@ passes.  Singular or invalid grid points are recorded as failures and the
 sweep continues.  Ties break toward the lowest flattened grid index, and
 refinement never returns a point worse than the best feasible grid point.
 
-A grid is evaluated in one broadcast pass (qnd.budget_grid) and kept as
-columns; per-point objects are built only when asked for.
+A grid is evaluated in one broadcast pass (budget_grid) and kept as
+columns; per-point objects are built only when asked for.  The grid half of
+the jump budget lives here alone: the columns' arithmetic (LibmArray),
+validate's rules at every point (grid_violations) and the float-range rule
+on columns (budget_grid).  params, qnd and mechanics take floats and import
+no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import qnd
 from .errors import MemcavError, ValidationError
-from .params import CONFIG_KEYS, MAX_SWEEP_POINTS, ExperimentParams, attr_name
+from .params import (_ATTR_TO_KEY, _RULES, CONFIG_KEYS, MAX_SWEEP_POINTS, ExperimentParams,
+                     _messages, attr_name)
 from .textio import Table
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 40   # golden-section steps per axis and refinement round
+
+
+class LibmArray(np.ndarray):
+    """A grid's column, whose ``x**k`` rounds as a Python float's does.
+
+    numpy's integer power need not: builds that vectorise pow (AVX-512 hosts)
+    differ in the last bit from Python's float ``**``, which calls the C
+    library's pow, for about 5 % of doubles cubed.  Every other operation is
+    numpy's own and gives a LibmArray (np.where's does not), so the budget's
+    formulas, written for floats, give the same bits on a grid.  Where a
+    float's power would raise OverflowError, the element becomes inf, which
+    the float-range rule reports as a failed point.  sqrt and inf_where_zero
+    are the array half of the cores' two forks, mechanics.sqrt and qnd._tau_lin.
+    """
+
+    def __pow__(self, k):
+        flat = self.ravel().tolist()
+        out = np.fromiter(map(_pow_or_inf, flat, repeat(k)), float, len(flat))
+        return out.reshape(self.shape).view(LibmArray)
+
+    def sqrt(self):
+        return np.sqrt(self)
+
+    def inf_where_zero(self, values):
+        """values, inf where this array is 0 (x0 = 0 has no linear-coupling channel)."""
+        return np.where(self == 0.0, math.inf, values)
+
+
+def _pow_or_inf(v: float, k) -> float:
+    try:
+        return v**k
+    except OverflowError:
+        return math.inf
+
+
+def grid_violations(p, shape: tuple) -> np.ndarray:
+    """params.validate() at every point of a grid, as one row-major object column.
+
+    p's fields are arrays that broadcast to `shape`.  Each point holds the
+    messages validate gives there, joined by "; ", and "" where it gives
+    none.  validate's rules run on each field's own values (x0's broadcast
+    against lambda's alone), and the field's messages are broadcast to the points.
+    """
+    found = np.full(math.prod(shape), "", dtype=object)
+    for attrs, low, closed, high in _RULES:
+        for attr in attrs:
+            key, value = _ATTR_TO_KEY[attr], getattr(p, attr)
+            lams = [math.nan] * value.size   # read by x0's rule alone
+            if high is None:
+                value, lams = np.broadcast_arrays(value, p.lam)
+                lams = lams.ravel().tolist()
+            texts = ["; ".join(_messages(key, v, low, closed, high, lam))
+                     for v, lam in zip(value.ravel().tolist(), lams)]
+            if any(texts):
+                texts = np.array(texts, dtype=object).reshape(value.shape)
+                where = np.flatnonzero(np.broadcast_to(texts != "", shape))
+                texts = np.broadcast_to(texts, shape).ravel()[where]
+                prev = found[where]
+                found[where] = np.where(prev == "", texts, prev + "; " + texts)
+    return found
+
+
+@dataclass(frozen=True)
+class BudgetGrid:
+    """qnd.jump_budget at every point of a grid, as flat row-major columns.
+
+    `values` is a QndBudget whose fields, and whose flags' fields, are the
+    columns; they hold NaN and False at the `failed` points.  `errors` is
+    an object column of the message jump_budget raises at each point, ""
+    where it raises none; `failed` is where it is not "".
+    """
+
+    values: qnd.QndBudget
+    errors: np.ndarray
+    failed: np.ndarray
+    feasible: np.ndarray
+
+
+def budget_grid(p) -> BudgetGrid:
+    """The budget of every point of p, whose fields are arrays that broadcast.
+
+    One broadcast pass through qnd.jump_budget's formulas and float-range
+    rule, so every point fails, or not, as jump_budget does there, and every
+    value is bit-identical to jump_budget's.
+    """
+    shape = np.broadcast_shapes(*(v.shape for v in vars(p).values()))
+    errors = grid_violations(p, shape)
+
+    def columns(values, dtype):
+        """Each of values broadcast to shape, as a flat row-major column of one new block."""
+        out = np.empty((len(values), *shape), dtype)
+        for column, v in zip(out, values):
+            column[...] = v
+        return out.reshape(len(values), -1)
+
+    with np.errstate(all="ignore"):
+        b = qnd._budget(SimpleNamespace(**{attr: v.view(LibmArray)
+                                           for attr, v in vars(p).items()}))
+        values, flags = columns(b[:-1], float), columns(b.flags, bool)
+        out_of_range = qnd._left_float_range(qnd.QndBudget(*values, None),
+                                             np.broadcast_to(p.x0, shape).ravel())
+    invalid = errors != ""
+    errors[out_of_range & ~invalid] = qnd._FLOAT_RANGE
+    failed = invalid | out_of_range
+    values[:, failed] = np.nan
+    flags[:, failed] = False
+    return BudgetGrid(qnd.QndBudget(*values, qnd.QndFlags(*flags)), errors, failed,
+                      flags.all(axis=0))
 
 
 @dataclass(frozen=True)
@@ -75,7 +189,7 @@ class SweepResult:
     shape: tuple
     base: ExperimentParams
     samples: dict            # swept attribute -> its axis values, in axis order
-    budget: qnd.BudgetGrid
+    budget: BudgetGrid
     _entries: dict = field(default_factory=dict, init=False, repr=False)  # flat index -> SweepEntry
 
     def entry(self, i: int) -> SweepEntry:
@@ -129,7 +243,7 @@ def grid_sweep(base: ExperimentParams, axes) -> SweepResult:
     fields = {attr: np.full(ones, value, dtype=float) for attr, value in vars(base).items()}
     for k, attr in enumerate(attrs):
         fields[attr] = samples[attr].reshape(ones[:k] + (-1,) + ones[k + 1:])
-    return SweepResult(axes, shape, base, samples, qnd.budget_grid(SimpleNamespace(**fields)))
+    return SweepResult(axes, shape, base, samples, budget_grid(SimpleNamespace(**fields)))
 
 
 def golden_section(f, a: float, b: float) -> tuple[float, float]:

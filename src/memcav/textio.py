@@ -17,6 +17,7 @@ An existing file is rewritten in place, not truncated first, and a regular
 file is then cut to the length written, also when the write fails, so no
 old tail survives.  A file truncated to zero and rewritten is written back
 at close on ext4 (its auto_da_alloc), which costs more than the write.
+Only the CSV functions import numpy, so a config read or a JSON write loads none.
 """
 
 from __future__ import annotations
@@ -26,23 +27,17 @@ import os
 import stat
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NumericsError, ValidationError
 
 
+_VALUE_TEXT = {bool: lambda v: "1" if v else "0", float: "{:.17g}".format}
+
+
 def format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
-
-
-def metadata_lines(metadata: dict) -> list[str]:
-    return [f"# {key} = {format_value(val)}" for key, val in metadata.items()]
+    """A metadata value's text: a bool as 1 or 0, a float as %.17g, anything else as str."""
+    if type(v).__module__ == "numpy":   # a numpy scalar, as the Python value it holds
+        v = v.item()
+    return _VALUE_TEXT.get(type(v), str)(v)
 
 
 def format_distinct(values, format_all) -> list[str]:
@@ -53,6 +48,7 @@ def format_distinct(values, format_all) -> list[str]:
     The values are sorted once, by their int64 view.  Bit patterns tell -0.0
     from 0.0 and match a NaN with itself, so neither needs a rule of its own.
     """
+    import numpy as np
     values = np.asarray(values)
     bits = values.view(np.int64)
     ascending = np.sort(bits)
@@ -66,6 +62,7 @@ def format_distinct(values, format_all) -> list[str]:
 
 def _float_cells(values):
     """%.17g of each float, in one % call, which round-trips; a NaN, a missing value, is blank."""
+    import numpy as np
     texts = np.array((("%.17g\n" * values.size) % tuple(values.tolist())).split("\n"),
                      dtype=object)   # one more, "", after the last
     texts[:values.size][np.isnan(values)] = ""
@@ -76,7 +73,8 @@ def _int_cells(values):
     return (("%d\n" * values.size) % tuple(values.tolist())).split("\n")
 
 
-_CELLS = {np.dtype(np.float64): _float_cells, np.dtype(np.int64): _int_cells}
+# keyed by dtype.type.__name__, which reads ~20x faster than dtype.name
+_CELLS = {"float64": _float_cells, "int64": _int_cells}
 _BATCH = 8192   # rows formatted per write
 
 
@@ -88,11 +86,12 @@ class Table:
     """
 
     def __init__(self, *columns):
+        import numpy as np
         lengths = {len(col) for col in columns}
         if len(lengths) != 1:
             raise ValueError(f"table columns must share one length (got {sorted(lengths)})")
-        if any(isinstance(col, np.ndarray) and (col.dtype not in _CELLS or col.ndim != 1)
-               for col in columns):
+        if any(isinstance(col, np.ndarray)
+               and (col.dtype.type.__name__ not in _CELLS or col.ndim != 1) for col in columns):
             raise ValueError("table arrays must be 1-D float64 or int64")
         self.columns = columns
         self.rows = lengths.pop()
@@ -107,11 +106,13 @@ class Table:
 
 def _texts(column):
     """The cell texts of one column of a batch."""
+    import numpy as np
     if not isinstance(column, np.ndarray):
         return column   # str already
+    cells = _CELLS[column.dtype.type.__name__]
     if column.strides == (0,):   # one value, broadcast
-        return format_distinct(column[:1], _CELLS[column.dtype]) * len(column)
-    return format_distinct(column, _CELLS[column.dtype])
+        return format_distinct(column[:1], cells) * len(column)
+    return format_distinct(column, cells)
 
 
 def _write_text(path, write) -> None:
@@ -143,7 +144,8 @@ def write_csv(path, header, table: Table, metadata: dict | None = None) -> None:
         raise ValueError(f"{len(header)} header names for {len(table.columns)} columns")
 
     def write(out):
-        out.write("\n".join([*metadata_lines(metadata or {}), ",".join(header)]) + "\n")
+        meta = [f"# {key} = {format_value(val)}" for key, val in (metadata or {}).items()]
+        out.write("\n".join([*meta, ",".join(header)]) + "\n")
         for lo in range(0, len(table), _BATCH):
             cols = [_texts(col) for col in table[lo:lo + _BATCH].columns]
             out.write("\n".join(map(",".join, zip(*cols))) + "\n")
@@ -162,7 +164,7 @@ def read_text(path, error=ValidationError) -> str:
                     f"({exc.reason} at byte {exc.start})") from None
 
 
-def read_csv(path) -> dict[str, np.ndarray]:
+def read_csv(path) -> dict:
     """Read a metadata-headed CSV back as float columns (non-floats -> nan).
 
     Raises ValidationError if the file cannot be read as UTF-8 text, there
@@ -194,19 +196,18 @@ def read_csv(path) -> dict[str, np.ndarray]:
         data.append(row)
     if header is None:
         raise ValidationError(f"{path}: no header row found")
+    import numpy as np
     table = np.asarray(data, dtype=float) if data else np.empty((0, len(header)))
     return {name: table[:, i] for i, name in enumerate(header)}
 
 
 def _nan_to_none(v):
-    """v with every float NaN, also inside dicts and lists, replaced by None."""
-    if isinstance(v, float):
-        return None if v != v else v
+    """v with every NaN, also inside dicts and lists, replaced by None."""
     if isinstance(v, dict):
         return {key: _nan_to_none(val) for key, val in v.items()}
     if isinstance(v, (list, tuple)):
         return [_nan_to_none(val) for val in v]
-    return v
+    return None if v != v else v   # NaN alone is unequal to itself
 
 
 def write_json(path, payload: dict, metadata: dict | None = None) -> None:

@@ -764,32 +764,64 @@ def _package_nodes_where(matches, pattern="*.py"):
     return found
 
 
+def _is_fork(node) -> bool:
+    """Whether node tests a value for an array or a float: isinstance(x, np.ndarray),
+    isinstance(x, float), type(x) is float (or ==, is not, !=), any hasattr(x, ...)
+    or getattr(x, "shape"), getattr(x, "dtype") or getattr(x, "ndim")."""
+    if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+        return (getattr(node.left.func, "id", None) == "type"
+                and any(getattr(c, "id", None) in ("float", "int") for c in node.comparators))
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", None)
+    if name == "isinstance":
+        kinds = ast.unparse(node.args[1])
+        return "np.ndarray" in kinds or bool(re.search(r"\b(float|int)\b", kinds))
+    return name == "hasattr" or name == "getattr" and ast.unparse(node.args[1]).strip("'\"") in (
+        "shape", "dtype", "ndim")
+
+
+@pytest.mark.parametrize("source, fork", [
+    ("isinstance(x, np.ndarray)", True), ("isinstance(x, (int, float))", True),
+    ("type(x) is float", True), ("type(x) != float", True), ('hasattr(x, "shape")', True),
+    ('hasattr(x, "dtype")', True), ("isinstance(x, str)", False), ("type(x) is Path", False),
+    ('getattr(x, "shape", None)', True), ('getattr(x, "id", None)', False)])
+def test_fork_finder_sees_each_spelling(source, fork):
+    assert _is_fork(ast.parse(source, mode="eval").body) is fork
+
+
 def test_package_tests_for_an_array_only_where_listed():
-    """Every isinstance(..., np.ndarray) in src/memcav, by module and function.
+    """Every test in src/memcav of whether a value is an array or a float, by
+    module and function.
 
     The checked formulas take floats and the shared cores take both, so a
-    formula needs no such test: only _tau_lin (a float divided by 0 raises,
-    an array gives inf), elementwise.sqrt and textio's column kinds have one.
-    A new scalar/array fork must be added here on purpose.
+    formula needs no such test: only the cores' sqrt and _tau_lin (a float
+    divided by 0 raises, a grid's column gives inf), which hand a sweep grid's
+    column (sweep.LibmArray) its own method, and textio's column kinds have
+    one.  A new scalar/array fork must be added here on purpose.
     """
-    found = _package_nodes_where(
-        lambda node: (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-                      and "np.ndarray" in ast.unparse(node.args[1])))
-    assert sorted(found) == ["elementwise.sqrt", "qnd._tau_lin", "textio.Table.__init__",
+    found = _package_nodes_where(_is_fork)
+    assert sorted(found) == ["mechanics.sqrt", "qnd._tau_lin", "textio.Table.__init__",
                              "textio._texts"]
 
 
-def test_params_uses_numpy_only_in_grid_violations():
-    """Every np. name in params.py, by function.
+def _uses_numpy(node) -> bool:
+    """Whether node imports numpy or names np."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "numpy"
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
 
-    The parameter rules take floats, as the checked formulas do; only
-    grid_violations, which runs them on each field's own values of a grid,
-    handles arrays.  A new array rule must be added here on purpose.
-    """
-    found = _package_nodes_where(
-        lambda node: isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np",
-        "params.py")
-    assert set(found) == {"params.grid_violations"}
+
+def test_scalar_modules_import_no_numpy():
+    """params, qnd, mechanics and errors import no numpy and name no np.: the
+    parameter rules and the checked formulas take floats, and a sweep grid's
+    half of the budget lives in sweep."""
+    found = []
+    for module in ("params", "qnd", "mechanics", "errors"):
+        found += _package_nodes_where(_uses_numpy, f"{module}.py")
+    assert found == []
 
 
 _LOADED_SCRIPT = """
@@ -800,7 +832,7 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 _CAVITY = {"cavity"}
-_QND = {"qnd", "mechanics", "elementwise"}
+_QND = {"qnd", "mechanics"}
 
 # the memcav modules each README command loads besides memcav, cli, errors,
 # params and textio, which every command shares
@@ -809,7 +841,7 @@ _COMMAND_MODULES = [
     ("bandstructure", _CAVITY),
     ("transmission-map", _CAVITY),
     ("ringdown-fit", {"fitting", *_CAVITY}),   # cavity for --length's finesse
-    ("mech-ringdown-fit", {"mechanics", "elementwise", "fitting"}),
+    ("mech-ringdown-fit", {"mechanics", "fitting"}),
     ("cool-fit", {"cooling", "fitting"}),
     ("jump-sim", {"jumpsim", *_QND}),
     ("jump-stats", {"jumpsim", *_QND}),
@@ -834,6 +866,31 @@ def test_command_imports_only_what_it_runs(tmp_path, fit_inputs, command, loads)
         "memcav", *(f"memcav.{m}" for m in {"cli", "errors", "params", "textio", *loads})}
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
     assert "numpy.ma" not in modules
+
+
+_NO_NUMPY = [   # (id, argv, exit code): runs that need no array
+    ("qnd-budget", ["qnd-budget", "--config", "scenario.cfg", "-o", "budget.json"], 0),
+    ("help", ["--help"], 0),
+    ("version", ["--version"], 0),
+    ("usage-error", ["qnd-budget", "--config", "scenario.cfg"], 1),   # no --output
+    # a config error, in each command that reads a config
+    *((f"config-error-{argv[0]}", [*argv, "--config", "missing.cfg", "-o", "out"], 1) for argv in [
+        ["qnd-budget"], ["bandstructure"], ["transmission-map", "--det-min=-1", "--det-max=1"],
+        ["jump-sim", "--seed", "1", "--duration", "1"],
+        ["jump-stats", "--seed", "1", "--duration", "1", "--bin-width", "1", "--threshold", "1"],
+        ["sweep", "--axis", "F:1:2:2"]]),
+]
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in _NO_NUMPY],
+                         ids=[case[0] for case in _NO_NUMPY])
+def test_scalar_commands_load_no_numpy(tmp_path, argv, code):
+    """A fresh qnd-budget, --help, --version, usage error or config error loads no numpy."""
+    proc = run_python("-c", _LOADED_SCRIPT, *readme_argv(argv, tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])   # --help prints its text first
+    assert result["code"] == code, proc.stderr
+    assert [m for m in result["modules"] if m.split(".")[0] == "numpy"] == []
 
 
 _REEXPORTS_SCRIPT = """

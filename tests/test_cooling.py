@@ -67,6 +67,14 @@ def test_psd_model_rejects_bad_params():
         cooling.psd_model(1.0, -1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("m, t_eff", [(1e-300, 1e300), (1e300, 1e-300)],
+                         ids=["overflows", "underflows"])
+def test_psd_model_amplitude_out_of_float_range(m, t_eff):
+    """An amplitude 4 k_B T_eff gamma_eff / m of inf or 0 raises, where the PSD was inf or 0."""
+    with pytest.raises(SingularityError, match="^PSD amplitude left the float range$"):
+        cooling.psd_model(1e5, m, t_eff, 1e5, 1e3)
+
+
 # ---------------------------------------------------------------------------
 # temperature estimators
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def test_thermal_occupation_values():
     assert math.isclose(n, 155.5, rel_tol=1e-2)
 
 
+@pytest.mark.parametrize("T, omega_m, message", [
+    (-1.0, 6.2832e5, "T must be >= 0"), (0.3, 0.0, "omega_m must be positive"),
+    (0.3, -1.0, "omega_m must be positive")])
+def test_thermal_occupation_rejects_out_of_range(T, omega_m, message):
+    with pytest.raises(ValidationError, match=message):
+        mechanics.thermal_occupation(T, omega_m)
+
+
 def test_thermal_occupation_underflow_raises():
     with pytest.raises(SingularityError, match="underflowed"):
         mechanics.thermal_occupation(0.3, 1e-300)

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from memcav.errors import ConfigError, ValidationError
+from memcav.sweep import grid_violations
 from memcav.params import (
     CONST,
     ExperimentParams,
     MembraneSpec,
     PhysicalConstants,
     attr_name,
-    grid_violations,
     load_config,
     save_config,
     validate,
@@ -65,18 +65,22 @@ def test_load_config_rejects_negative_omega(tmp_path, row1_config):
     ("L = 0.067\n", "missing"),           # dropped line -> missing key
     ("L = zero\n", "not a number"),
     ("extra = 1\n", "unknown key"),
+    ("L 0.067\n", "no equals sign"),
+    ("L = 0.067\n", "duplicate key"),
 ])
 def test_load_config_malformed(tmp_path, row1_config, mutation, key):
     text = row1_config.read_text()
     if key == "missing":
         text = text.replace("L = 0.067\n", "")
-    elif key == "not a number":
-        text = text.replace("L = 0.067\n", "L = zero\n")
+    elif key in ("not a number", "no equals sign"):
+        text = text.replace("L = 0.067\n", mutation)
     else:
-        text += "extra = 1\n"
+        text += mutation
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
-    with pytest.raises(ConfigError):
+    match = {"no equals sign": "expected 'key = value', got 'L 0.067'",
+             "duplicate key": "duplicate key 'L'"}.get(key)
+    with pytest.raises(ConfigError, match=match):
         load_config(bad)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from memcav import cavity, cooling, mechanics, qnd
+from memcav import cavity, cooling, mechanics, qnd, sweep
 from memcav.errors import MemcavError, SingularityError, ValidationError
 from memcav.params import C_LIGHT, HBAR, ExperimentParams, validate, with_value
 from memcav.sweep import SweepAxis
@@ -399,7 +399,7 @@ def test_grid_budget_equals_formula_composition(grid):
     """At each valid point of a grid, budget_grid gives the bits of the five public
     formulas composed on the point's floats, and fails the float-range rule where
     they fail."""
-    b = qnd.budget_grid(grid)
+    b = sweep.budget_grid(grid)
     shape = np.broadcast_shapes(*(v.shape for v in vars(grid).values()))
     fields = {name: np.broadcast_to(v, shape).ravel().tolist() for name, v in vars(grid).items()}
     for i, values in enumerate(zip(*fields.values())):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from memcav import __version__, qnd, sweep
 from memcav.cli import run
 from memcav.errors import MemcavError, SingularityError, ValidationError
-from memcav.params import ExperimentParams, as_dict, attr_name, with_value
+from memcav.params import HBAR, K_B, ExperimentParams, as_dict, attr_name, with_value
 from oracles import maximize_snr_reference
 
 
@@ -24,6 +24,8 @@ def test_axis_validation():
         sweep.SweepAxis("P_in", -1.0, 1.0, 5, "log")
     with pytest.raises(ValidationError, match="unknown parameter 'bogus'"):
         sweep.SweepAxis("bogus", 0.0, 1.0, 5)
+    with pytest.raises(ValidationError, match="scale must be linear or log"):
+        sweep.SweepAxis("P_in", 1e-6, 1e-4, 5, "cubic")
 
 
 @pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)])
@@ -112,6 +114,28 @@ def test_maximize_small_offset_wins(row1):
     opt = sweep.maximize_snr(row1, axes, refine_iters=2)
     assert opt.feasible
     assert math.isclose(opt.params.x0, 1e-13, rel_tol=1e-9)
+
+
+def test_line_search_scores_a_point_that_raises_lowest(row1, monkeypatch):
+    # the T grid starts at 0, which validate rejects, and both line searches
+    # start there; the refined T sits just above the classical-bath bound n_bar >= 10
+    raised, jump_budget = [], qnd.jump_budget
+
+    def recording(p):
+        try:
+            return jump_budget(p)
+        except MemcavError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(qnd, "jump_budget", recording)
+    axes = [sweep.SweepAxis("T", 0.0, 1e-3, 3)]
+    opt = sweep.maximize_snr(row1, axes)
+    assert raised == ["T must be > 0 (got 0.0)"] * 2
+    assert opt.evaluations == 3 + 2 * (4 + 40)
+    assert opt.params == replace(row1, T=4.799237365737444e-05)
+    assert opt.budget.snr == 19.268375207548694
+    assert 1.0 < opt.params.T / (10.0 * HBAR * row1.omega_m / K_B) < 1.0 + 1e-8
 
 
 def test_refinement_never_worse_than_grid(row1):
